@@ -5,26 +5,23 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from . import linalg
-from .deformations import (Deformation, equivalence_check, igsd_kernel,
-                           integrability_report, integral_identities,
-                           obstruction, round_geometry)
+from .deformations import (equivalence_check, igsd_kernel, integrability_report,
+                           integral_identities, round_geometry)
 from .frames import default_model, validate_structure
 from .harmonics import canonical_space, harmonic_basis
 from .poly import IntegralValue, Polynomial, as_poly, integrate_s3
 from .tensors import Geometry, TensorField, tensor, zeros
-from .variational import (OperatorMatrix, bianchi_contracted_check,
-                          first_variation, lambda_min, operator_A,
-                          phi_relation_check, second_variation_matrix,
+from .variational import (bianchi_contracted_check, first_variation, lambda_min,
+                          operator_A, phi_relation_check, second_variation_matrix,
                           slice_tangent_basis)
 from . import flow as flow_mod
 
@@ -42,22 +39,6 @@ class RunConfig:
     steps: int = 1000
     sample_every: int = 100
     u_spec: str = "x1x2"
-
-
-def _threads():
-    try:
-        return max(1, int(os.environ.get("GRFLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    """Deterministic map, parallel over a GRFLAB_THREADS-capped pool."""
-    n = _threads()
-    if n == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _fmt_float(x):
@@ -151,8 +132,8 @@ def _suite_curvature_dual_path(rng, samples=20):
 def _suite_mixed_laplacian(rng, samples=20):
     geo = round_geometry()
     tensors = [_rand_tensor(rng, 2) for _ in range(samples)]
-    oks = _pmap(lambda t: geo.mixed_laplacian_formula(t) == geo.mixed_laplacian_definition(t),
-                tensors)
+    oks = [geo.mixed_laplacian_formula(t) == geo.mixed_laplacian_definition(t)
+           for t in tensors]
     return [("mixed laplacian formula matches adjoint definition", all(oks))]
 
 
@@ -325,18 +306,24 @@ def cmd_obstruction(cfg):
 
 
 def parse_metric(spec):
-    if spec.startswith("diag:"):
-        vals = [float(v) for v in spec[len("diag:"):].split(",")]
-        if len(vals) != 3:
-            raise ValueError("diag metric needs three entries")
-        return np.diag(vals)
-    raise ValueError("metric spec must look like diag:a,b,c")
+    if not spec.startswith("diag:"):
+        raise ValueError("metric spec must look like diag:a,b,c")
+    vals = [float(v) for v in spec[len("diag:"):].split(",")]
+    if len(vals) != 3:
+        raise ValueError("diag metric needs three entries")
+    if not all(0 < v < math.inf for v in vals):
+        raise ValueError(f"metric {spec} is not positive definite")
+    return np.diag(vals)
 
 
 def cmd_flow(cfg):
     g0 = parse_metric(cfg.metric)
     state = flow_mod.FlowState(g=g0, b=np.zeros((3, 3)), H0_coeff=cfg.h0)
-    traj = flow_mod.run_flow(state, cfg.dt, cfg.steps, cfg.sample_every)
+    blowup = None
+    try:
+        traj = flow_mod.run_flow(state, cfg.dt, cfg.steps, cfg.sample_every)
+    except flow_mod.FlowBlowup as exc:
+        traj, blowup = exc.trajectory, str(exc)
     rows = []
     for t, s, lam, res in traj.samples:
         row = {"t": _fmt_float(t)}
@@ -355,7 +342,9 @@ def cmd_flow(cfg):
         "samples": rows,
         "lambda_nondecreasing": all(b >= a - 1e-8 for a, b in zip(lams, lams[1:])),
     }
-    return report, report["lambda_nondecreasing"]
+    if blowup is not None:
+        report["blowup"] = blowup
+    return report, report["lambda_nondecreasing"] and blowup is None
 
 
 def cmd_lambda(cfg):
@@ -420,19 +409,49 @@ def build_parser():
     return p
 
 
+# Keys a --config file may set, with their types; the subcommand is not one.
+_CONFIG_KEYS = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
+
+
+def _config_value(key, value):
+    """A --config value, checked against the type of its RunConfig field."""
+    if key not in _CONFIG_KEYS:
+        raise ValueError(f"unknown config key {key!r}")
+    want = _CONFIG_KEYS[key]
+    if want is float and type(value) is int:
+        value = float(value)
+    if type(value) is not want:
+        raise ValueError(f"config key {key!r} must be {want.__name__}, not {value!r}")
+    return value
+
+
 def config_from_args(args):
+    """The run configuration from the flags and --config, rejected with
+    ValueError unless every value is usable."""
     cfg = RunConfig(command=args.command)
-    for name in ("degree", "h0", "output", "fmt", "seed", "metric", "dt",
-                 "steps", "sample_every", "u_spec"):
+    for name in _CONFIG_KEYS:
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))
     if getattr(args, "config", ""):
         with open(args.config) as fh:
-            for k, v in json.load(fh).items():
-                if hasattr(cfg, k):
-                    setattr(cfg, k, v)
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
+        for k, v in data.items():
+            setattr(cfg, k, _config_value(k, v))
     if cfg.degree < 0:
         raise ValueError("degree must be nonnegative")
+    if cfg.steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if cfg.sample_every < 1:
+        raise ValueError("sample-every must be positive")
+    if not 0 < cfg.dt < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if not math.isfinite(cfg.h0):
+        raise ValueError("h0 must be finite")
+    if cfg.fmt not in ("json", "csv"):
+        raise ValueError("format must be json or csv")
+    parse_metric(cfg.metric)
     return cfg
 
 
@@ -456,10 +475,10 @@ def main(argv=None):
     try:
         cfg = config_from_args(args)
         report, ok = dispatch(cfg)
+        _emit(report, cfg)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(report, cfg)
     return 0 if ok else 1
 
 

@@ -12,7 +12,7 @@ from . import linalg
 from .frames import BadIndex, adjoint_matrix
 from .harmonics import canonical_space, harmonic_basis, is_eigenfunction
 from .poly import IntegralValue, JetScalar, Polynomial, as_poly, integrate_s3
-from .tensors import Geometry, TensorField, obj_array, tensor, zeros
+from .tensors import Geometry, TensorField, obj_array, zeros
 from .variational import curvature_action, operator_B, second_variation_form
 
 MU = Fraction(2)  # Einstein constant of the unit round 3-sphere

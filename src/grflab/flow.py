@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from .frames import default_model
-from .tensors import SingularMetric
+from .tensors import SingularMetric, christoffel, riemann
 from .variational import lambda_min
 
 
@@ -23,12 +23,7 @@ for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
     _EPS[_i, _j, _k] = _s
 
 
-def _structure_constants():
-    m = default_model()
-    return np.array([[[float(x) for x in row] for row in plane] for plane in m.c])
-
-
-_C = _structure_constants()
+_C = np.array(default_model().c, dtype=float)
 
 
 @dataclass
@@ -77,22 +72,6 @@ def frame_db(b):
     return -t1 + t2 - t3
 
 
-def _lc_gamma(g, ginv):
-    """Levi-Civita symbols of an invariant metric (no derivative terms)."""
-    a = (np.einsum("mip,pk->mik", _C, g)
-         - np.einsum("mkp,ip->mik", _C, g)
-         - np.einsum("ikp,mp->mik", _C, g)) / 2.0
-    return np.einsum("mik,pk->mip", a, ginv)
-
-
-def _curvature(gamma, g):
-    """Lowered curvature of a connection symbol array (invariant data)."""
-    coef = (np.einsum("jkm,iml->ijkl", gamma, gamma)
-            - np.einsum("ikm,jml->ijkl", gamma, gamma)
-            - np.einsum("ijm,mkl->ijkl", _C, gamma))
-    return np.einsum("ijkp,pl->ijkl", coef, g)
-
-
 def _covd3(gamma, H):
     """Covariant derivative of an invariant 3-tensor, derivative index first."""
     return -(np.einsum("mip,pjk->mijk", gamma, H)
@@ -106,12 +85,12 @@ def curvature_quantities(g, H):
         ginv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(str(exc)) from exc
-    gamma = _lc_gamma(g, ginv)
-    rc = np.einsum("ijkl,il->jk", _curvature(gamma, g), ginv)
+    gamma = christoffel(_C, g, ginv)
+    rc = np.einsum("ijkl,il->jk", riemann(_C, gamma, g), ginv)
     h2 = np.einsum("ipq,jrs,pr,qs->ij", H, H, ginv, ginv)
     dstar_h = -np.einsum("mnjk,mn->jk", _covd3(gamma, H), ginv)
     hup = np.einsum("mik,pk->mip", H, ginv)
-    rcp = np.einsum("ijkl,il->jk", _curvature(gamma + hup / 2.0, g), ginv)
+    rcp = np.einsum("ijkl,il->jk", riemann(_C, gamma + hup / 2.0, g), ginv)
     return {"Rc": rc, "H2": h2, "dstarH": dstar_h, "Rc+": rcp, "ginv": ginv}
 
 
@@ -143,7 +122,7 @@ def soliton_residual(state):
     return float(np.linalg.norm(q["Rc"] - q["H2"] / 4.0) + np.linalg.norm(q["dstarH"]))
 
 
-def flow_lambda(state, degree=0):
+def flow_lambda(state):
     """lambda of the current state via the exact eigenproblem assembly.
 
     The potential of invariant data is constant, so degree 0 is exact.
@@ -155,7 +134,7 @@ def flow_lambda(state, degree=0):
         for j in range(3):
             for k in range(3):
                 h[i, j, k] = Fraction(float(H[i, j, k]))
-    return lambda_min(g, h, degree).value
+    return lambda_min(g, h, 0).value
 
 
 def step_rk4(state, dt):
@@ -174,7 +153,7 @@ def step_rk4(state, dt):
     return state.copy_with(g, b, t0 + dt)
 
 
-def run_flow(initial, dt, steps, sample_every=1, lambda_degree=0):
+def run_flow(initial, dt, steps, sample_every=1):
     """Integrate the flow, sampling (t, state, lambda, soliton residual)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -182,7 +161,7 @@ def run_flow(initial, dt, steps, sample_every=1, lambda_degree=0):
     state = initial
 
     def sample(s):
-        traj.samples.append((s.t, s, flow_lambda(s, lambda_degree), soliton_residual(s)))
+        traj.samples.append((s.t, s, flow_lambda(s), soliton_residual(s)))
 
     sample(state)
     for n in range(1, steps + 1):

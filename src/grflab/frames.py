@@ -181,16 +181,14 @@ def vector_bracket(v, w):
     return tuple(apply_vector(v, w[mu]) - apply_vector(w, v[mu]) for mu in range(4))
 
 
-def frame_derive(p, i, chirality="left", frame=None):
+def frame_derive(p, i, chirality="left"):
     """Directional derivative E_i(p) (or F_i(p)) for i in 1..3."""
     if i not in (1, 2, 3):
         raise BadIndex(f"frame index {i} out of range 1..3")
-    if frame is None:
-        frame = _SU2_FRAME
     if chirality == "left":
-        coeffs = frame.left[i - 1]
+        coeffs = _SU2_FRAME.left[i - 1]
     elif chirality == "right":
-        coeffs = frame.right[i - 1]
+        coeffs = _SU2_FRAME.right[i - 1]
     else:
         raise ValueError("chirality must be 'left' or 'right'")
     if isinstance(p, JetScalar):
@@ -202,31 +200,29 @@ def frame_derive(p, i, chirality="left", frame=None):
     return apply_vector(coeffs, as_poly(p))
 
 
-def laplacian_scalar(p, frame=None):
+def laplacian_scalar(p):
     """Sum_i E_i E_i (p) in the left-invariant orthonormal frame (negative spectrum)."""
     total = None
     for i in (1, 2, 3):
-        term = frame_derive(frame_derive(p, i, "left", frame), i, "left", frame)
+        term = frame_derive(frame_derive(p, i), i)
         total = term if total is None else total + term
     return total
 
 
-def adjoint_matrix(frame=None):
+def adjoint_matrix():
     """The 3x3 matrix A[j][a] = <E_a, F_j> of quadratic polynomials.
 
     Row j is the expansion of the right-invariant coframe form on the left
     frame; both frames are Euclidean-orthonormal on the tangent space, so
     the entry is the ambient dot product of the frame coefficient rows.
     """
-    if frame is None:
-        frame = _SU2_FRAME
     out = []
     for j in range(3):
         row = []
         for a in range(3):
             s = Polynomial.zero()
             for mu in range(4):
-                s = s + frame.right[j][mu] * frame.left[a][mu]
+                s = s + _SU2_FRAME.right[j][mu] * _SU2_FRAME.left[a][mu]
             row.append(s)
         out.append(tuple(row))
     return tuple(out)

@@ -128,7 +128,7 @@ def canonical_space(d):
     return CanonicalSpace(d)
 
 
-def is_eigenfunction(u, k, frame=None):
+def is_eigenfunction(u, k):
     """True iff laplacian(u) = -k(k+2) u exactly."""
     u = as_poly(u)
-    return laplacian_scalar(u, frame) == Fraction(-k * (k + 2)) * u
+    return laplacian_scalar(u) == Fraction(-k * (k + 2)) * u

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .frames import default_frame, default_model, frame_derive
+from .frames import default_model, frame_derive
 from .poly import JetScalar, Polynomial, as_jet, as_poly
 
 
@@ -118,8 +118,6 @@ class TensorField:
         return self.map(pick)
 
     def to_json(self):
-        def enc(x):
-            return _coerce_scalar(x).to_json() if isinstance(x, Polynomial) else as_poly(x).to_json()
         if self.rank == 2:
             return {"rank": 2, "components": [[self.comps[i, j].to_json() for j in range(3)]
                                               for i in range(3)]}
@@ -191,6 +189,41 @@ def _invert_metric(g):
     return obj_array(inv)
 
 
+def christoffel(c, g, ginv, dg=None):
+    """Levi-Civita symbols Gamma[m, i, p], nabla_{E_m} E_i = Gamma[m, i, p] E_p.
+
+    c[i, j, k] is the structure constant c^k_{ij}, g the metric and ginv its
+    inverse, as float64 or object ndarrays. dg[m, i, k] = E_m(g_ik); None
+    for invariant data, whose components have no frame derivatives.
+    """
+    a = (np.einsum("mip,pk->mik", c, g)
+         - np.einsum("mkp,ip->mik", c, g)
+         - np.einsum("ikp,mp->mik", c, g))
+    if dg is not None:
+        a = a + dg + np.einsum("imk->mik", dg) - np.einsum("kmi->mik", dg)
+    # 0.5 would turn exact components into floats, Fraction would turn a
+    # float array into an object array.
+    a = a * (Fraction(1, 2) if a.dtype == object else 0.5)
+    return np.einsum("mik,pk->mip", a, ginv)
+
+
+def riemann(c, conn, g, dconn=None):
+    """Lowered curvature Rm[i, j, k, l] = <R(E_i, E_j) E_k, E_l> of the symbols conn.
+
+    c, conn and g as in ``christoffel``. dconn[i, j, k, l] = E_i(conn[j, k, l]);
+    None for invariant data.
+    """
+    coef = (np.einsum("jkm,iml->ijkl", conn, conn)
+            - np.einsum("ikm,jml->ijkl", conn, conn)
+            - np.einsum("ijm,mkl->ijkl", c, conn))
+    if dconn is not None:
+        coef = coef + dconn - np.einsum("jikl->ijkl", dconn)
+    return np.einsum("ijkp,pl->ijkl", coef, g)
+
+
+_STRUCTURE = obj_array(default_model().c)
+
+
 class Geometry:
     """Invariant-frame geometry data (g, H, f) with exact connections.
 
@@ -198,9 +231,7 @@ class Geometry:
     a number s standing for s * e^1^e^2^e^3, f a scalar potential (default 0).
     """
 
-    def __init__(self, g, H=0, f=0, model=None, frame=None):
-        self.model = model if model is not None else default_model()
-        self.frame = frame if frame is not None else default_frame()
+    def __init__(self, g, H=0, f=0):
         self.g = g.comps if isinstance(g, TensorField) else obj_array(g)
         if isinstance(H, TensorField):
             self.H = H.comps
@@ -210,7 +241,7 @@ class Geometry:
             self.H = volume_form(H).comps
         self.f = _coerce_scalar(f)
         self.ginv = _invert_metric(self.g)
-        self.c = obj_array([[list(row) for row in plane] for plane in self.model.c])
+        self.c = _STRUCTURE
         self.gamma = self._levi_civita()
         half = Fraction(1, 2)
         hup = np.einsum("mik,pk->mip", self.H, self.ginv)
@@ -221,7 +252,15 @@ class Geometry:
 
     def E(self, s, m):
         """Frame derivative E_{m+1}(s) for m in 0..2."""
-        return frame_derive(s, m + 1, "left", self.frame)
+        return frame_derive(s, m + 1)
+
+    def _frame_gradient(self, arr):
+        """out[m, ...] = E_{m+1}(arr[...]), one frame derivative per component."""
+        out = np.empty((3,) + arr.shape, dtype=object)
+        for m in range(3):
+            for idx in np.ndindex(*arr.shape):
+                out[(m,) + idx] = self.E(arr[idx], m)
+        return out
 
     def grad_up(self, s):
         """Raised gradient (nabla s)^m as a length-3 object array."""
@@ -231,20 +270,7 @@ class Geometry:
     # -- connections ------------------------------------------------------
 
     def _levi_civita(self):
-        g, c = self.g, self.c
-        a = zeros((3, 3, 3))
-        for m in range(3):
-            for i in range(3):
-                for k in range(3):
-                    val = self.E(g[i, k], m) + self.E(g[m, k], i) - self.E(g[m, i], k)
-                    for p in range(3):
-                        val = val + c[m, i, p] * g[p, k] - c[m, k, p] * g[i, p] - c[i, k, p] * g[m, p]
-                    a[m, i, k] = val * Fraction(1, 2)
-        return np.einsum("mik,pk->mip", a, self.ginv)
-
-    def connection(self, sign=0):
-        """Connection symbols: 0 Levi-Civita, +1 / -1 the Bismut pair."""
-        return {0: self.gamma, 1: self.gamma_p, -1: self.gamma_m}[sign]
+        return christoffel(self.c, self.g, self.ginv, self._frame_gradient(self.g))
 
     def torsion(self, conn):
         """Lowered torsion tensor T_{ijk} of a connection symbol array."""
@@ -296,18 +322,7 @@ class Geometry:
 
     def curvature(self, conn):
         """Lowered curvature Rm_{ijkl} = <R(E_i,E_j)E_k, E_l> of the connection."""
-        coef = zeros((3, 3, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    for l in range(3):
-                        val = self.E(conn[j, k, l], i) - self.E(conn[i, k, l], j)
-                        for m in range(3):
-                            val = (val + conn[j, k, m] * conn[i, m, l]
-                                   - conn[i, k, m] * conn[j, m, l]
-                                   - self.c[i, j, m] * conn[m, k, l])
-                        coef[i, j, k, l] = val
-        return TensorField(np.einsum("ijkp,pl->ijkl", coef, self.g))
+        return TensorField(riemann(self.c, conn, self.g, self._frame_gradient(conn)))
 
     def ricci(self, rm):
         arr = rm.comps if isinstance(rm, TensorField) else rm

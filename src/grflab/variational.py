@@ -10,8 +10,8 @@ import scipy.linalg
 
 from . import linalg
 from .harmonics import canonical_space
-from .poly import IntegralValue, Polynomial, as_poly, integrate_s3
-from .tensors import Geometry, TensorField, obj_array, tensor, zeros
+from .poly import Polynomial, as_poly, integrate_s3
+from .tensors import Geometry, TensorField, obj_array, zeros
 
 
 class SolverError(RuntimeError):
@@ -27,10 +27,6 @@ class LambdaResult:
     value: float
     f: Polynomial
     residual: float
-
-    @property
-    def minimizer(self):
-        return self.f
 
 
 def _det3(m):
@@ -136,12 +132,6 @@ def first_variation(g, H, f, gamma):
     detg = _det3([[x.constant_value() for x in row] for row in geo.g])
     scale = math.exp(-float(c)) * math.sqrt(float(detg))
     return float(integrate_s3(as_poly(s) * w).coeff) * (-math.pi**2) * scale
-
-
-def first_variation_exact(geo, gamma):
-    """Exact unweighted pairing -int <gamma, Rc^{H,f}> dV (constant f dropped)."""
-    rchf = geo.bakry_emery(soliton_normalization=True)
-    return -integrate_s3(as_poly(geo.inner(gamma, rchf)))
 
 
 def curvature_action(geo, gamma, bismut=True):
@@ -307,20 +297,6 @@ class TensorSpace:
             for a in range(3):
                 out.extend(self.space.coords(arr[a]))
         return out
-
-    def degree_indices(self):
-        """Tensor-coordinate indices grouped by the harmonic degree of the coefficient."""
-        groups = {}
-        pos = 0
-        for a in range(3):
-            for b in range(3):
-                for i, ev in enumerate(self.space.eigenvalue):
-                    k = 0
-                    while Fraction(-k * (k + 2)) != ev:
-                        k += 1
-                    groups.setdefault(k, []).append(pos)
-                    pos += 1
-        return groups
 
 
 def second_variation_matrix(basis, geo, degree=4):

@@ -90,3 +90,36 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["command"] == "lambda"
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["lambda"], {"degree": "abc"}, "'degree' must be int"),
+    (["lambda"], {"command": "nope"}, "unknown config key 'command'"),
+    (["lambda"], {"degre": 3}, "unknown config key 'degre'"),
+    (["flow", "--sample-every", "0"], None, "sample-every must be positive"),
+    (["lambda", "--g", "diag:1,1,-1"], None, "not positive definite"),
+    (["lambda", "--output", "missing-dir/r.json"], None, "No such file"),
+], ids=["config-type", "config-command", "config-unknown-key", "sample-every-zero",
+        "metric-indefinite", "output-dir-missing"])
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    if "--output" in argv:
+        argv[-1] = str(tmp_path / argv[-1])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_flow_blowup_emits_partial_trajectory(capsys):
+    code, out = run(capsys, "flow", "--g", "diag:1,1,0.01", "--h0", "0",
+                    "--dt", "1", "--steps", "3")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["blowup"].startswith("metric degenerated")
+    assert rep["samples"][0]["t"] == 0.0

@@ -1,0 +1,22 @@
+import ast
+from pathlib import Path
+
+import grflab
+
+SRC = Path(grflab.__file__).parent
+
+
+def test_no_unused_module_imports():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in names:
+                        unused.append(f"{path.name}:{node.lineno} {bound}")
+    assert unused == []

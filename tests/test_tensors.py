@@ -219,3 +219,33 @@ def test_jet_curvature_first_order_matches_finite_difference():
     r = as_poly(0) + geo.scalar_curvature(geo.ricci(geo.curvature(geo.gamma)))
     assert r.c0 == 6
     assert r.c1 == Fraction(16) * u - 6 * u  # -2 lap u - u R = 16u - 6u
+
+
+def test_curvature_kernel_agrees_in_float_and_exact_dtypes():
+    from grflab.flow import curvature_quantities
+    from grflab.frames import default_model
+    from grflab.tensors import EPS, christoffel, riemann
+
+    def to_float(arr):
+        return np.array([float(as_poly(x).constant_value()) for x in arr.reshape(-1)],
+                        dtype=float).reshape(arr.shape)
+
+    c = np.array(default_model().c, dtype=float)
+    vol = to_float(EPS)
+    rng = random.Random(21)
+    for _ in range(6):
+        g = rand_metric(rng)
+        s = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        geo = Geometry(g, H=s)
+        suite = geo.curvature_suite()
+        gf = np.array(g, dtype=float)
+        ginv = np.linalg.inv(gf)
+        gamma = christoffel(c, gf, ginv)
+        rm_plus = riemann(c, gamma + np.einsum("mik,pk->mip", float(s) * vol, ginv) / 2, gf)
+        q = curvature_quantities(gf, float(s) * vol)
+        pairs = [(gamma, geo.gamma), (rm_plus, suite["Rm+"].comps),
+                 (q["Rc"], suite["Rc"].comps), (q["H2"], suite["H2"].comps),
+                 (q["Rc+"], suite["Rc+"].comps)]
+        for got, exact in pairs:
+            assert got.dtype == np.float64
+            assert np.abs(got - to_float(exact)).max() <= 1e-12
