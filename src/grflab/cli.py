@@ -20,9 +20,9 @@ from .frames import default_model, validate_structure
 from .harmonics import canonical_space, harmonic_basis
 from .poly import IntegralValue, Polynomial, as_poly, integrate_s3
 from .tensors import Geometry, TensorField, tensor, zeros
-from .variational import (bianchi_contracted_check, first_variation, lambda_min,
-                          operator_A, phi_relation_check, second_variation_matrix,
-                          slice_tangent_basis)
+from .variational import (SolverError, bianchi_contracted_check, first_variation,
+                          lambda_min, operator_A, phi_relation_check,
+                          second_variation_matrix, slice_tangent_basis)
 from . import flow as flow_mod
 
 
@@ -221,9 +221,8 @@ def cmd_verify(cfg):
 
 def cmd_spectrum(cfg):
     geo = round_geometry()
-    r = lambda_min(_eye(), Fraction(cfg.h0), cfg.degree)
-    d = min(cfg.degree, 2)
-    basis = slice_tangent_basis(geo, d)
+    r = lambda_min(_eye(), 2, cfg.degree)
+    basis = slice_tangent_basis(geo, cfg.degree)
     mat = second_variation_matrix(basis, geo)
     eig = mat.eigenvalues()
     kernel_dim = int(np.sum(np.abs(eig) <= 1e-9))
@@ -451,6 +450,9 @@ def config_from_args(args):
         raise ValueError("h0 must be finite")
     if cfg.fmt not in ("json", "csv"):
         raise ValueError("format must be json or csv")
+    if cfg.command == "spectrum" and (cfg.h0 != 2 or cfg.degree > 2):
+        raise ValueError("spectrum is computed at the round point up to degree 2: "
+                         "h0 must be 2 and degree at most 2")
     parse_metric(cfg.metric)
     return cfg
 
@@ -476,7 +478,7 @@ def main(argv=None):
         cfg = config_from_args(args)
         report, ok = dispatch(cfg)
         _emit(report, cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SolverError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return 0 if ok else 1

@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
 from .frames import BadIndex, adjoint_matrix
 from .harmonics import canonical_space, harmonic_basis, is_eigenfunction
 from .poly import IntegralValue, JetScalar, Polynomial, as_poly, integrate_s3
 from .tensors import Geometry, TensorField, obj_array, zeros
-from .variational import curvature_action, operator_B, second_variation_form
+from .variational import (TensorSpace, curvature_action, kernel_span, operator_B,
+                          second_variation_form)
 
 MU = Fraction(2)  # Einstein constant of the unit round 3-sphere
 
@@ -86,34 +86,11 @@ def igsd_kernel(d):
     geo = round_geometry()
     out = []
     for k in range(d + 1):
-        space = canonical_space(k)
-        basis_polys = harmonic_basis(k)
-        block = []
-        for a in range(3):
-            for b in range(3):
-                for phi in basis_polys:
-                    arr = zeros((3, 3))
-                    arr[a, b] = phi
-                    block.append(TensorField(arr))
-        cols = []
-        for t in block:
-            bt = operator_B(t, geo)
-            u, v = geo.twisted_divergence(t)
-            col = []
-            for i in range(3):
-                for j in range(3):
-                    col.extend(space.coords(bt[i, j]))
-            for w in (u, v):
-                for i in range(3):
-                    col.extend(space.coords(w[i]))
-            cols.append(col)
-        eqs = [[cols[j][i] for j in range(len(block))] for i in range(len(cols[0]))]
-        for n, vec in enumerate(linalg.kernel_basis(eqs)):
-            arr = zeros((3, 3))
-            for c, t in zip(vec, block):
-                if c != 0:
-                    arr = arr + t.comps * c
-            out.append(Deformation(TensorField(arr), provenance=f"kernel(k={k},i={n})"))
+        ts = TensorSpace(k)
+        block = kernel_span(ts.basis(degree=k),
+                            lambda t: ts.coords(operator_B(t, geo), *geo.twisted_divergence(t)))
+        out.extend(Deformation(t, provenance=f"kernel(k={k},i={n})")
+                   for n, t in enumerate(block))
     return out
 
 

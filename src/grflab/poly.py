@@ -10,6 +10,7 @@ representatives are exact rational multiples of pi^2.
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 
 def _double_factorial(n):
@@ -19,6 +20,16 @@ def _double_factorial(n):
         out *= n
         n -= 2
     return out
+
+
+@lru_cache(maxsize=None)
+def _sphere_power(q):
+    """(1 - x1^2 - x2^2 - x3^2)^q, the reduction of x4^(2q), as terms (2i, 2j, 2k, c)
+    with the multinomial coefficients c = (-1)^(i+j+k) q! / (i! j! k! (q-i-j-k)!)."""
+    f = math.factorial
+    return tuple((2 * i, 2 * j, 2 * k,
+                  (-1) ** (i + j + k) * (f(q) // (f(i) * f(j) * f(k) * f(q - i - j - k))))
+                 for k in range(q + 1) for j in range(q + 1 - k) for i in range(q + 1 - k - j))
 
 
 def _canonicalize(raw):
@@ -37,10 +48,12 @@ def _canonicalize(raw):
             else:
                 out[exp] = new
         else:
-            stack.append(((a1, a2, a3, a4 - 2), coeff))
-            stack.append(((a1 + 2, a2, a3, a4 - 2), -coeff))
-            stack.append(((a1, a2 + 2, a3, a4 - 2), -coeff))
-            stack.append(((a1, a2, a3 + 2, a4 - 2), -coeff))
+            q, r = divmod(a4, 2)
+            for b1, b2, b3, m in _sphere_power(q):
+                # q = 1 (every x4^2, x4^3) has only +-1: negating is cheaper
+                # than a Fraction product
+                c = coeff if m == 1 else -coeff if m == -1 else m * coeff
+                stack.append(((a1 + b1, a2 + b2, a3 + b3, r), c))
     return out
 
 

@@ -2,6 +2,7 @@
 A and B, the Bianchi and Phi operators, and the second-variation form."""
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from . import linalg
-from .harmonics import canonical_space
+from .harmonics import canonical_space, harmonic_basis
 from .poly import Polynomial, as_poly, integrate_s3
 from .tensors import Geometry, TensorField, obj_array, zeros
 
@@ -47,6 +48,37 @@ def schrodinger_potential(geo):
     return as_poly(suite_r) - Fraction(1, 12) * as_poly(geo.norm_h_squared())
 
 
+def pairing_matrix(xs, ys, pair):
+    """The exact matrix [[int_{S^3} pair(x, y) dV for y in ys] for x in xs],
+    entries as coefficients of pi^2."""
+    return [[integrate_s3(as_poly(pair(x, y))).coeff for y in ys] for x in xs]
+
+
+def kernel_span(basis, image):
+    """Exact basis of the kernel of a linear map on the span of basis.
+
+    image(t) is the coordinate vector of the map's value on one basis
+    element; the columns are turned into equations, and each kernel vector
+    comes back as the matching combination of the basis elements.
+    """
+    eqs = list(zip(*(image(t) for t in basis)))
+    out = []
+    for vec in linalg.kernel_basis(eqs):
+        arr = zeros(basis[0].comps.shape)
+        for c, t in zip(vec, basis):
+            if c != 0:
+                arr = arr + t.comps * c
+        out.append(TensorField(arr))
+    return out
+
+
+def _float_matrix(entries):
+    try:
+        return np.array([[float(x) for x in row] for row in entries])
+    except OverflowError as exc:
+        raise SolverError("matrix entry does not fit in a float64") from exc
+
+
 def lambda_min(g, H, degree=2):
     """Smallest eigenvalue of -4 lap_g + (R - |H|^2/12) on polynomials of degree <= d.
 
@@ -58,17 +90,10 @@ def lambda_min(g, H, degree=2):
     geo = _as_geometry(g, H)
     space = canonical_space(degree)
     V = schrodinger_potential(geo)
-    n = space.dim
-    a = [[Fraction(0)] * n for _ in range(n)]
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i, phi in enumerate(space.basis):
-        lap = np.einsum("mn,mn->", geo.ginv, geo.hessian(phi).comps)
-        op = Fraction(-4) * as_poly(lap) + V * phi
-        for j, psi in enumerate(space.basis):
-            a[i][j] = integrate_s3(op * psi).coeff
-            m[i][j] = integrate_s3(phi * psi).coeff
-    A = np.array([[float(x) for x in row] for row in a])
-    M = np.array([[float(x) for x in row] for row in m])
+    ops = [Fraction(-4) * as_poly(np.einsum("mn,mn->", geo.ginv, geo.hessian(phi).comps))
+           + V * phi for phi in space.basis]
+    A = _float_matrix(pairing_matrix(ops, space.basis, operator.mul))
+    M = _float_matrix(pairing_matrix(space.basis, space.basis, operator.mul))
     A = (A + A.T) / 2
     M = (M + M.T) / 2
     try:
@@ -151,12 +176,10 @@ def _poisson_solve_f(geo, rhs, degree):
     if not geo.f.is_constant:
         raise ValueError("the u-solve is implemented for constant f")
     rhs = as_poly(rhs)
-    space = canonical_space(max(degree, rhs.degree()))
-    coords = space.coords(rhs)
-    for c, ev in zip(coords, space.eigenvalue):
-        if ev == 0 and c != 0:
-            raise InconsistentSource("divergence source has a nonzero mean component")
-    return space.poisson_solve(rhs)
+    try:
+        return canonical_space(max(degree, rhs.degree())).poisson_solve(rhs)
+    except ValueError as exc:  # the space holds rhs, so only a nonzero mean is left
+        raise InconsistentSource(str(exc)) from exc
 
 
 def operator_A(gamma, geo, degree=4):
@@ -251,73 +274,47 @@ class OperatorMatrix:
         return all(e[i][j] == e[j][i] for i in range(self.dim) for j in range(self.dim))
 
     def eigenvalues(self):
-        m = np.array([[float(x) for x in row] for row in self.entries])
+        m = _float_matrix(self.entries)
         return np.linalg.eigvalsh((m + m.T) / 2)
 
 
 class TensorSpace:
-    """Exact coordinates on rank-2 tensors with coefficients of degree <= d."""
+    """Exact coordinates on tensors with coefficients of degree <= d: each
+    component in the harmonic basis of canonical_space(d)."""
 
     def __init__(self, d):
-        self.d = d
         self.space = canonical_space(d)
-        self.n = self.space.dim
-        self.dim = 9 * self.n
 
-    def basis_tensor(self, a, b, idx):
-        arr = zeros((3, 3))
-        arr[a, b] = self.space.basis[idx]
-        return TensorField(arr)
-
-    def basis(self):
-        return [self.basis_tensor(a, b, i)
-                for a in range(3) for b in range(3) for i in range(self.n)]
-
-    def coords(self, T):
-        arr = T.comps if isinstance(T, TensorField) else T
+    def basis(self, degree=None):
+        """Rank-2 basis tensors in (a, b, harmonic index) order: of the whole
+        space, or of the harmonic degree-`degree` block only."""
+        polys = self.space.basis if degree is None else harmonic_basis(degree)
         out = []
         for a in range(3):
             for b in range(3):
-                out.extend(self.space.coords(arr[a, b]))
+                for phi in polys:
+                    arr = zeros((3, 3))
+                    arr[a, b] = phi
+                    out.append(TensorField(arr))
         return out
 
-    def from_coords(self, vec):
-        arr = zeros((3, 3))
-        for a in range(3):
-            for b in range(3):
-                block = vec[(3 * a + b) * self.n:(3 * a + b + 1) * self.n]
-                arr[a, b] = self.space.from_coords(block)
-        return TensorField(arr)
-
-    def pair_coords(self, pair):
-        """Coordinates of a pair of 1-forms, length 6 * n."""
+    def coords(self, *tensors):
+        """Coordinates of the components of rank-1 or rank-2 tensors, each in
+        row-major order, concatenated."""
         out = []
-        for w in pair:
-            arr = w.comps if isinstance(w, TensorField) else w
-            for a in range(3):
-                out.extend(self.space.coords(arr[a]))
+        for t in tensors:
+            for p in t.comps.reshape(-1):
+                out.extend(self.space.coords(p))
         return out
 
 
 def second_variation_matrix(basis, geo, degree=4):
-    """Exact Gram matrix of the second-variation form on the given basis."""
-    images = [operator_A(b, geo, degree) for b in basis]
-    n = len(basis)
-    entries = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            entries[i][j] = -integrate_s3(as_poly(geo.inner(basis[i], images[j]))).coeff
-    return OperatorMatrix(basis=basis, entries=entries)
+    """Exact Gram matrix of the second-variation form -(x, A y) on the given basis."""
+    images = [-operator_A(b, geo, degree) for b in basis]
+    return OperatorMatrix(basis=basis, entries=pairing_matrix(basis, images, geo.inner))
 
 
 def slice_tangent_basis(geo, d):
     """Exact basis of {gamma : twisted divergence = 0} at degree <= d."""
     ts = TensorSpace(d)
-    basis = ts.basis()
-    rows = []
-    for b in basis:
-        rows.append(ts.pair_coords(geo.twisted_divergence(b)))
-    # rows currently index basis vectors; transpose to get equations
-    eqs = [[rows[j][i] for j in range(len(basis))] for i in range(len(rows[0]))]
-    kernel = linalg.kernel_basis(eqs)
-    return [ts.from_coords(v) for v in kernel]
+    return kernel_span(ts.basis(), lambda t: ts.coords(*geo.twisted_divergence(t)))

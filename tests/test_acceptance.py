@@ -8,9 +8,11 @@ Each criterion prints a single PASS/FAIL line.  Run with
 Timing budgets are enforced where the check is expected to be fast.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from grflab.variational import (TensorSpace, bianchi_contracted_check,
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 EYE = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
 
 def report(number, name, ok):
@@ -133,7 +136,12 @@ def test_criterion_06_second_variation_nonpositive_on_slice():
     basis = slice_tangent_basis(geo, 2)
     ok = len(basis) == 61
     m = second_variation_matrix(basis, geo)
-    ok = ok and m.is_symmetric and m.eigenvalues().max() <= 1e-9
+    eig = m.eigenvalues()
+    ok = ok and m.is_symmetric and eig.max() <= 1e-9
+    # the spectrum recorded for the benchmark, to 1e-9 relative
+    ref = json.loads((REFERENCE / "spectrum_degree2.json").read_text())["eigenvalues"]
+    ok = ok and len(eig) == len(ref) and all(
+        abs(x - r) <= 1e-9 * max(1.0, abs(r)) for x, r in zip(sorted(eig), ref))
     report(6, "second variation is nonpositive on the 61-dim slice", ok)
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,7 @@ from grflab.cli import main, parse_metric, parse_u
 from grflab.poly import Polynomial
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 
 
 def run(capsys, *argv):
@@ -76,6 +78,7 @@ def test_igsd_command(capsys):
     rep = json.loads(out)
     assert code == 0
     assert rep["kernel_dim"] == 9
+    assert out == (REFERENCE / "igsd_degree2.json").read_text()
 
 
 def test_bad_config_rejected(capsys):
@@ -99,8 +102,14 @@ def test_output_file(tmp_path, capsys):
     (["flow", "--sample-every", "0"], None, "sample-every must be positive"),
     (["lambda", "--g", "diag:1,1,-1"], None, "not positive definite"),
     (["lambda", "--output", "missing-dir/r.json"], None, "No such file"),
+    (["lambda", "--g", "diag:1,1,1e308", "--degree", "0"], None, "does not fit in a float64"),
+    (["flow", "--h0", "1e300", "--steps", "2"], None, "does not fit in a float64"),
+    (["flow", "--g", "diag:1e300,1,1", "--steps", "2"], None, "ground state"),
+    (["spectrum", "--h0", "5"], None, "h0 must be 2"),
+    (["spectrum", "--degree", "3"], None, "degree at most 2"),
 ], ids=["config-type", "config-command", "config-unknown-key", "sample-every-zero",
-        "metric-indefinite", "output-dir-missing"])
+        "metric-indefinite", "output-dir-missing", "lambda-overflow", "flow-h0-overflow",
+        "flow-metric-huge", "spectrum-h0", "spectrum-degree"])
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, message):
     if config is not None:
         path = tmp_path / "c.json"

@@ -51,6 +51,17 @@ def test_sphere_relation_reduction():
         assert e[3] <= 1
 
 
+def test_x4_powers_reduce_to_the_multinomial_expansion():
+    s = 1 - X[0] * X[0] - X[1] * X[1] - X[2] * X[2]
+    power = Polynomial.constant(1)  # s^(m/2), by repeated multiplication
+    for m in range(0, 13, 2):
+        assert Polynomial({(0, 0, 0, m): 1}) == power
+        assert Polynomial({(0, 0, 0, m + 1): 1}) == X[3] * power
+        power = power * s
+    big = Polynomial({(0, 0, 0, 60): 1})
+    assert integrate_s3(big) == IntegralValue(sphere_moment((0, 0, 0, 60)))
+
+
 def test_norm_is_one_pointwise():
     total = sum((x * x for x in X), Polynomial.zero())
     assert total == 1
