@@ -136,12 +136,6 @@ def equivalence_check(gamma, geo=None):
     return report
 
 
-def _riemann_divergence(geo, T):
-    arr = T.comps if isinstance(T, TensorField) else T
-    d = geo.covd(arr, geo.gamma).comps
-    return TensorField(np.einsum("mnl,mn->l", d, geo.ginv))
-
-
 def integral_identities(gamma, geo=None):
     """The exact integral identities satisfied by every kernel deformation."""
     if geo is None:
@@ -157,7 +151,7 @@ def integral_identities(gamma, geo=None):
 
     rh_h = pair(curvature_action(geo, h, bismut=False), h)
     rk_k = pair(curvature_action(geo, K, bismut=False), K)
-    div_h = _riemann_divergence(geo, h)
+    div_h = TensorField(geo.div(h))
     div_h2 = pair(div_h, div_h)
     grad_h = geo.covd(h.comps, geo.gamma)
     grad_k = geo.covd(K.comps, geo.gamma)
@@ -213,10 +207,6 @@ def integrability_report(u):
     )
 
 
-def _grad_down(geo, s):
-    return obj_array([geo.E(s, m) for m in range(3)])
-
-
 def jet_second_variation_check(u, w):
     """Order-2 jet computation of the deformation family g_t = (1+tu)g,
     H_t = (1+2tu)H with the minimizer jet f_t.
@@ -231,7 +221,7 @@ def jet_second_variation_check(u, w):
     geo0 = round_geometry()
 
     # minimizer jet: f' = u/2 and lap f'' = 7 mu u^2 - (7/4)|grad u|^2, mean zero
-    du = _grad_down(geo0, u)
+    du = geo0.covd_scalar(u).comps
     grad_u2 = as_poly(np.einsum("m,m->", du, du))
     rhs = 7 * MU * (u * u) - Fraction(7, 4) * grad_u2
     f2 = canonical_space(4).poisson_solve(rhs)

@@ -163,14 +163,18 @@ def run_flow(initial, dt, steps, sample_every=1):
     def sample(s):
         traj.samples.append((s.t, s, flow_lambda(s), soliton_residual(s)))
 
-    sample(state)
-    for n in range(1, steps + 1):
-        try:
-            state = step_rk4(state, dt)
-        except SingularMetric:
-            raise FlowBlowup(f"metric degenerated at step {n}", traj)
-        if np.linalg.eigvalsh(state.g).min() < 1e-10:
-            raise FlowBlowup(f"metric degenerated at step {n}", traj)
-        if n % sample_every == 0 or n == steps:
-            sample(state)
+    # float64 overflow is reported as an error, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        sample(state)
+        if not np.isfinite(traj.residuals()[0]):
+            raise ValueError("curvature of the initial state does not fit in a float64")
+        for n in range(1, steps + 1):
+            try:
+                state = step_rk4(state, dt)
+            except SingularMetric:
+                raise FlowBlowup(f"metric degenerated at step {n}", traj)
+            if np.linalg.eigvalsh(state.g).min() < 1e-10:
+                raise FlowBlowup(f"metric degenerated at step {n}", traj)
+            if n % sample_every == 0 or n == steps:
+                sample(state)
     return traj

@@ -62,24 +62,6 @@ def kernel_basis(mat):
     return basis
 
 
-def solve(mat, rhs):
-    """One exact solution of mat @ x = rhs, or None if inconsistent."""
-    if not mat:
-        return [] if all(b == 0 for b in rhs) else None
-    ncols = len(mat[0])
-    aug = [list(r) + [b] for r, b in zip(mat, rhs)]
-    rows, pivots = rref(aug)
-    for r in rows:
-        if all(x == 0 for x in r[:ncols]) and r[ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = rows[r][ncols]
-    return x
-
-
 def mat_inv(mat):
     """Inverse of a square Fraction matrix."""
     n = len(mat)
@@ -89,22 +71,6 @@ def mat_inv(mat):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [r[n:] for r in rows]
-
-
-def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            s = Fraction(0)
-            for t in range(k):
-                if a[i][t] != 0 and b[t][j] != 0:
-                    s += a[i][t] * b[t][j]
-            row.append(s)
-        out.append(row)
-    return out
 
 
 def mat_vec(a, v):

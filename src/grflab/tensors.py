@@ -264,8 +264,7 @@ class Geometry:
 
     def grad_up(self, s):
         """Raised gradient (nabla s)^m as a length-3 object array."""
-        ds = obj_array([self.E(s, m) for m in range(3)])
-        return np.einsum("mn,n->m", self.ginv, ds)
+        return np.einsum("mn,n->m", self.ginv, self.covd_scalar(s).comps)
 
     # -- connections ------------------------------------------------------
 
@@ -303,20 +302,30 @@ class Geometry:
     def covd_scalar(self, s):
         return TensorField(obj_array([self.E(s, m) for m in range(3)]))
 
-    def hessian(self, s):
-        return self.covd(self.covd_scalar(s), self.gamma)
-
-    def hessian_conn(self, s, conn):
-        """Second covariant derivative of a scalar with a prescribed connection."""
+    def hessian(self, s, conn=None):
+        """Second covariant derivative of a scalar, Levi-Civita unless conn is given."""
         return self.covd(self.covd_scalar(s), conn)
 
+    # -- divergences -------------------------------------------------------
+
+    def div(self, T, conn=None):
+        """g^{mn} (nabla^conn T)_{mn...}: the derivative index against T's first slot.
+
+        Returns the contracted component array, a scalar for a 1-form.
+        """
+        return np.einsum("mn...,mn->...", self.covd(T, conn).comps, self.ginv)
+
+    def div_f(self, T, conn=None):
+        """The f-twisted divergence div(T, conn) - (grad f)^m T_{m...}."""
+        arr = T.comps if isinstance(T, TensorField) else T
+        return self.div(arr, conn) - np.einsum("m,m...->...", self.grad_up(self.f), arr)
+
     def laplacian_f(self, s):
-        hess = self.hessian(s).comps
-        out = np.einsum("mn,mn->", self.ginv, hess)
-        gf = self.grad_up(self.f)
-        for m in range(3):
-            out = out - gf[m] * self.E(s, m)
-        return out
+        return self.div_f(self.covd_scalar(s))
+
+    def rough_laplacian_f(self, T, conn=None):
+        """Connection f-Laplacian g^{mn} (nabla nabla T)_{mn...} - (grad f)^m (nabla T)_{m...}."""
+        return TensorField(self.div_f(self.covd(T, conn), conn))
 
     # -- curvature ---------------------------------------------------------
 
@@ -342,9 +351,7 @@ class Geometry:
 
     def dstar(self, T):
         """Codifferential of a 2- or 3-form: (d*T)_... = -g^{mn} (nabla T)_{mn...}."""
-        arr = T.comps if isinstance(T, TensorField) else T
-        grad = self.covd(arr, self.gamma).comps
-        return TensorField(-np.einsum("mn...,mn->...", grad, self.ginv))
+        return TensorField(-self.div(T))
 
     def i_grad(self, s, T):
         """Interior product i_{grad s} T for a form T (contracts the first slot)."""
@@ -352,7 +359,7 @@ class Geometry:
         return TensorField(np.einsum("m,m...->...", self.grad_up(s), arr))
 
     def dstar_f(self, T):
-        return self.dstar(T) + self.i_grad(self.f, T)
+        return TensorField(-self.div_f(T))
 
     def curvature_suite(self):
         rm = self.curvature(self.gamma)
@@ -389,18 +396,15 @@ class Geometry:
         rc = self.ricci(self.curvature(self.gamma))
         h2 = self.h_squared()
         hess = self.hessian(self.f)
-        anti = self.dstar(self.H) + self.i_grad(self.f, self.H)
         c = Fraction(1) if soliton_normalization else Fraction(1, 2)
-        return rc - Fraction(1, 4) * h2 + c * hess - Fraction(1, 2) * anti
+        return rc - Fraction(1, 4) * h2 + c * hess - Fraction(1, 2) * self.dstar_f(self.H)
 
     def generalized_scalar(self):
         """R^{H,f} = R - |H|^2/12 + 2 laplacian f - |grad f|^2."""
         r = self.scalar_curvature(self.ricci(self.curvature(self.gamma)))
-        gf = self.grad_up(self.f)
-        df = obj_array([self.E(self.f, m) for m in range(3)])
-        norm2 = np.einsum("m,m->", gf, df)
-        lap = np.einsum("mn,mn->", self.ginv, self.hessian(self.f).comps)
-        return r - Fraction(1, 12) * self.norm_h_squared() + 2 * lap - norm2
+        df = self.covd_scalar(self.f)
+        norm2 = np.einsum("m,m->", self.grad_up(self.f), df.comps)
+        return r - Fraction(1, 12) * self.norm_h_squared() + 2 * self.div(df) - norm2
 
     # -- mixed connection suite ---------------------------------------------
 
@@ -424,21 +428,12 @@ class Geometry:
         arr = gamma.comps if isinstance(gamma, TensorField) else gamma
         if arr.ndim != 2:
             raise BadRank("twisted divergence acts on rank-2 tensors")
-        dp = self.covd(arr, self.gamma_p).comps
-        dm = self.covd(arr, self.gamma_m).comps
-        gf = self.grad_up(self.f)
-        u = np.einsum("mnl,mn->l", dp, self.ginv) - np.einsum("m,ml->l", gf, arr)
-        v = np.einsum("mln,mn->l", dm, self.ginv) - np.einsum("m,lm->l", gf, arr)
-        return TensorField(u), TensorField(v)
-
-    def div_f_oneform(self, w):
-        arr = w.comps if isinstance(w, TensorField) else w
-        d = self.covd(arr, self.gamma).comps
-        return np.einsum("mn,mn->", d, self.ginv) - np.einsum("m,m->", self.grad_up(self.f), arr)
+        return (TensorField(self.div_f(arr, self.gamma_p)),
+                TensorField(self.div_f(arr.T, self.gamma_m)))
 
     def pair_divergence(self, pair):
         u, v = pair
-        return Fraction(1, 2) * (self.div_f_oneform(u) + self.div_f_oneform(v))
+        return Fraction(1, 2) * (self.div_f(u) + self.div_f(v))
 
     def divergence_adjoint(self, pair):
         """Formal adjoint: (u,v) -> -(nabla+ u)_{ij} - (nabla- v)_{ji}."""
@@ -447,22 +442,13 @@ class Geometry:
         dv = self.covd(v.comps if isinstance(v, TensorField) else v, self.gamma_m).comps
         return TensorField(-(du + dv.T))
 
-    def rough_laplacian_f(self, T, conn=None):
-        """Connection f-Laplacian g^{mn} (nabla nabla T)_{mn...} - (grad f)^m (nabla T)_{m...}."""
-        arr = T.comps if isinstance(T, TensorField) else T
-        d1 = self.covd(arr, conn)
-        d2 = self.covd(d1.comps, conn).comps
-        out = np.einsum("mn...,mn->...", d2, self.ginv)
-        out = out - np.einsum("m,m...->...", self.grad_up(self.f), d1.comps)
-        return TensorField(out)
-
     def mixed_laplacian_formula(self, gamma):
         """The componentwise formula for the mixed Laplacian on 2-tensors."""
         arr = gamma.comps if isinstance(gamma, TensorField) else gamma
         if arr.ndim != 2:
             raise BadRank("mixed Laplacian acts on rank-2 tensors")
-        base = self.rough_laplacian_f(arr).comps
-        d = self.covd(arr, self.gamma).comps
+        d = self.covd(arr).comps
+        base = self.div_f(d)
         t2 = -np.einsum("ajb,ma,kb,mik->ij", self.H, self.ginv, self.ginv, d)
         t3 = np.einsum("aib,ma,kb,mkj->ij", self.H, self.ginv, self.ginv, d)
         h2 = self.h_squared().comps
@@ -478,9 +464,7 @@ class Geometry:
     def mixed_laplacian_definition(self, gamma):
         """-(adjoint of nabla-bar) applied to nabla-bar gamma."""
         T = self.mixed_covd(gamma).comps
-        gf = self.grad_up(self.f)
-        d = self.covd(T, self.gamma).comps
-        out = -np.einsum("amij,am->ij", d, self.ginv) + np.einsum("m,mij->ij", gf, T)
+        out = -self.div_f(T)
         out = out + Fraction(1, 2) * np.einsum("abi,ac,bd,cdj->ij",
                                                self.H, self.ginv, self.ginv, T)
         out = out - Fraction(1, 2) * np.einsum("abj,ac,bd,cid->ij",

@@ -12,7 +12,7 @@ import scipy.linalg
 from . import linalg
 from .harmonics import canonical_space, harmonic_basis
 from .poly import Polynomial, as_poly, integrate_s3
-from .tensors import Geometry, TensorField, obj_array, zeros
+from .tensors import Geometry, TensorField, zeros
 
 
 class SolverError(RuntimeError):
@@ -90,8 +90,8 @@ def lambda_min(g, H, degree=2):
     geo = _as_geometry(g, H)
     space = canonical_space(degree)
     V = schrodinger_potential(geo)
-    ops = [Fraction(-4) * as_poly(np.einsum("mn,mn->", geo.ginv, geo.hessian(phi).comps))
-           + V * phi for phi in space.basis]
+    ops = [Fraction(-4) * as_poly(geo.div(geo.covd_scalar(phi))) + V * phi
+           for phi in space.basis]
     A = _float_matrix(pairing_matrix(ops, space.basis, operator.mul))
     M = _float_matrix(pairing_matrix(space.basis, space.basis, operator.mul))
     A = (A + A.T) / 2
@@ -104,14 +104,14 @@ def lambda_min(g, H, degree=2):
     c = vecs[:, 0]
     residual = float(np.linalg.norm(A @ c - lam * (M @ c)) / np.linalg.norm(c))
     # normalize int psi^2 dV_g = 1 and fix the overall sign
-    detg = float(_det3([[float(x.constant_value()) if x.is_constant else float("nan")
-                         for x in row] for row in geo.g]))
+    detg = _det3([[float(x.constant_value()) for x in row] for row in geo.g])
     vol_factor = math.sqrt(detg) * math.pi**2
     norm2 = float(c @ (M @ c)) * vol_factor
     c = c / math.sqrt(norm2)
     if sum(c) < 0:
         c = -c
-    c = np.where(np.abs(c) < 1e-12, 0.0, c)
+    # the normalized coefficients scale as det(g)^(-1/4); cut relative to that
+    c = np.where(np.abs(c) * detg**0.25 < 1e-12, 0.0, c)
     psi = Polynomial.zero()
     for ci, phi in zip(c, space.basis):
         if ci != 0.0:
@@ -131,22 +131,15 @@ def lambda_min(g, H, degree=2):
     return LambdaResult(value=lam, f=f, residual=residual)
 
 
-def _constant_weight(geo):
-    """e^{-f} sqrt(det g) for constant f and constant metric, as a float."""
-    if not geo.f.is_constant:
-        raise ValueError("exact weighting implemented for constant f")
-    detg = _det3([[x.constant_value() for x in row] for row in geo.g])
-    return math.exp(-float(geo.f.constant_value())) * math.sqrt(float(detg))
-
-
 def first_variation(g, H, f, gamma):
-    """d lambda / dt along gamma: the pairing -int <gamma, Rc^{H,f}> e^{-f} dV_g."""
+    """d lambda / dt along gamma: the pairing -int <gamma, Rc^{H,f}> e^{-f} dV_g.
+
+    The weight e^{-f} is exact for constant f and a fourth-order series
+    around the constant term of f otherwise.
+    """
     geo = _as_geometry(g, H, f)
     rchf = geo.bakry_emery(soliton_normalization=True)
     s = geo.inner(gamma, rchf)
-    if geo.f.is_constant:
-        return float(integrate_s3(as_poly(s)).coeff) * (-math.pi**2) * _constant_weight(geo)
-    # near-constant f: expand the weight to fourth order around the mean
     c = geo.f.terms.get((0, 0, 0, 0), Fraction(0))
     phi = geo.f - Polynomial.constant(c)
     w = Polynomial.constant(1)
@@ -193,21 +186,13 @@ def operator_A(gamma, geo, degree=4):
     out = out - Fraction(1, 2) * geo.divergence_adjoint(pair)
     rhs = geo.pair_divergence(pair)
     u = _poisson_solve_f(geo, rhs, degree)
-    out = out - Fraction(1, 2) * geo.hessian_conn(u, geo.gamma_p)
+    out = out - Fraction(1, 2) * geo.hessian(u, geo.gamma_p)
     return out
 
 
 def bianchi(gamma, geo):
     """The Bianchi operator: the pair of f-twisted divergences of gamma."""
     return geo.twisted_divergence(gamma)
-
-
-def _div_f_2tensor(geo, T):
-    arr = T.comps if isinstance(T, TensorField) else T
-    d = geo.covd(arr, geo.gamma).comps
-    out = np.einsum("mnl,mn->l", d, geo.ginv)
-    out = out - np.einsum("m,ml->l", geo.grad_up(geo.f), arr)
-    return out
 
 
 def bianchi_contracted_check(g, H, f):
@@ -218,9 +203,8 @@ def bianchi_contracted_check(g, H, f):
     geo = _as_geometry(g, H, f)
     rc = geo.ricci(geo.curvature(geo.gamma))
     s = rc - Fraction(1, 4) * geo.h_squared() + geo.hessian(geo.f)
-    lhs = _div_f_2tensor(geo, s)
-    rhf = geo.generalized_scalar()
-    grad_r = obj_array([geo.E(rhf, m) for m in range(3)])
+    lhs = geo.div_f(s)
+    grad_r = geo.covd_scalar(geo.generalized_scalar()).comps
     dsf = geo.dstar_f(geo.H).comps
     hterm = np.einsum("ab,lcd,ac,bd->l", dsf, geo.H, geo.ginv, geo.ginv)
     return TensorField(lhs - grad_r * Fraction(1, 2) - hterm * Fraction(1, 4))
@@ -232,8 +216,8 @@ def phi_operator(pair, geo):
 
     def lap_pm(w, sign):
         arr = w.comps if isinstance(w, TensorField) else w
-        base = geo.rough_laplacian_f(arr).comps
-        d = geo.covd(arr, geo.gamma).comps
+        d = geo.covd(arr).comps
+        base = geo.div_f(d)
         t1 = np.einsum("abl,am,bk,mk->l", geo.H, geo.ginv, geo.ginv, d)
         h2 = geo.h_squared().comps
         t2 = np.einsum("jl,ja,a->l", h2, geo.ginv, arr)

@@ -24,6 +24,17 @@ def test_lambda_command(capsys):
     assert rep["f_constant"] is True
 
 
+def test_lambda_command_large_metric(capsys):
+    # the ground-state cutoff scales with the metric: no coefficient is lost
+    s = 1e17
+    code, out = run(capsys, "lambda", "--g", "diag:1e17,1e17,1e17", "--degree", "0")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["f_constant"] is True
+    want = 6 / s - 2 / s**3
+    assert abs(rep["lambda"] - want) <= 1e-9 * want
+
+
 def test_obstruction_presets(capsys):
     code, out = run(capsys, "obstruction", "--u", "x1x2+x3x4")
     rep = json.loads(out)
@@ -104,7 +115,7 @@ def test_output_file(tmp_path, capsys):
     (["lambda", "--output", "missing-dir/r.json"], None, "No such file"),
     (["lambda", "--g", "diag:1,1,1e308", "--degree", "0"], None, "does not fit in a float64"),
     (["flow", "--h0", "1e300", "--steps", "2"], None, "does not fit in a float64"),
-    (["flow", "--g", "diag:1e300,1,1", "--steps", "2"], None, "ground state"),
+    (["flow", "--g", "diag:1e300,1,1", "--steps", "2"], None, "does not fit in a float64"),
     (["spectrum", "--h0", "5"], None, "h0 must be 2"),
     (["spectrum", "--degree", "3"], None, "degree at most 2"),
 ], ids=["config-type", "config-command", "config-unknown-key", "sample-every-zero",

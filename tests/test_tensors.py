@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grflab.frames import adjoint_matrix
+from grflab.frames import adjoint_matrix, frame_derive, laplacian_scalar
 from grflab.poly import JetScalar, Polynomial, as_poly, integrate_s3
 from grflab.tensors import (BadRank, Geometry, SingularMetric, TensorField,
                             obj_array, tensor, volume_form, zeros)
@@ -181,6 +181,13 @@ def test_scalar_laplacian_with_drift():
     geo = Geometry(EYE, H=2, f=Fraction(3, 4))  # constant drift has no effect
     u = X[0] * X[1]
     assert as_poly(geo.laplacian_f(u)) == Fraction(-8) * u
+    f = X[0] * X[1]  # non-constant drift on the round metric
+    geo = Geometry(EYE, H=2, f=f)
+    u = X[0] * X[2] + X[3]
+    want = laplacian_scalar(u)
+    for i in (1, 2, 3):
+        want = want - frame_derive(f, i) * frame_derive(u, i)
+    assert as_poly(geo.laplacian_f(u)) == want
 
 
 # -- jets through the geometry --------------------------------------------------
