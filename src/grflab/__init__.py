@@ -2,14 +2,13 @@
 
 from .poly import (IntegralValue, JetScalar, NonInvertibleJet, Polynomial,
                    integrate_s3, sphere_moment)
-from .frames import (BadIndex, FrameTable, LieGroupModel, NotBiInvariant,
-                     adjoint_matrix, default_frame, default_model, frame_derive,
-                     laplacian_scalar, su2_model, torsion_form, validate_structure)
+from .frames import (BadIndex, adjoint_matrix, frame_derive, laplacian_scalar,
+                     validate_structure)
 from .harmonics import CanonicalSpace, canonical_space, harmonic_basis, is_eigenfunction
 from .tensors import (BadRank, Geometry, SingularMetric, TensorField, tensor,
                       volume_form)
 from .variational import (InconsistentSource, LambdaResult, OperatorMatrix,
-                          SolverError, bianchi, bianchi_contracted_check,
+                          SolverError, bianchi_contracted_check,
                           first_variation, lambda_min, operator_A, operator_B,
                           phi_operator, phi_relation_check,
                           second_variation_form, second_variation_matrix,

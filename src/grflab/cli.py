@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .deformations import (equivalence_check, igsd_kernel, integrability_report,
                            integral_identities, round_geometry)
-from .frames import default_model, validate_structure
+from .frames import STRUCTURE, validate_structure
 from .harmonics import canonical_space, harmonic_basis
 from .poly import IntegralValue, Polynomial, as_poly, integrate_s3
 from .tensors import Geometry, TensorField, tensor, zeros
@@ -99,7 +99,7 @@ def _eye():
 # verify suites
 
 def _suite_structure():
-    return [("lie structure constants valid", not validate_structure(default_model()))]
+    return [("lie structure constants valid", not validate_structure(STRUCTURE))]
 
 
 def _suite_bismut_flat():

@@ -1,12 +1,13 @@
 """Generalized Ricci flow reduced to left-invariant data on SU(2):
-dg/dt = -2 Rc + (1/2) H^2, db/dt = -d*H with H = H0 + db, integrated by RK4."""
+dg/dt = -2 Rc + (1/2) H^2, db/dt = -d*H, integrated by RK4. Invariant
+2-forms on SU(2) are closed, so H = H0 + db is the constant H0 vol."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .frames import default_model
+from .frames import EPS, STRUCTURE
 from .tensors import SingularMetric, christoffel, riemann
 from .variational import lambda_min
 
@@ -17,13 +18,8 @@ class FlowBlowup(RuntimeError):
         self.trajectory = trajectory
 
 
-_EPS = np.zeros((3, 3, 3))
-for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (1, 0, 2, -1), (2, 1, 0, -1), (0, 2, 1, -1)):
-    _EPS[_i, _j, _k] = _s
-
-
-_C = np.array(default_model().c, dtype=float)
+_VOL = np.array(EPS, dtype=float)
+_C = np.array(STRUCTURE, dtype=float)
 
 
 @dataclass
@@ -38,8 +34,8 @@ class FlowState:
         self.b = np.array(self.b, dtype=float)
 
     def torsion(self):
-        """H = H0 + db, with db computed from the structure constants."""
-        return self.H0_coeff * _EPS + frame_db(self.b)
+        """H = H0 vol: db vanishes for every invariant 2-form b."""
+        return self.H0_coeff * _VOL
 
     def copy_with(self, g, b, t):
         return FlowState(g=g, b=b, H0_coeff=self.H0_coeff, t=t)
@@ -57,19 +53,6 @@ class Trajectory:
 
     def residuals(self):
         return [s[3] for s in self.samples]
-
-
-def frame_db(b):
-    """Exterior derivative of an invariant 2-form in the invariant frame.
-
-    (db)_{ijk} = -c^m_{ij} b_{mk} + c^m_{ik} b_{mj} - c^m_{jk} b_{mi}.
-    For SU(2) with c^k_{ij} = 2 eps_{ijk} this vanishes identically, but the
-    formula is kept general.
-    """
-    t1 = np.einsum("ijm,mk->ijk", _C, b)
-    t2 = np.einsum("ikm,mj->ijk", _C, b)
-    t3 = np.einsum("jkm,mi->ijk", _C, b)
-    return -t1 + t2 - t3
 
 
 def _covd3(gamma, H):
@@ -173,6 +156,8 @@ def run_flow(initial, dt, steps, sample_every=1):
                 state = step_rk4(state, dt)
             except SingularMetric:
                 raise FlowBlowup(f"metric degenerated at step {n}", traj)
+            if not np.isfinite(np.linalg.det(state.g)):
+                raise FlowBlowup(f"metric left float64 range at step {n}", traj)
             if np.linalg.eigvalsh(state.g).min() < 1e-10:
                 raise FlowBlowup(f"metric degenerated at step {n}", traj)
             if n % sample_every == 0 or n == steps:

@@ -1,8 +1,7 @@
-"""Lie-group frame data: structure constants, bi-invariant metrics, torsion
-3-forms, and the explicit invariant polynomial frame fields on S^3 = SU(2)."""
+"""The SU(2) frame data: the epsilon symbol, the structure constants and the
+explicit invariant polynomial frame fields on S^3 = SU(2)."""
 
-from dataclasses import dataclass
-from fractions import Fraction
+from itertools import product
 
 from .poly import JetScalar, Polynomial, as_poly
 
@@ -11,160 +10,43 @@ class BadIndex(IndexError):
     pass
 
 
-class NotBiInvariant(ValueError):
-    pass
+# eps[i][j][k], the Levi-Civita symbol on frame indices 0..2
+EPS = tuple(tuple(tuple((i - j) * (j - k) * (k - i) // 2 for k in range(3))
+                  for j in range(3)) for i in range(3))
+
+# c^k_{ij} = 2 eps_{ijk} in [E_i, E_j] = c^k_{ij} E_k, so H_123 = 2
+STRUCTURE = tuple(tuple(tuple(2 * e for e in row) for row in plane) for plane in EPS)
+
+# The point (x1,x2,x3,x4) is the unit quaternion x4 + x1 i + x2 j + x3 k.
+# LEFT[i][mu] is the coefficient of d/dx_{mu+1} in the left-invariant field
+# E_{i+1} (right multiplication by the i-th imaginary unit), RIGHT[i][mu]
+# the same for the right-invariant field F_{i+1} (left multiplication).
+_X1, _X2, _X3, _X4 = (Polynomial.variable(i) for i in (1, 2, 3, 4))
+LEFT = ((_X4, _X3, -_X2, -_X1),
+        (-_X3, _X4, _X1, -_X2),
+        (_X2, -_X1, _X4, -_X3))
+RIGHT = ((_X4, -_X3, _X2, -_X1),
+         (_X3, _X4, -_X1, -_X2),
+         (-_X2, _X1, _X4, -_X3))
 
 
-@dataclass(frozen=True)
-class LieGroupModel:
-    """Lie algebra data in a fixed frame.
-
-    c[i][j][k] is the structure constant c^k_{ij} in [e_i, e_j] = c^k_{ij} e_k,
-    g0 is the metric matrix in the same frame.
-    """
-
-    n: int
-    c: tuple
-    g0: tuple
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "c": [[[str(x) for x in row] for row in plane] for plane in self.c],
-            "g0": [[str(x) for x in row] for row in self.g0],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        n = int(data["n"])
-        c = tuple(
-            tuple(tuple(Fraction(x) for x in row) for row in plane)
-            for plane in data["c"]
-        )
-        g0 = tuple(tuple(Fraction(x) for x in row) for row in data["g0"])
-        return cls(n=n, c=c, g0=g0)
-
-
-@dataclass(frozen=True)
-class FrameTable:
-    """Ambient R^4 coefficients of the invariant frames on S^3.
-
-    left[i][mu] is the coefficient of d/dx_{mu+1} in the left-invariant field
-    E_{i+1}; right[i][mu] the same for the right-invariant field F_{i+1}.
-    """
-
-    left: tuple
-    right: tuple
-
-
-def validate_structure(m):
-    """Check antisymmetry, Jacobi, and ad-invariance. Returns violation strings."""
-    n = m.n
+def validate_structure(c):
+    """Check antisymmetry, Jacobi, and ad-invariance of the identity metric for
+    structure constants c[i][j][k] = c^k_{ij}. Returns violation strings."""
+    r = range(len(c))
     out = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if m.c[i][j][k] != -m.c[j][i][k]:
-                    out.append(f"antisymmetry: c^{k+1}_{{{i+1}{j+1}}} != -c^{k+1}_{{{j+1}{i+1}}}")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    s = Fraction(0)
-                    for p in range(n):
-                        s += (m.c[i][j][p] * m.c[p][k][l]
-                              + m.c[j][k][p] * m.c[p][i][l]
-                              + m.c[k][i][p] * m.c[p][j][l])
-                    if s != 0:
-                        out.append(f"jacobi: indices ({i+1},{j+1},{k+1},{l+1})")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = Fraction(0)
-                for p in range(n):
-                    s += m.c[i][j][p] * m.g0[p][k] + m.c[i][k][p] * m.g0[j][p]
-                if s != 0:
-                    out.append(f"ad-invariance: indices ({i+1},{j+1},{k+1})")
+    for i, j, k in product(r, repeat=3):
+        if c[i][j][k] != -c[j][i][k]:
+            out.append(f"antisymmetry: c^{k+1}_{{{i+1}{j+1}}} != -c^{k+1}_{{{j+1}{i+1}}}")
+    for i, j, k, l in product(r, repeat=4):
+        s = sum(c[i][j][p] * c[p][k][l] + c[j][k][p] * c[p][i][l]
+                + c[k][i][p] * c[p][j][l] for p in r)
+        if s != 0:
+            out.append(f"jacobi: indices ({i+1},{j+1},{k+1},{l+1})")
+    for i, j, k in product(r, repeat=3):
+        if c[i][j][k] + c[i][k][j] != 0:
+            out.append(f"ad-invariance: indices ({i+1},{j+1},{k+1})")
     return out
-
-
-def torsion_form(m):
-    """H_{ijk} = g([e_i,e_j], e_k) as a nested tuple, checked totally antisymmetric."""
-    n = m.n
-    H = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = Fraction(0)
-                for p in range(n):
-                    s += m.c[i][j][p] * m.g0[p][k]
-                H[i][j][k] = s
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if H[i][j][k] != -H[j][i][k] or H[i][j][k] != -H[i][k][j]:
-                    raise NotBiInvariant("torsion 3-form is not totally antisymmetric")
-    return tuple(tuple(tuple(row) for row in plane) for plane in H)
-
-
-def _x(i):
-    return Polynomial.variable(i)
-
-
-def _linear(c1, c2, c3, c4):
-    # shorthand: c1*x1 + c2*x2 + c3*x3 + c4*x4
-    return c1 * _x(1) + c2 * _x(2) + c3 * _x(3) + c4 * _x(4)
-
-
-def su2_model(orientation=1):
-    """Unit-S^3 model: orthonormal invariant frames from quaternion translation.
-
-    The point (x1,x2,x3,x4) is the unit quaternion x4 + x1 i + x2 j + x3 k;
-    E_a is right multiplication by the a-th imaginary unit, F_a left
-    multiplication. Brackets: [E_i,E_j] = 2 eps_{ijk} E_k, so H_123 = 2.
-    orientation=-1 flips the sign of E_3 and F_3, negating H.
-    """
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    eps = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-           (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
-    c = tuple(
-        tuple(
-            tuple(Fraction(2 * orientation * eps.get((i, j, k), 0)) for k in range(3))
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-    g0 = tuple(tuple(Fraction(1 if i == j else 0) for j in range(3)) for i in range(3))
-    model = LieGroupModel(n=3, c=c, g0=g0)
-
-    left = [
-        (_linear(0, 0, 0, 1), _linear(0, 0, 1, 0), _linear(0, -1, 0, 0), _linear(-1, 0, 0, 0)),
-        (_linear(0, 0, -1, 0), _linear(0, 0, 0, 1), _linear(1, 0, 0, 0), _linear(0, -1, 0, 0)),
-        (_linear(0, 1, 0, 0), _linear(-1, 0, 0, 0), _linear(0, 0, 0, 1), _linear(0, 0, -1, 0)),
-    ]
-    right = [
-        (_linear(0, 0, 0, 1), _linear(0, 0, -1, 0), _linear(0, 1, 0, 0), _linear(-1, 0, 0, 0)),
-        (_linear(0, 0, 1, 0), _linear(0, 0, 0, 1), _linear(-1, 0, 0, 0), _linear(0, -1, 0, 0)),
-        (_linear(0, -1, 0, 0), _linear(1, 0, 0, 0), _linear(0, 0, 0, 1), _linear(0, 0, -1, 0)),
-    ]
-    if orientation == -1:
-        left[2] = tuple(-p for p in left[2])
-        right[2] = tuple(-p for p in right[2])
-    frame = FrameTable(left=tuple(tuple(r) for r in left),
-                       right=tuple(tuple(r) for r in right))
-    return model, frame
-
-
-_SU2_MODEL, _SU2_FRAME = su2_model()
-
-
-def default_model():
-    return _SU2_MODEL
-
-
-def default_frame():
-    return _SU2_FRAME
 
 
 def apply_vector(coeffs, p):
@@ -186,9 +68,9 @@ def frame_derive(p, i, chirality="left"):
     if i not in (1, 2, 3):
         raise BadIndex(f"frame index {i} out of range 1..3")
     if chirality == "left":
-        coeffs = _SU2_FRAME.left[i - 1]
+        coeffs = LEFT[i - 1]
     elif chirality == "right":
-        coeffs = _SU2_FRAME.right[i - 1]
+        coeffs = RIGHT[i - 1]
     else:
         raise ValueError("chirality must be 'left' or 'right'")
     if isinstance(p, JetScalar):
@@ -222,7 +104,7 @@ def adjoint_matrix():
         for a in range(3):
             s = Polynomial.zero()
             for mu in range(4):
-                s = s + _SU2_FRAME.right[j][mu] * _SU2_FRAME.left[a][mu]
+                s = s + RIGHT[j][mu] * LEFT[a][mu]
             row.append(s)
         out.append(tuple(row))
     return tuple(out)

@@ -47,7 +47,8 @@ def harmonic_basis(k):
     basis = []
     for vec in kernel:
         basis.append(Polynomial({e: c for e, c in zip(exps, vec) if c != 0}))
-    assert len(basis) == (k + 1) ** 2
+    if len(basis) != (k + 1) ** 2:
+        raise RuntimeError(f"degree-{k} eigenspace has dimension {len(basis)}, not {(k + 1) ** 2}")
     return tuple(basis)
 
 
@@ -78,7 +79,9 @@ class CanonicalSpace:
                 self.eigenvalue.append(Fraction(-k * (k + 2)))
         self.exps = _canonical_exponents(d)
         self.exp_index = {e: i for i, e in enumerate(self.exps)}
-        assert len(self.exps) == len(self.basis)
+        if len(self.exps) != len(self.basis):
+            raise RuntimeError(f"{len(self.exps)} canonical monomials but {len(self.basis)} "
+                               f"harmonics of degree <= {d}")
         mat = [[Fraction(0)] * len(self.basis) for _ in self.exps]
         for col, p in enumerate(self.basis):
             for e, cf in p.terms.items():

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linalg
-from .frames import default_model, frame_derive
+from . import frames, linalg
+from .frames import frame_derive
 from .poly import JetScalar, Polynomial, as_jet, as_poly
 
 
@@ -131,10 +131,7 @@ def tensor(nested):
     return TensorField(nested)
 
 
-EPS = zeros((3, 3, 3))
-for _i, _j, _k, _s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                       (1, 0, 2, -1), (2, 1, 0, -1), (0, 2, 1, -1)):
-    EPS[_i, _j, _k] = Polynomial.constant(_s)
+EPS = obj_array(frames.EPS)
 
 
 def volume_form(coeff=1):
@@ -221,7 +218,7 @@ def riemann(c, conn, g, dconn=None):
     return np.einsum("ijkp,pl->ijkl", coef, g)
 
 
-_STRUCTURE = obj_array(default_model().c)
+_STRUCTURE = obj_array(frames.STRUCTURE)
 
 
 class Geometry:
@@ -283,11 +280,15 @@ class Geometry:
     # -- covariant derivatives --------------------------------------------
 
     def covd(self, T, conn=None):
-        """Covariant derivative; the new (derivative) index comes first."""
-        if conn is None:
-            conn = self.gamma
+        """Covariant derivative; the new (derivative) index comes first.
+
+        conn is one symbol array for every slot (Levi-Civita if None) or a
+        tuple with one symbol array per slot of T.
+        """
         arr = T.comps if isinstance(T, TensorField) else T
         rank = arr.ndim
+        if not isinstance(conn, tuple):
+            conn = (self.gamma if conn is None else conn,) * rank
         out = zeros((3,) * (rank + 1))
         for m in range(3):
             for idx in np.ndindex(*(3,) * rank):
@@ -295,7 +296,7 @@ class Geometry:
                 for s in range(rank):
                     for p in range(3):
                         jdx = idx[:s] + (p,) + idx[s + 1:]
-                        val = val - conn[m, idx[s], p] * arr[jdx]
+                        val = val - conn[s][m, idx[s], p] * arr[jdx]
                 out[(m,) + idx] = val
         return TensorField(out)
 
@@ -413,15 +414,7 @@ class Geometry:
         arr = gamma.comps if isinstance(gamma, TensorField) else gamma
         if arr.ndim != 2:
             raise BadRank("mixed connection acts on rank-2 tensors")
-        out = zeros((3, 3, 3))
-        for m in range(3):
-            for i in range(3):
-                for j in range(3):
-                    val = self.E(arr[i, j], m)
-                    for p in range(3):
-                        val = val - self.gamma_m[m, i, p] * arr[p, j] - self.gamma_p[m, j, p] * arr[i, p]
-                    out[m, i, j] = val
-        return TensorField(out)
+        return self.covd(arr, (self.gamma_m, self.gamma_p))
 
     def twisted_divergence(self, gamma):
         """The pair ((nabla+)^m gamma_{ml} - f_m gamma_{ml}, (nabla-)^m gamma_{lm} - f_m gamma_{lm})."""
@@ -470,9 +463,6 @@ class Geometry:
         out = out - Fraction(1, 2) * np.einsum("abj,ac,bd,cid->ij",
                                                self.H, self.ginv, self.ginv, T)
         return TensorField(-out)
-
-    def mixed_laplacian(self, gamma):
-        return self.mixed_laplacian_formula(gamma)
 
     # -- inner products ------------------------------------------------------
 

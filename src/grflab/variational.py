@@ -161,21 +161,22 @@ def curvature_action(geo, gamma, bismut=True):
 
 def operator_B(gamma, geo):
     """B(gamma) = -1/2 mixed Laplacian - Bismut curvature action."""
-    return Fraction(-1, 2) * geo.mixed_laplacian(gamma) - curvature_action(geo, gamma, bismut=True)
+    return (Fraction(-1, 2) * geo.mixed_laplacian_formula(gamma)
+            - curvature_action(geo, gamma, bismut=True))
 
 
-def _poisson_solve_f(geo, rhs, degree):
+def _poisson_solve_f(geo, rhs):
     """Mean-zero u with laplacian u = rhs; constant f only (drift term vanishes)."""
     if not geo.f.is_constant:
         raise ValueError("the u-solve is implemented for constant f")
     rhs = as_poly(rhs)
     try:
-        return canonical_space(max(degree, rhs.degree())).poisson_solve(rhs)
+        return canonical_space(rhs.degree()).poisson_solve(rhs)
     except ValueError as exc:  # the space holds rhs, so only a nonzero mean is left
         raise InconsistentSource(str(exc)) from exc
 
 
-def operator_A(gamma, geo, degree=4):
+def operator_A(gamma, geo):
     """A(gamma) = B(gamma) - 1/2 div*_f div_f gamma - 1/2 (nabla+)^2 u.
 
     u is the exact mean-zero solution of laplacian_f u = pair divergence of
@@ -185,14 +186,9 @@ def operator_A(gamma, geo, degree=4):
     out = operator_B(gamma, geo)
     out = out - Fraction(1, 2) * geo.divergence_adjoint(pair)
     rhs = geo.pair_divergence(pair)
-    u = _poisson_solve_f(geo, rhs, degree)
+    u = _poisson_solve_f(geo, rhs)
     out = out - Fraction(1, 2) * geo.hessian(u, geo.gamma_p)
     return out
-
-
-def bianchi(gamma, geo):
-    """The Bianchi operator: the pair of f-twisted divergences of gamma."""
-    return geo.twisted_divergence(gamma)
 
 
 def bianchi_contracted_check(g, H, f):
@@ -228,18 +224,18 @@ def phi_operator(pair, geo):
 
 def phi_relation_check(gamma, geo):
     """Residual pair of the identity Bianchi(B(gamma)) = Phi(twisted divergence)."""
-    lhs = bianchi(operator_B(gamma, geo), geo)
+    lhs = geo.twisted_divergence(operator_B(gamma, geo))
     rhs = phi_operator(geo.twisted_divergence(gamma), geo)
     return (lhs[0] - rhs[0], lhs[1] - rhs[1])
 
 
-def second_variation_form(gamma1, gamma2, geo, degree=4):
+def second_variation_form(gamma1, gamma2, geo):
     """The quadratic form -(gamma1, A gamma2), an exact multiple of pi^2.
 
     Computed with the unweighted round measure; geo.f must be constant (the
     constant weight rescales the form without changing kernel or sign).
     """
-    a2 = operator_A(gamma2, geo, degree)
+    a2 = operator_A(gamma2, geo)
     return -integrate_s3(as_poly(geo.inner(gamma1, a2)))
 
 
@@ -292,9 +288,9 @@ class TensorSpace:
         return out
 
 
-def second_variation_matrix(basis, geo, degree=4):
+def second_variation_matrix(basis, geo):
     """Exact Gram matrix of the second-variation form -(x, A y) on the given basis."""
-    images = [-operator_A(b, geo, degree) for b in basis]
+    images = [-operator_A(b, geo) for b in basis]
     return OperatorMatrix(basis=basis, entries=pairing_matrix(basis, images, geo.inner))
 
 

@@ -136,10 +136,13 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, mes
     assert captured.err.count("\n") == 1
 
 
-def test_flow_blowup_emits_partial_trajectory(capsys):
-    code, out = run(capsys, "flow", "--g", "diag:1,1,0.01", "--h0", "0",
-                    "--dt", "1", "--steps", "3")
+@pytest.mark.parametrize("argv, message", [
+    (("--g", "diag:1,1,0.01", "--h0", "0", "--dt", "1"), "metric degenerated"),
+    (("--h0", "1e60"), "metric left float64 range"),
+], ids=["degenerate", "overflow"])
+def test_flow_blowup_emits_partial_trajectory(capsys, argv, message):
+    code, out = run(capsys, "flow", *argv, "--steps", "3")
     assert code == 1
     rep = json.loads(out)
-    assert rep["blowup"].startswith("metric degenerated")
+    assert rep["blowup"].startswith(message)
     assert rep["samples"][0]["t"] == 0.0

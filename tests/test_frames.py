@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from grflab.frames import (BadIndex, LieGroupModel, NotBiInvariant, adjoint_matrix,
-                           apply_vector, default_frame, default_model, frame_derive,
-                           laplacian_scalar, su2_model, torsion_form,
-                           validate_structure, vector_bracket)
+from grflab.frames import (LEFT, RIGHT, STRUCTURE, BadIndex, adjoint_matrix,
+                           frame_derive, laplacian_scalar, validate_structure,
+                           vector_bracket)
 from grflab.poly import JetScalar, Polynomial, integrate_s3
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
@@ -14,10 +13,9 @@ NORM = sum((x * x for x in X), Polynomial.zero())
 
 def test_frames_are_tangent():
     # every frame field annihilates |x|^2, so it is tangent to the sphere
-    fr = default_frame()
     raw_norm = Polynomial({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1,
                            (0, 0, 2, 0): 1}, reduce=False) + Polynomial({(0, 0, 0, 2): 1}, reduce=False)
-    for rows in (fr.left, fr.right):
+    for rows in (LEFT, RIGHT):
         for coeffs in rows:
             val = Polynomial.zero()
             for mu in range(4):
@@ -26,8 +24,7 @@ def test_frames_are_tangent():
 
 
 def test_frames_euclidean_orthonormal():
-    fr = default_frame()
-    for rows in (fr.left, fr.right):
+    for rows in (LEFT, RIGHT):
         for i in range(3):
             for j in range(3):
                 dot = sum((rows[i][mu] * rows[j][mu] for mu in range(4)),
@@ -37,56 +34,29 @@ def test_frames_euclidean_orthonormal():
 
 def test_bracket_structure_constants():
     # oracle: brute-force commutator of the ambient vector fields
-    m, fr = su2_model()
     for i in range(3):
         for j in range(3):
-            br = vector_bracket(fr.left[i], fr.left[j])
+            br = vector_bracket(LEFT[i], LEFT[j])
             for mu in range(4):
                 want = Polynomial.zero()
                 for k in range(3):
-                    want = want + m.c[i][j][k] * fr.left[k][mu]
+                    want = want + STRUCTURE[i][j][k] * LEFT[k][mu]
                 # bracket coefficients agree modulo the sphere relation
                 assert br[mu] * NORM == want
 
 
 def test_left_and_right_frames_commute():
-    fr = default_frame()
     for i in range(3):
         for j in range(3):
-            br = vector_bracket(fr.left[i], fr.right[j])
+            br = vector_bracket(LEFT[i], RIGHT[j])
             for mu in range(4):
                 assert (br[mu] * NORM).is_zero or br[mu].is_zero
 
 
-def test_orientation_flip():
-    m_plus, _ = su2_model(1)
-    m_minus, _ = su2_model(-1)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                assert m_minus.c[i][j][k] == -m_plus.c[i][j][k]
-    assert not validate_structure(m_minus)
-    with pytest.raises(ValueError):
-        su2_model(0)
-
-
 def test_validate_structure_flags_violations():
-    assert validate_structure(default_model()) == []
-    bad = LieGroupModel(n=2, c=(((0, 1), (1, 0)), ((0, 0), (0, 0))),
-                        g0=((1, 0), (0, 1)))
+    assert validate_structure(STRUCTURE) == []
+    bad = (((0, 1), (1, 0)), ((0, 0), (0, 0)))
     assert any("antisymmetry" in v for v in validate_structure(bad))
-
-
-def test_torsion_form():
-    H = torsion_form(default_model())
-    assert H[0][1][2] == 2
-    assert H[1][0][2] == -2
-    assert H[0][0][1] == 0
-    # non-ad-invariant metric gives a non-antisymmetric candidate
-    m = default_model()
-    bad = LieGroupModel(n=3, c=m.c, g0=((2, 0, 0), (0, 1, 0), (0, 0, 1)))
-    with pytest.raises(NotBiInvariant):
-        torsion_form(bad)
 
 
 def test_frame_derive_basics():
@@ -128,7 +98,3 @@ def test_adjoint_matrix_is_orthogonal():
             dot = sum((A[i][a] * A[j][a] for a in range(3)), Polynomial.zero())
             assert dot == (Polynomial.constant(1) if i == j else Polynomial.zero())
 
-
-def test_model_json_roundtrip():
-    m = default_model()
-    assert LieGroupModel.from_json(m.to_json()) == m

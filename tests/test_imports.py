@@ -20,3 +20,12 @@ def test_no_unused_module_imports():
                     if bound not in names:
                         unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
+
+
+def test_no_assert_statements():
+    # python -O strips assert statements, so src/ guards with explicit raises
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
