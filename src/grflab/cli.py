@@ -104,13 +104,12 @@ def _suite_structure():
 
 def _suite_bismut_flat():
     geo = round_geometry()
-    suite = geo.curvature_suite()
     nh = geo.covd(geo.H, geo.gamma)
     out = [
-        ("bismut curvature vanishes on round critical data", suite["Rm+"].is_zero),
+        ("bismut curvature vanishes on round critical data", geo.Rm_plus.is_zero),
         ("torsion is parallel on round critical data", nh.is_zero),
-        ("ricci equals quarter torsion square", suite["Rc"] == Fraction(1, 4) * suite["H2"]),
-        ("torsion is coclosed", suite["dstarH"].is_zero),
+        ("ricci equals quarter torsion square", geo.Rc == Fraction(1, 4) * geo.H2),
+        ("torsion is coclosed", geo.dstar(geo.H).is_zero),
         ("soliton tensor vanishes", geo.bakry_emery().is_zero),
     ]
     return out
@@ -121,10 +120,9 @@ def _suite_curvature_dual_path(rng, samples=20):
         g = _rand_metric(rng)
         s = _rand_fraction(rng, 1, 3, 2)
         geo = Geometry(g, H=s)
-        suite = geo.curvature_suite()
-        want = suite["Rc"] - Fraction(1, 4) * suite["H2"] - Fraction(1, 2) * suite["dstarH"]
-        rm_ok = geo.bismut_curvature_rhs() == suite["Rm+"]
-        return bool(suite["Rc+"] == want and rm_ok)
+        want = geo.Rc - Fraction(1, 4) * geo.H2 - Fraction(1, 2) * geo.dstar(geo.H)
+        rm_ok = geo.bismut_curvature_rhs() == geo.Rm_plus
+        return bool(geo.Rc_plus == want and rm_ok)
     results = [one(i) for i in range(samples)]
     return [("bismut curvature identities on randomized invariant data", all(results))]
 

@@ -85,10 +85,6 @@ class Polynomial:
         exp[i - 1] = 1
         return cls({tuple(exp): Fraction(1)})
 
-    @classmethod
-    def monomial(cls, exp, coeff=1):
-        return cls({tuple(exp): Fraction(coeff)})
-
     @property
     def is_zero(self):
         return not self.terms

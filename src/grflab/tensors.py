@@ -1,14 +1,15 @@
 """Frame-indexed tensor calculus: Levi-Civita and Bismut connections,
-curvature suites, the mixed connection on 2-tensors, twisted divergences,
+their curvature, the mixed connection on 2-tensors, twisted divergences,
 the mixed Laplacian, and the twisted Bakry-Emery curvature."""
 
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from . import frames, linalg
+from . import frames
 from .frames import frame_derive
-from .poly import JetScalar, Polynomial, as_jet, as_poly
+from .poly import JetScalar, NonInvertibleJet, Polynomial, as_jet, as_poly
 
 
 class BadRank(ValueError):
@@ -55,10 +56,6 @@ class TensorField:
             raise BadRank("every frame index must have size 3")
         self.comps = comps
 
-    @classmethod
-    def zero(cls, rank):
-        return cls(zeros((3,) * rank))
-
     @property
     def rank(self):
         return self.comps.ndim
@@ -89,9 +86,6 @@ class TensorField:
     def is_zero(self):
         return all(x.is_zero for x in self.comps.reshape(-1))
 
-    def transpose(self, axes=None):
-        return TensorField(np.transpose(self.comps, axes))
-
     def sym(self):
         if self.rank != 2:
             raise BadRank("sym is defined for rank 2")
@@ -102,26 +96,12 @@ class TensorField:
             raise BadRank("antisym is defined for rank 2")
         return TensorField((self.comps - self.comps.T) * Fraction(1, 2))
 
-    def map(self, fn):
-        out = np.empty(self.comps.shape, dtype=object)
-        flat_in = self.comps.reshape(-1)
-        flat_out = out.reshape(-1)
-        for i, x in enumerate(flat_in):
-            flat_out[i] = fn(x)
-        return TensorField(out)
-
     def jet_part(self, order):
         """Extract c0/c1/c2 componentwise (components must be jets or polynomials)."""
-        def pick(x):
-            x = as_jet(x)
-            return (x.c0, x.c1, x.c2)[order]
-        return self.map(pick)
-
-    def to_json(self):
-        if self.rank == 2:
-            return {"rank": 2, "components": [[self.comps[i, j].to_json() for j in range(3)]
-                                              for i in range(3)]}
-        raise BadRank("JSON export implemented for rank 2")
+        out = np.empty(self.comps.shape, dtype=object)
+        out.reshape(-1)[:] = [(x.c0, x.c1, x.c2)[order]
+                              for x in map(as_jet, self.comps.reshape(-1))]
+        return TensorField(out)
 
     def __repr__(self):
         return f"TensorField(rank={self.rank})"
@@ -139,51 +119,25 @@ def volume_form(coeff=1):
     return TensorField(EPS * _coerce_scalar(coeff))
 
 
-def _is_jet(arr):
-    return any(isinstance(x, JetScalar) for x in arr.reshape(-1))
+def _adjugate(m):
+    """adj(m) of a 3x3 object array, m adj(m) = det(m) I: entry (i, j) is the
+    cofactor of m[j, i], written with cyclic indices."""
+    def cof(a, b):
+        a1, a2, b1, b2 = (a + 1) % 3, (a + 2) % 3, (b + 1) % 3, (b + 2) % 3
+        return m[a1, b1] * m[a2, b2] - m[a1, b2] * m[a2, b1]
+    return obj_array([[cof(j, i) for j in range(3)] for i in range(3)])
 
 
-def _constant_matrix(arr):
-    """Extract the constant Fraction matrix, or None if any entry is non-constant."""
-    out = []
-    for row in arr:
-        r = []
-        for x in row:
-            if isinstance(x, JetScalar):
-                return None
-            if not x.is_constant:
-                return None
-            r.append(x.constant_value())
-        out.append(r)
-    return out
-
-
-def _invert_metric(g):
-    """Exact inverse of a 3x3 metric with constant or jet components."""
-    if _is_jet(g):
-        g0 = [[as_jet(x).c0 for x in row] for row in g]
-        const = _constant_matrix(obj_array(g0))
-        if const is None:
-            raise SingularMetric("jet metric needs a constant t=0 part")
+def _reciprocal(det):
+    """1/det for a jet with a nonzero constant t=0 part or a nonzero constant."""
+    if isinstance(det, JetScalar):
         try:
-            g0inv = linalg.mat_inv(const)
-        except ValueError:
-            raise SingularMetric("t=0 metric is singular")
-        g0inv = obj_array(g0inv)
-        delta = g - obj_array([[as_jet(g[i][j]).c0 for j in range(3)] for i in range(3)])
-        # order-2 Neumann series around the exact t=0 inverse
-        n = np.einsum("ij,jk->ik", g0inv, delta)
-        n2 = np.einsum("ij,jk->ik", n, n)
-        eye = obj_array([[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)])
-        return np.einsum("ij,jk->ik", eye - n + n2, g0inv)
-    const = _constant_matrix(g)
-    if const is None:
-        raise SingularMetric("only constant-coefficient metrics are invertible exactly")
-    try:
-        inv = linalg.mat_inv(const)
-    except ValueError:
-        raise SingularMetric("metric matrix is singular")
-    return obj_array(inv)
+            return det.inverse()
+        except NonInvertibleJet as exc:
+            raise SingularMetric(f"metric determinant: {exc}") from exc
+    if not det.is_constant or det.is_zero:
+        raise SingularMetric("metric determinant is not a nonzero constant")
+    return Fraction(1) / det.constant_value()
 
 
 def christoffel(c, g, ginv, dg=None):
@@ -226,6 +180,8 @@ class Geometry:
 
     g is a 3x3 symmetric matrix of scalars, H either a rank-3 TensorField or
     a number s standing for s * e^1^e^2^e^3, f a scalar potential (default 0).
+    g^-1 = adj(g) / det g for constant and jet metrics alike, so det g must be
+    a nonzero constant or a jet with a nonzero constant t=0 part.
     """
 
     def __init__(self, g, H=0, f=0):
@@ -237,9 +193,11 @@ class Geometry:
         else:
             self.H = volume_form(H).comps
         self.f = _coerce_scalar(f)
-        self.ginv = _invert_metric(self.g)
+        adj = _adjugate(self.g)
+        self.det = sum(self.g[0, k] * adj[k, 0] for k in range(3))
+        self.ginv = adj * _reciprocal(self.det)
         self.c = _STRUCTURE
-        self.gamma = self._levi_civita()
+        self.gamma = christoffel(self.c, self.g, self.ginv, self._frame_gradient(self.g))
         half = Fraction(1, 2)
         hup = np.einsum("mik,pk->mip", self.H, self.ginv)
         self.gamma_p = self.gamma + hup * half
@@ -264,9 +222,6 @@ class Geometry:
         return np.einsum("mn,n->m", self.ginv, self.covd_scalar(s).comps)
 
     # -- connections ------------------------------------------------------
-
-    def _levi_civita(self):
-        return christoffel(self.c, self.g, self.ginv, self._frame_gradient(self.g))
 
     def torsion(self, conn):
         """Lowered torsion tensor T_{ijk} of a connection symbol array."""
@@ -334,21 +289,43 @@ class Geometry:
         """Lowered curvature Rm_{ijkl} = <R(E_i,E_j)E_k, E_l> of the connection."""
         return TensorField(riemann(self.c, conn, self.g, self._frame_gradient(conn)))
 
-    def ricci(self, rm):
-        arr = rm.comps if isinstance(rm, TensorField) else rm
-        return TensorField(np.einsum("ijkl,il->jk", arr, self.ginv))
+    # Derived curvature data, each computed on first use: a Geometry is
+    # never changed after __init__.
 
-    def scalar_curvature(self, rc):
-        arr = rc.comps if isinstance(rc, TensorField) else rc
-        return np.einsum("jk,jk->", arr, self.ginv)
+    @cached_property
+    def Rm(self):
+        """Riemann tensor of the Levi-Civita connection."""
+        return self.curvature(self.gamma)
 
-    def h_squared(self):
+    @cached_property
+    def Rm_plus(self):
+        """Riemann tensor of the Bismut connection nabla+ = nabla + H/2."""
+        return self.curvature(self.gamma_p)
+
+    @cached_property
+    def Rc(self):
+        """Ricci tensor Rc_{jk} = g^{il} Rm_{ijkl}."""
+        return TensorField(np.einsum("ijkl,il->jk", self.Rm.comps, self.ginv))
+
+    @cached_property
+    def Rc_plus(self):
+        """Bismut Ricci tensor g^{il} Rm+_{ijkl}."""
+        return TensorField(np.einsum("ijkl,il->jk", self.Rm_plus.comps, self.ginv))
+
+    @cached_property
+    def R(self):
+        """Scalar curvature g^{jk} Rc_{jk}."""
+        return np.einsum("jk,jk->", self.Rc.comps, self.ginv)
+
+    @cached_property
+    def H2(self):
         """H^2_{ij} = H_{ipq} H_{jrs} g^{pr} g^{qs}."""
         return TensorField(np.einsum("ipq,jrs,pr,qs->ij", self.H, self.H, self.ginv, self.ginv))
 
-    def norm_h_squared(self):
+    @cached_property
+    def H2_norm(self):
         """|H|^2, full contraction without combinatorial factor."""
-        return np.einsum("ijk,pqr,ip,jq,kr->", self.H, self.H, self.ginv, self.ginv, self.ginv)
+        return np.einsum("ij,ij->", self.H2.comps, self.ginv)
 
     def dstar(self, T):
         """Codifferential of a 2- or 3-form: (d*T)_... = -g^{mn} (nabla T)_{mn...}."""
@@ -362,25 +339,9 @@ class Geometry:
     def dstar_f(self, T):
         return TensorField(-self.div_f(T))
 
-    def curvature_suite(self):
-        rm = self.curvature(self.gamma)
-        rc = self.ricci(rm)
-        rmp = self.curvature(self.gamma_p)
-        rcp = self.ricci(rmp)
-        return {
-            "Rm": rm,
-            "Rc": rc,
-            "R": self.scalar_curvature(rc),
-            "Rm+": rmp,
-            "Rc+": rcp,
-            "R+": self.scalar_curvature(rcp),
-            "H2": self.h_squared(),
-            "dstarH": self.dstar(self.H),
-        }
-
     def bismut_curvature_rhs(self):
         """Rm+ from the Riemannian data: Rm + (1/2)(nabla H terms) - (1/4)(H o H terms)."""
-        rm = self.curvature(self.gamma).comps
+        rm = self.Rm.comps
         dh = self.covd(self.H, self.gamma).comps
         q = Fraction(1, 4)
         hh1 = np.einsum("ila,jkb,ab->ijkl", self.H, self.H, self.ginv)
@@ -394,18 +355,15 @@ class Geometry:
 
     def bakry_emery(self, soliton_normalization=True):
         """Rc^{H,f}: Rc - H^2/4 + c*hess(f) - (d*H + i_{grad f}H)/2, c = 1 or 1/2."""
-        rc = self.ricci(self.curvature(self.gamma))
-        h2 = self.h_squared()
         hess = self.hessian(self.f)
         c = Fraction(1) if soliton_normalization else Fraction(1, 2)
-        return rc - Fraction(1, 4) * h2 + c * hess - Fraction(1, 2) * self.dstar_f(self.H)
+        return self.Rc - Fraction(1, 4) * self.H2 + c * hess - Fraction(1, 2) * self.dstar_f(self.H)
 
     def generalized_scalar(self):
         """R^{H,f} = R - |H|^2/12 + 2 laplacian f - |grad f|^2."""
-        r = self.scalar_curvature(self.ricci(self.curvature(self.gamma)))
         df = self.covd_scalar(self.f)
         norm2 = np.einsum("m,m->", self.grad_up(self.f), df.comps)
-        return r - Fraction(1, 12) * self.norm_h_squared() + 2 * self.div(df) - norm2
+        return self.R - Fraction(1, 12) * self.H2_norm + 2 * self.div(df) - norm2
 
     # -- mixed connection suite ---------------------------------------------
 
@@ -444,7 +402,7 @@ class Geometry:
         base = self.div_f(d)
         t2 = -np.einsum("ajb,ma,kb,mik->ij", self.H, self.ginv, self.ginv, d)
         t3 = np.einsum("aib,ma,kb,mkj->ij", self.H, self.ginv, self.ginv, d)
-        h2 = self.h_squared().comps
+        h2 = self.H2.comps
         q = Fraction(1, 4)
         t4 = -(np.einsum("jl,la,ia->ij", h2, self.ginv, arr)
                + np.einsum("il,la,aj->ij", h2, self.ginv, arr)) * q

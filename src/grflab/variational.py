@@ -30,12 +30,6 @@ class LambdaResult:
     residual: float
 
 
-def _det3(m):
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
 def _as_geometry(g, H, f=0):
     if isinstance(g, Geometry):
         return g
@@ -44,8 +38,7 @@ def _as_geometry(g, H, f=0):
 
 def schrodinger_potential(geo):
     """The scalar potential R - |H|^2 / 12 of the lambda eigenproblem."""
-    suite_r = geo.scalar_curvature(geo.ricci(geo.curvature(geo.gamma)))
-    return as_poly(suite_r) - Fraction(1, 12) * as_poly(geo.norm_h_squared())
+    return as_poly(geo.R) - Fraction(1, 12) * as_poly(geo.H2_norm)
 
 
 def pairing_matrix(xs, ys, pair):
@@ -79,6 +72,26 @@ def _float_matrix(entries):
         raise SolverError("matrix entry does not fit in a float64") from exc
 
 
+def _symmetrized(name, m):
+    """(m + m^T) / 2, rejected unless every entry is a finite float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (m + m.T) / 2
+    if not np.isfinite(m).all():
+        raise SolverError(f"symmetrized {name} matrix does not fit in a float64")
+    return m
+
+
+def _float_det(geo):
+    """det g of a constant metric as a float64, which must be finite and positive."""
+    try:
+        det = float(geo.det.constant_value())
+    except OverflowError:
+        det = math.inf
+    if not 0 < det < math.inf:
+        raise SolverError(f"det g = {det} is not a finite positive float64")
+    return det
+
+
 def lambda_min(g, H, degree=2):
     """Smallest eigenvalue of -4 lap_g + (R - |H|^2/12) on polynomials of degree <= d.
 
@@ -88,14 +101,15 @@ def lambda_min(g, H, degree=2):
     psi, expanded to second order around its mean (exact when psi is constant).
     """
     geo = _as_geometry(g, H)
+    detg = _float_det(geo)
     space = canonical_space(degree)
     V = schrodinger_potential(geo)
     ops = [Fraction(-4) * as_poly(geo.div(geo.covd_scalar(phi))) + V * phi
            for phi in space.basis]
     A = _float_matrix(pairing_matrix(ops, space.basis, operator.mul))
     M = _float_matrix(pairing_matrix(space.basis, space.basis, operator.mul))
-    A = (A + A.T) / 2
-    M = (M + M.T) / 2
+    A = _symmetrized("operator", A)
+    M = _symmetrized("mass", M)
     try:
         w, vecs = scipy.linalg.eigh(A, M)
     except scipy.linalg.LinAlgError as exc:
@@ -104,7 +118,6 @@ def lambda_min(g, H, degree=2):
     c = vecs[:, 0]
     residual = float(np.linalg.norm(A @ c - lam * (M @ c)) / np.linalg.norm(c))
     # normalize int psi^2 dV_g = 1 and fix the overall sign
-    detg = _det3([[float(x.constant_value()) for x in row] for row in geo.g])
     vol_factor = math.sqrt(detg) * math.pi**2
     norm2 = float(c @ (M @ c)) * vol_factor
     c = c / math.sqrt(norm2)
@@ -147,14 +160,13 @@ def first_variation(g, H, f, gamma):
     for k in range(1, 5):
         term = term * phi * Fraction(-1, k)
         w = w + term
-    detg = _det3([[x.constant_value() for x in row] for row in geo.g])
-    scale = math.exp(-float(c)) * math.sqrt(float(detg))
+    scale = math.exp(-float(c)) * math.sqrt(float(geo.det.constant_value()))
     return float(integrate_s3(as_poly(s) * w).coeff) * (-math.pi**2) * scale
 
 
 def curvature_action(geo, gamma, bismut=True):
     """R-ring action: (R(gamma))_{jk} = R_{ijkl} gamma^{il} with Rm or Rm+."""
-    rm = geo.curvature(geo.gamma_p if bismut else geo.gamma).comps
+    rm = (geo.Rm_plus if bismut else geo.Rm).comps
     arr = gamma.comps if isinstance(gamma, TensorField) else gamma
     return TensorField(np.einsum("ijkl,ia,lb,ab->jk", rm, geo.ginv, geo.ginv, arr))
 
@@ -197,8 +209,7 @@ def bianchi_contracted_check(g, H, f):
     Must vanish identically for every (g, H, f); returned as a rank-1 field.
     """
     geo = _as_geometry(g, H, f)
-    rc = geo.ricci(geo.curvature(geo.gamma))
-    s = rc - Fraction(1, 4) * geo.h_squared() + geo.hessian(geo.f)
+    s = geo.Rc - Fraction(1, 4) * geo.H2 + geo.hessian(geo.f)
     lhs = geo.div_f(s)
     grad_r = geo.covd_scalar(geo.generalized_scalar()).comps
     dsf = geo.dstar_f(geo.H).comps
@@ -207,19 +218,14 @@ def bianchi_contracted_check(g, H, f):
 
 
 def phi_operator(pair, geo):
-    """Phi(u, v) = (-1/2 lap+_f u, -1/2 lap-_f v) on 1-form pairs."""
+    """Phi(u, v) = (-1/2 lap+_f u, -1/2 lap-_f v) on 1-form pairs.
+
+    lap+-_f is the rough f-Laplacian of the Bismut connection nabla+-: both
+    derivatives, and the drift (grad f)^m (nabla+- w)_m, are taken along nabla+-.
+    """
     u, v = pair
-
-    def lap_pm(w, sign):
-        arr = w.comps if isinstance(w, TensorField) else w
-        d = geo.covd(arr).comps
-        base = geo.div_f(d)
-        t1 = np.einsum("abl,am,bk,mk->l", geo.H, geo.ginv, geo.ginv, d)
-        h2 = geo.h_squared().comps
-        t2 = np.einsum("jl,ja,a->l", h2, geo.ginv, arr)
-        return TensorField(base + sign * t1 - Fraction(1, 4) * t2)
-
-    return (Fraction(-1, 2) * lap_pm(u, 1), Fraction(-1, 2) * lap_pm(v, -1))
+    return (Fraction(-1, 2) * geo.rough_laplacian_f(u, geo.gamma_p),
+            Fraction(-1, 2) * geo.rough_laplacian_f(v, geo.gamma_m))
 
 
 def phi_relation_check(gamma, geo):
@@ -254,8 +260,7 @@ class OperatorMatrix:
         return all(e[i][j] == e[j][i] for i in range(self.dim) for j in range(self.dim))
 
     def eigenvalues(self):
-        m = _float_matrix(self.entries)
-        return np.linalg.eigvalsh((m + m.T) / 2)
+        return np.linalg.eigvalsh(_symmetrized("second-variation", _float_matrix(self.entries)))
 
 
 class TensorSpace:

@@ -77,11 +77,10 @@ def rand_potential(rng, degree=2):
 def test_criterion_01_round_critical_point():
     start = time.monotonic()
     geo = round_geometry()
-    s = geo.curvature_suite()
-    ok = (s["Rm+"].is_zero
+    ok = (geo.Rm_plus.is_zero
           and geo.covd(geo.H, geo.gamma).is_zero
-          and s["Rc"] == Fraction(1, 4) * s["H2"]
-          and s["dstarH"].is_zero)
+          and geo.Rc == Fraction(1, 4) * geo.H2
+          and geo.dstar(geo.H).is_zero)
     ok = ok and (time.monotonic() - start) < 1.0
     report(1, "round metric with torsion 2 dV is critical", ok)
 
@@ -92,9 +91,8 @@ def test_criterion_02_bismut_ricci_identity_randomized():
     ok = True
     for _ in range(20):
         geo = Geometry(rand_metric(rng), H=Fraction(rng.randint(1, 3), rng.randint(1, 2)))
-        s = geo.curvature_suite()
-        want = s["Rc"] - Fraction(1, 4) * s["H2"] - Fraction(1, 2) * s["dstarH"]
-        ok = ok and s["Rc+"] == want
+        want = geo.Rc - Fraction(1, 4) * geo.H2 - Fraction(1, 2) * geo.dstar(geo.H)
+        ok = ok and geo.Rc_plus == want
     ok = ok and (time.monotonic() - start) < 10.0
     report(2, "connection Ricci tensor matches its closed form", ok)
 

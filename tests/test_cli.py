@@ -116,11 +116,17 @@ def test_output_file(tmp_path, capsys):
     (["lambda", "--g", "diag:1,1,1e308", "--degree", "0"], None, "does not fit in a float64"),
     (["flow", "--h0", "1e300", "--steps", "2"], None, "does not fit in a float64"),
     (["flow", "--g", "diag:1e300,1,1", "--steps", "2"], None, "does not fit in a float64"),
+    (["lambda", "--g", "diag:1e150,1e150,1e150", "--degree", "0"], None, "det g"),
+    (["flow", "--g", "diag:1e150,1e150,1e150", "--h0", "0", "--steps", "3"], None, "det g"),
+    (["lambda", "--h0", "1e154", "--degree", "0"], None, "symmetrized operator matrix"),
+    (["flow", "--h0", "1e154", "--steps", "3"], None, "symmetrized operator matrix"),
     (["spectrum", "--h0", "5"], None, "h0 must be 2"),
     (["spectrum", "--degree", "3"], None, "degree at most 2"),
 ], ids=["config-type", "config-command", "config-unknown-key", "sample-every-zero",
         "metric-indefinite", "output-dir-missing", "lambda-overflow", "flow-h0-overflow",
-        "flow-metric-huge", "spectrum-h0", "spectrum-degree"])
+        "flow-metric-huge", "lambda-det-overflow", "flow-det-overflow",
+        "lambda-matrix-overflow", "flow-matrix-overflow", "spectrum-h0", "spectrum-degree"])
+@pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, message):
     if config is not None:
         path = tmp_path / "c.json"

@@ -95,17 +95,16 @@ def test_singular_metric_rejected():
 
 def test_round_curvature_suite():
     geo = round_geo()
-    s = geo.curvature_suite()
-    assert s["R"] == 6
-    assert s["R+"] == 0
-    assert s["Rc"] == 2 * TensorField(EYE)
-    assert s["Rc+"].is_zero and s["Rm+"].is_zero
-    assert s["H2"] == 8 * TensorField(EYE)
-    assert geo.norm_h_squared() == 24
-    assert s["dstarH"].is_zero
+    assert geo.R == 6
+    assert np.einsum("jk,jk->", geo.Rc_plus.comps, geo.ginv) == 0
+    assert geo.Rc == 2 * TensorField(EYE)
+    assert geo.Rc_plus.is_zero and geo.Rm_plus.is_zero
+    assert geo.H2 == 8 * TensorField(EYE)
+    assert geo.H2_norm == 24
+    assert geo.dstar(geo.H).is_zero
     assert geo.covd(geo.H, geo.gamma).is_zero
     # constant sectional curvature +1: Rm_ijij = 1 for i != j
-    rm = s["Rm"]
+    rm = geo.Rm
     assert rm[0, 1, 1, 0] == 1 and rm[0, 1, 0, 1] == -1
 
 
@@ -124,12 +123,11 @@ def test_bismut_curvature_dual_path_randomized():
     rng = random.Random(2)
     for _ in range(8):
         geo = Geometry(rand_metric(rng), H=Fraction(rng.randint(1, 3)))
-        s = geo.curvature_suite()
-        assert geo.bismut_curvature_rhs() == s["Rm+"]
-        want = s["Rc"] - Fraction(1, 4) * s["H2"] - Fraction(1, 2) * s["dstarH"]
-        assert s["Rc+"] == want
-        rplus = geo.scalar_curvature(s["Rc+"])
-        assert as_poly(rplus) == as_poly(s["R"]) - Fraction(1, 4) * as_poly(geo.norm_h_squared())
+        assert geo.bismut_curvature_rhs() == geo.Rm_plus
+        want = geo.Rc - Fraction(1, 4) * geo.H2 - Fraction(1, 2) * geo.dstar(geo.H)
+        assert geo.Rc_plus == want
+        rplus = np.einsum("jk,jk->", geo.Rc_plus.comps, geo.ginv)
+        assert as_poly(rplus) == as_poly(geo.R) - Fraction(1, 4) * as_poly(geo.H2_norm)
 
 
 # -- mixed connection suite -----------------------------------------------------
@@ -202,6 +200,21 @@ def test_jet_metric_inverse():
         for j in range(3):
             want = JetScalar(1 if i == j else 0, 0, 0)
             assert prod[i, j] == want
+    # dense: constant off-diagonal t=0 part, non-constant c1 and c2 in every entry
+    g0 = [[3, 1, Fraction(1, 2)], [1, 2, 0], [Fraction(1, 2), 0, 4]]
+    c1 = [[X[0], X[1] * X[2], 1 - X[3]], [X[1] * X[2], X[2], X[0] * X[3]],
+          [1 - X[3], X[0] * X[3], X[1] - X[0]]]
+    c2 = [[X[3] * X[3], X[0] + 2, X[1] * X[3]], [X[0] + 2, X[0] * X[2], X[2] - 1],
+          [X[1] * X[3], X[2] - 1, X[0] * X[1] * X[2]]]
+    gj = obj_array([[JetScalar(g0[i][j], c1[i][j], c2[i][j]) for j in range(3)]
+                    for i in range(3)])
+    geo = Geometry(gj, H=2)
+    for prod in (np.einsum("ij,jk->ik", geo.g, geo.ginv),
+                 np.einsum("ij,jk->ik", geo.ginv, geo.g)):
+        for i in range(3):
+            for j in range(3):
+                assert prod[i, j] == JetScalar(1 if i == j else 0, 0, 0)
+    assert not any(x.c2.is_zero for x in geo.ginv.reshape(-1))
 
 
 def test_jet_metric_requires_constant_base():
@@ -223,7 +236,7 @@ def test_jet_curvature_first_order_matches_finite_difference():
             for k in range(3):
                 hj[i, j, k] = JetScalar(base.H[i, j, k], 0, 0)
     geo = Geometry(gj, hj, 0)
-    r = as_poly(0) + geo.scalar_curvature(geo.ricci(geo.curvature(geo.gamma)))
+    r = as_poly(0) + geo.R
     assert r.c0 == 6
     assert r.c1 == Fraction(16) * u - 6 * u  # -2 lap u - u R = 16u - 6u
 
@@ -244,15 +257,14 @@ def test_curvature_kernel_agrees_in_float_and_exact_dtypes():
         g = rand_metric(rng)
         s = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         geo = Geometry(g, H=s)
-        suite = geo.curvature_suite()
         gf = np.array(g, dtype=float)
         ginv = np.linalg.inv(gf)
         gamma = christoffel(c, gf, ginv)
         rm_plus = riemann(c, gamma + np.einsum("mik,pk->mip", float(s) * vol, ginv) / 2, gf)
         q = curvature_quantities(gf, float(s) * vol)
-        pairs = [(gamma, geo.gamma), (rm_plus, suite["Rm+"].comps),
-                 (q["Rc"], suite["Rc"].comps), (q["H2"], suite["H2"].comps),
-                 (q["Rc+"], suite["Rc+"].comps)]
+        pairs = [(gamma, geo.gamma), (rm_plus, geo.Rm_plus.comps),
+                 (q["Rc"], geo.Rc.comps), (q["H2"], geo.H2.comps),
+                 (q["Rc+"], geo.Rc_plus.comps)]
         for got, exact in pairs:
             assert got.dtype == np.float64
             assert np.abs(got - to_float(exact)).max() <= 1e-12

@@ -147,6 +147,21 @@ def test_operator_a_equals_b_on_slice():
         assert operator_A(gamma, geo) == operator_B(gamma, geo)
 
 
+def test_operator_b_builds_bismut_curvature_once(monkeypatch):
+    calls = []
+    curvature = Geometry.curvature
+
+    def counting(self, conn):
+        calls.append(conn)
+        return curvature(self, conn)
+
+    monkeypatch.setattr(Geometry, "curvature", counting)
+    geo = round_geo()
+    gamma = rand_tensor(random.Random(6), 1)
+    assert operator_B(gamma, geo) == operator_B(gamma, geo)
+    assert len(calls) == 1
+
+
 # -- Bianchi and Phi --------------------------------------------------------------
 
 def test_contracted_bianchi_randomized():
