@@ -5,8 +5,8 @@ from .poly import (IntegralValue, JetScalar, NonInvertibleJet, Polynomial,
 from .frames import (BadIndex, adjoint_matrix, frame_derive, laplacian_scalar,
                      validate_structure)
 from .harmonics import CanonicalSpace, canonical_space, harmonic_basis, is_eigenfunction
-from .tensors import (BadRank, Geometry, SingularMetric, TensorField, tensor,
-                      volume_form)
+from .tensors import (BadRank, Geometry, SingularMetric, antisym, is_zero, jet_part,
+                      obj_array, sym, volume_form)
 from .variational import (InconsistentSource, LambdaResult, OperatorMatrix,
                           SolverError, bianchi_contracted_check,
                           first_variation, lambda_min, operator_A, operator_B,

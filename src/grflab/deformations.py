@@ -12,7 +12,7 @@ import numpy as np
 from .frames import BadIndex, adjoint_matrix
 from .harmonics import canonical_space, harmonic_basis, is_eigenfunction
 from .poly import IntegralValue, JetScalar, Polynomial, as_poly, integrate_s3
-from .tensors import Geometry, TensorField, obj_array, zeros
+from .tensors import Geometry, antisym, is_zero, jet_part, obj_array, sym, zeros
 from .variational import (TensorSpace, curvature_action, kernel_span, operator_B,
                           second_variation_form)
 
@@ -38,16 +38,16 @@ def round_geometry():
 
 @dataclass
 class Deformation:
-    gamma: TensorField
+    gamma: np.ndarray
     provenance: str = ""
 
     @property
     def h(self):
-        return self.gamma.sym()
+        return sym(self.gamma)
 
     @property
     def K(self):
-        return -self.gamma.antisym()
+        return -antisym(self.gamma)
 
 
 def parallel_from_invariant_forms(i, j):
@@ -58,7 +58,7 @@ def parallel_from_invariant_forms(i, j):
     arr = zeros((3, 3))
     for b in range(3):
         arr[i - 1, b] = A[j - 1][b]
-    return Deformation(TensorField(arr), provenance=f"parallel({i},{j})")
+    return Deformation(arr, provenance=f"parallel({i},{j})")
 
 
 def canonical_igsd(u):
@@ -67,10 +67,7 @@ def canonical_igsd(u):
     if not is_eigenfunction(u, 2):
         raise NotEigenfunction("u must satisfy lap u = -8 u on the unit sphere")
     geo = round_geometry()
-    uh = TensorField(np.array([[[u * geo.H[i, j, k] for k in range(3)]
-                                for j in range(3)] for i in range(3)], dtype=object))
-    gamma = (2 * MU * u) * TensorField(geo.g) + geo.hessian(u) \
-        - Fraction(1, 2) * geo.dstar(uh)
+    gamma = (2 * MU * u) * geo.g + geo.hessian(u) - Fraction(1, 2) * geo.dstar(u * geo.H)
     return Deformation(gamma, provenance="canonical(u)")
 
 
@@ -100,30 +97,26 @@ def first_order_system_check(gamma, geo=None):
     """
     if geo is None:
         geo = round_geometry()
-    d = Deformation(gamma if isinstance(gamma, TensorField) else TensorField(gamma))
-    h, K = d.h.comps, d.K.comps
-    dh = geo.covd(h, geo.gamma).comps
-    dK = geo.covd(K, geo.gamma).comps
+    h, K = sym(gamma), -antisym(gamma)
+    dh = geo.covd(h, geo.gamma)
+    dK = geo.covd(K, geo.gamma)
     rhs_h = -Fraction(1, 2) * (np.einsum("mia,ab,jb->mij", geo.H, geo.ginv, K)
                                + np.einsum("mja,ab,ib->mij", geo.H, geo.ginv, K))
     rhs_K = -Fraction(1, 2) * (np.einsum("mja,ab,ib->mij", geo.H, geo.ginv, h)
                                - np.einsum("mia,ab,jb->mij", geo.H, geo.ginv, h))
-    return TensorField(dh) == TensorField(rhs_h) and TensorField(dK) == TensorField(rhs_K)
+    return is_zero(dh - rhs_h) and is_zero(dK - rhs_K)
 
 
 def equivalence_check(gamma, geo=None):
     """Evaluate the four equivalent kernel characterizations independently."""
     if geo is None:
         geo = round_geometry()
-    g = gamma.gamma if isinstance(gamma, Deformation) else gamma
-    if not isinstance(g, TensorField):
-        g = TensorField(g)
-    u, v = geo.twisted_divergence(g)
-    in_slice = u.is_zero and v.is_zero
-    cond_a = operator_B(g, geo).is_zero and in_slice
-    cond_b = geo.mixed_covd(g).is_zero
-    cond_c = first_order_system_check(g, geo)
-    cond_d = second_variation_form(g, g, geo).is_zero and in_slice
+    u, v = geo.twisted_divergence(gamma)
+    in_slice = is_zero(u) and is_zero(v)
+    cond_a = is_zero(operator_B(gamma, geo)) and in_slice
+    cond_b = is_zero(geo.mixed_covd(gamma))
+    cond_c = first_order_system_check(gamma, geo)
+    cond_d = second_variation_form(gamma, gamma, geo).is_zero and in_slice
     report = {
         "kernel_of_B": cond_a,
         "parallel": cond_b,
@@ -138,28 +131,23 @@ def integral_identities(gamma, geo=None):
     """The exact integral identities satisfied by every kernel deformation."""
     if geo is None:
         geo = round_geometry()
-    d = gamma if isinstance(gamma, Deformation) else Deformation(
-        gamma if isinstance(gamma, TensorField) else TensorField(gamma))
-    if not geo.mixed_covd(d.gamma).is_zero:
+    if not is_zero(geo.mixed_covd(gamma)):
         raise PreconditionFailed("deformation is not parallel for the mixed connection")
-    h, K = d.h, d.K
+    h, K = sym(gamma), -antisym(gamma)
 
     def pair(a, b):
         return integrate_s3(as_poly(geo.inner(a, b)))
 
     rh_h = pair(curvature_action(geo, h, bismut=False), h)
     rk_k = pair(curvature_action(geo, K, bismut=False), K)
-    div_h = TensorField(geo.div(h))
+    div_h = geo.div(h)
     div_h2 = pair(div_h, div_h)
-    grad_h = geo.covd(h.comps, geo.gamma)
-    grad_k = geo.covd(K.comps, geo.gamma)
+    grad_h = geo.covd(h, geo.gamma)
+    grad_k = geo.covd(K, geo.gamma)
     nh2 = pair(grad_h, grad_h)
     nk2 = pair(grad_k, grad_k)
-    rc = geo.Rc.comps
-    rhh = integrate_s3(as_poly(np.einsum(
-        "ij,ja,ib,ab->", rc, h.comps, h.comps, geo.ginv)))
-    rkk = integrate_s3(as_poly(np.einsum(
-        "ij,ja,ib,ab->", rc, K.comps, K.comps, geo.ginv)))
+    rhh = integrate_s3(as_poly(np.einsum("ij,ja,ib,ab->", geo.Rc, h, h, geo.ginv)))
+    rkk = integrate_s3(as_poly(np.einsum("ij,ja,ib,ab->", geo.Rc, K, K, geo.ginv)))
     report = {
         "ring_h": rh_h,
         "ring_K": rk_k,
@@ -219,7 +207,7 @@ def jet_second_variation_check(u, w):
     geo0 = round_geometry()
 
     # minimizer jet: f' = u/2 and lap f'' = 7 mu u^2 - (7/4)|grad u|^2, mean zero
-    du = geo0.covd_scalar(u).comps
+    du = geo0.covd_scalar(u)
     grad_u2 = as_poly(np.einsum("m,m->", du, du))
     rhs = 7 * MU * (u * u) - Fraction(7, 4) * grad_u2
     f2 = canonical_space(4).poisson_solve(rhs)
@@ -232,10 +220,10 @@ def jet_second_variation_check(u, w):
     fj = JetScalar(0, u * Fraction(1, 2), f2)
     geo_t = Geometry(gj, hj, fj)
 
-    g0 = TensorField(geo0.g)
+    g0 = geo0.g
     lap_u = as_poly(-8 * u)
     hess_u = geo0.hessian(u)
-    du_du = TensorField(np.einsum("i,j->ij", du, du))
+    du_du = np.einsum("i,j->ij", du, du)
     iuH = geo0.i_grad(u, geo0.H)
     hess_f2 = geo0.hessian(f2)
     if2H = geo0.i_grad(f2, geo0.H)
@@ -243,34 +231,36 @@ def jet_second_variation_check(u, w):
     hess_t = geo_t.hessian(geo_t.f)
     dstar_t = geo_t.dstar(geo_t.H)
     igrad_t = geo_t.i_grad(geo_t.f, geo_t.H)
-    rchf_t = geo_t.bakry_emery(soliton_normalization=True)
+    rchf_2 = jet_part(geo_t.bakry_emery(soliton_normalization=True), 2)
 
-    checks = {
+    # (jet computation, closed formula) per quantity
+    formulas = {
         # first derivatives at t = 0
-        "d1 Rc": geo_t.Rc.jet_part(1) == Fraction(-1, 2) * lap_u * g0
-                  - Fraction(1, 2) * hess_u,
-        "d1 R": geo_t.R.c1 == -2 * lap_u - 6 * u,
-        "d1 H2": geo_t.H2.jet_part(1) == 2 * u * geo0.H2,
-        "d1 |H|2": geo_t.H2_norm.c1 == 24 * u,
-        "d1 d*H": dstar_t.jet_part(1) == Fraction(-1, 2) * iuH,
-        "d1 i_gradf H": igrad_t.jet_part(1) == Fraction(1, 2) * iuH,
+        "d1 Rc": (jet_part(geo_t.Rc, 1),
+                  Fraction(-1, 2) * lap_u * g0 - Fraction(1, 2) * hess_u),
+        "d1 R": (geo_t.R.c1, -2 * lap_u - 6 * u),
+        "d1 H2": (jet_part(geo_t.H2, 1), 2 * u * geo0.H2),
+        "d1 |H|2": (geo_t.H2_norm.c1, 24 * u),
+        "d1 d*H": (jet_part(dstar_t, 1), Fraction(-1, 2) * iuH),
+        "d1 i_gradf H": (jet_part(igrad_t, 1), Fraction(1, 2) * iuH),
         # second derivatives at t = 0
-        "d2 Rc": geo_t.Rc.jet_part(2) ==
+        "d2 Rc": (jet_part(geo_t.Rc, 2),
                   (Fraction(1, 2) * grad_u2 - 4 * MU * u * u) * g0
-                  + Fraction(3, 2) * du_du + u * hess_u,
-        "d2 H2": geo_t.H2.jet_part(2) == (-8 * MU * u * u) * g0,
-        "d2 hess f": hess_t.jet_part(2) ==
-                  -du_du + Fraction(1, 2) * grad_u2 * g0 + hess_f2,
-        "d2 d*H": dstar_t.jet_part(2) == (4 * u) * iuH,
-        "d2 i_gradf H": igrad_t.jet_part(2) == u * iuH + if2H,
-        "d2 Rc^{H,f}": rchf_t.jet_part(2) ==
-                  (grad_u2 - 2 * MU * u * u) * g0 + Fraction(1, 2) * du_du
-                  + u * hess_u + hess_f2
-                  - Fraction(5, 2) * u * iuH - Fraction(1, 2) * if2H,
+                  + Fraction(3, 2) * du_du + u * hess_u),
+        "d2 H2": (jet_part(geo_t.H2, 2), (-8 * MU * u * u) * g0),
+        "d2 hess f": (jet_part(hess_t, 2),
+                      -du_du + Fraction(1, 2) * grad_u2 * g0 + hess_f2),
+        "d2 d*H": (jet_part(dstar_t, 2), (4 * u) * iuH),
+        "d2 i_gradf H": (jet_part(igrad_t, 2), u * iuH + if2H),
+        "d2 Rc^{H,f}": (rchf_2,
+                        (grad_u2 - 2 * MU * u * u) * g0 + Fraction(1, 2) * du_du
+                        + u * hess_u + hess_f2
+                        - Fraction(5, 2) * u * iuH - Fraction(1, 2) * if2H),
     }
+    checks = {name: is_zero(got - want) for name, (got, want) in formulas.items()}
 
     gamma_w = w * g0 + (Fraction(1, 2) / MU) * geo0.i_grad(w, geo0.H)
-    pairing = integrate_s3(as_poly(geo0.inner(rchf_t.jet_part(2), gamma_w)))
+    pairing = integrate_s3(as_poly(geo0.inner(rchf_2, gamma_w)))
     residual = pairing - obstruction(u, w)
     return {
         "checks": checks,

@@ -111,13 +111,7 @@ def flow_lambda(state):
     The potential of invariant data is constant, so degree 0 is exact.
     """
     g = [[Fraction(float(x)) for x in row] for row in state.g]
-    H = state.torsion()
-    h = np.empty((3, 3, 3), dtype=object)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                h[i, j, k] = Fraction(float(H[i, j, k]))
-    return lambda_min(g, h, 0).value
+    return lambda_min(g, Fraction(state.H0_coeff), 0).value
 
 
 def step_rk4(state, dt):

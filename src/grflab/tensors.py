@@ -1,6 +1,7 @@
 """Frame-indexed tensor calculus: Levi-Civita and Bismut connections,
 their curvature, the mixed connection on 2-tensors, twisted divergences,
-the mixed Laplacian, and the twisted Bakry-Emery curvature."""
+the mixed Laplacian, and the twisted Bakry-Emery curvature. A tensor is an
+object ndarray of scalars with one size-3 axis per frame index."""
 
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +31,7 @@ def _coerce_scalar(x):
 
 
 def obj_array(nested):
-    """Build an object ndarray of scalars from nested sequences."""
+    """Build an object ndarray of scalars from nested sequences (0-d for one scalar)."""
     arr = np.array(nested, dtype=object)
     flat = arr.reshape(-1)
     for i, x in enumerate(flat):
@@ -44,71 +45,29 @@ def zeros(shape):
     return arr
 
 
-class TensorField:
-    """Covariant tensor with frame indices 1..3 and polynomial/jet components."""
-
-    __slots__ = ("comps",)
-
-    def __init__(self, comps):
-        if not isinstance(comps, np.ndarray) or comps.dtype != object:
-            comps = obj_array(comps)
-        if any(s != 3 for s in comps.shape):
-            raise BadRank("every frame index must have size 3")
-        self.comps = comps
-
-    @property
-    def rank(self):
-        return self.comps.ndim
-
-    def __getitem__(self, idx):
-        return self.comps[idx]
-
-    def __add__(self, other):
-        return TensorField(self.comps + other.comps)
-
-    def __sub__(self, other):
-        return TensorField(self.comps - other.comps)
-
-    def __neg__(self):
-        return TensorField(-self.comps)
-
-    def __mul__(self, s):
-        return TensorField(self.comps * _coerce_scalar(s))
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorField) or self.rank != other.rank:
-            return NotImplemented
-        return all(a == b for a, b in zip(self.comps.reshape(-1), other.comps.reshape(-1)))
-
-    @property
-    def is_zero(self):
-        return all(x.is_zero for x in self.comps.reshape(-1))
-
-    def sym(self):
-        if self.rank != 2:
-            raise BadRank("sym is defined for rank 2")
-        return TensorField((self.comps + self.comps.T) * Fraction(1, 2))
-
-    def antisym(self):
-        if self.rank != 2:
-            raise BadRank("antisym is defined for rank 2")
-        return TensorField((self.comps - self.comps.T) * Fraction(1, 2))
-
-    def jet_part(self, order):
-        """Extract c0/c1/c2 componentwise (components must be jets or polynomials)."""
-        out = np.empty(self.comps.shape, dtype=object)
-        out.reshape(-1)[:] = [(x.c0, x.c1, x.c2)[order]
-                              for x in map(as_jet, self.comps.reshape(-1))]
-        return TensorField(out)
-
-    def __repr__(self):
-        return f"TensorField(rank={self.rank})"
+def is_zero(a):
+    """True when every entry of a (an array or one scalar) is zero."""
+    return all(x == 0 for x in np.ravel(a))
 
 
-def tensor(nested):
-    return TensorField(nested)
+def sym(a):
+    if a.ndim != 2:
+        raise BadRank("sym is defined for rank 2")
+    return (a + a.T) * Fraction(1, 2)
+
+
+def antisym(a):
+    if a.ndim != 2:
+        raise BadRank("antisym is defined for rank 2")
+    return (a - a.T) * Fraction(1, 2)
+
+
+def jet_part(a, order):
+    """The t-derivative of order 0, 1 or 2 at t=0 of every entry; entries
+    that are not jets are constant in t."""
+    out = np.empty(a.shape, dtype=object)
+    out.reshape(-1)[:] = [(x.c0, x.c1, x.c2)[order] for x in map(as_jet, a.reshape(-1))]
+    return out
 
 
 EPS = obj_array(frames.EPS)
@@ -116,7 +75,7 @@ EPS = obj_array(frames.EPS)
 
 def volume_form(coeff=1):
     """The invariant 3-form coeff * e^1 ^ e^2 ^ e^3, components coeff*eps_{ijk}."""
-    return TensorField(EPS * _coerce_scalar(coeff))
+    return EPS * _coerce_scalar(coeff)
 
 
 def _adjugate(m):
@@ -178,20 +137,19 @@ _STRUCTURE = obj_array(frames.STRUCTURE)
 class Geometry:
     """Invariant-frame geometry data (g, H, f) with exact connections.
 
-    g is a 3x3 symmetric matrix of scalars, H either a rank-3 TensorField or
-    a number s standing for s * e^1^e^2^e^3, f a scalar potential (default 0).
+    g is a 3x3 symmetric matrix of scalars, H either a 3x3x3 array or a
+    number s standing for s * e^1^e^2^e^3, f a scalar potential (default 0).
     g^-1 = adj(g) / det g for constant and jet metrics alike, so det g must be
-    a nonzero constant or a jet with a nonzero constant t=0 part.
+    a nonzero constant or a jet with a nonzero constant t=0 part. Tensors go
+    in and come out as object ndarrays indexed by the frame.
     """
 
     def __init__(self, g, H=0, f=0):
-        self.g = g.comps if isinstance(g, TensorField) else obj_array(g)
-        if isinstance(H, TensorField):
-            self.H = H.comps
-        elif isinstance(H, np.ndarray):
-            self.H = H
-        else:
-            self.H = volume_form(H).comps
+        self.g = obj_array(g)
+        H = obj_array(H)
+        self.H = volume_form(H[()]) if H.ndim == 0 else H
+        if self.g.shape != (3, 3) or self.H.shape != (3, 3, 3):
+            raise BadRank("g must be 3x3 and H 3x3x3 or a number")
         self.f = _coerce_scalar(f)
         adj = _adjugate(self.g)
         self.det = sum(self.g[0, k] * adj[k, 0] for k in range(3))
@@ -219,18 +177,14 @@ class Geometry:
 
     def grad_up(self, s):
         """Raised gradient (nabla s)^m as a length-3 object array."""
-        return np.einsum("mn,n->m", self.ginv, self.covd_scalar(s).comps)
+        return np.einsum("mn,n->m", self.ginv, self.covd_scalar(s))
 
     # -- connections ------------------------------------------------------
 
     def torsion(self, conn):
         """Lowered torsion tensor T_{ijk} of a connection symbol array."""
-        t = zeros((3, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                for p in range(3):
-                    t[i, j, p] = conn[i, j, p] - conn[j, i, p] - self.c[i, j, p]
-        return TensorField(np.einsum("ijp,pk->ijk", t, self.g))
+        t = conn - np.transpose(conn, (1, 0, 2)) - self.c
+        return np.einsum("ijp,pk->ijk", t, self.g)
 
     # -- covariant derivatives --------------------------------------------
 
@@ -240,23 +194,22 @@ class Geometry:
         conn is one symbol array for every slot (Levi-Civita if None) or a
         tuple with one symbol array per slot of T.
         """
-        arr = T.comps if isinstance(T, TensorField) else T
-        rank = arr.ndim
+        rank = T.ndim
         if not isinstance(conn, tuple):
             conn = (self.gamma if conn is None else conn,) * rank
         out = zeros((3,) * (rank + 1))
         for m in range(3):
             for idx in np.ndindex(*(3,) * rank):
-                val = self.E(arr[idx], m)
+                val = self.E(T[idx], m)
                 for s in range(rank):
                     for p in range(3):
                         jdx = idx[:s] + (p,) + idx[s + 1:]
-                        val = val - conn[s][m, idx[s], p] * arr[jdx]
+                        val = val - conn[s][m, idx[s], p] * T[jdx]
                 out[(m,) + idx] = val
-        return TensorField(out)
+        return out
 
     def covd_scalar(self, s):
-        return TensorField(obj_array([self.E(s, m) for m in range(3)]))
+        return obj_array([self.E(s, m) for m in range(3)])
 
     def hessian(self, s, conn=None):
         """Second covariant derivative of a scalar, Levi-Civita unless conn is given."""
@@ -269,25 +222,24 @@ class Geometry:
 
         Returns the contracted component array, a scalar for a 1-form.
         """
-        return np.einsum("mn...,mn->...", self.covd(T, conn).comps, self.ginv)
+        return np.einsum("mn...,mn->...", self.covd(T, conn), self.ginv)
 
     def div_f(self, T, conn=None):
         """The f-twisted divergence div(T, conn) - (grad f)^m T_{m...}."""
-        arr = T.comps if isinstance(T, TensorField) else T
-        return self.div(arr, conn) - np.einsum("m,m...->...", self.grad_up(self.f), arr)
+        return self.div(T, conn) - np.einsum("m,m...->...", self.grad_up(self.f), T)
 
     def laplacian_f(self, s):
         return self.div_f(self.covd_scalar(s))
 
     def rough_laplacian_f(self, T, conn=None):
         """Connection f-Laplacian g^{mn} (nabla nabla T)_{mn...} - (grad f)^m (nabla T)_{m...}."""
-        return TensorField(self.div_f(self.covd(T, conn), conn))
+        return self.div_f(self.covd(T, conn), conn)
 
     # -- curvature ---------------------------------------------------------
 
     def curvature(self, conn):
         """Lowered curvature Rm_{ijkl} = <R(E_i,E_j)E_k, E_l> of the connection."""
-        return TensorField(riemann(self.c, conn, self.g, self._frame_gradient(conn)))
+        return riemann(self.c, conn, self.g, self._frame_gradient(conn))
 
     # Derived curvature data, each computed on first use: a Geometry is
     # never changed after __init__.
@@ -305,51 +257,48 @@ class Geometry:
     @cached_property
     def Rc(self):
         """Ricci tensor Rc_{jk} = g^{il} Rm_{ijkl}."""
-        return TensorField(np.einsum("ijkl,il->jk", self.Rm.comps, self.ginv))
+        return np.einsum("ijkl,il->jk", self.Rm, self.ginv)
 
     @cached_property
     def Rc_plus(self):
         """Bismut Ricci tensor g^{il} Rm+_{ijkl}."""
-        return TensorField(np.einsum("ijkl,il->jk", self.Rm_plus.comps, self.ginv))
+        return np.einsum("ijkl,il->jk", self.Rm_plus, self.ginv)
 
     @cached_property
     def R(self):
         """Scalar curvature g^{jk} Rc_{jk}."""
-        return np.einsum("jk,jk->", self.Rc.comps, self.ginv)
+        return np.einsum("jk,jk->", self.Rc, self.ginv)
 
     @cached_property
     def H2(self):
         """H^2_{ij} = H_{ipq} H_{jrs} g^{pr} g^{qs}."""
-        return TensorField(np.einsum("ipq,jrs,pr,qs->ij", self.H, self.H, self.ginv, self.ginv))
+        return np.einsum("ipq,jrs,pr,qs->ij", self.H, self.H, self.ginv, self.ginv)
 
     @cached_property
     def H2_norm(self):
         """|H|^2, full contraction without combinatorial factor."""
-        return np.einsum("ij,ij->", self.H2.comps, self.ginv)
+        return np.einsum("ij,ij->", self.H2, self.ginv)
 
     def dstar(self, T):
         """Codifferential of a 2- or 3-form: (d*T)_... = -g^{mn} (nabla T)_{mn...}."""
-        return TensorField(-self.div(T))
+        return -self.div(T)
 
     def i_grad(self, s, T):
         """Interior product i_{grad s} T for a form T (contracts the first slot)."""
-        arr = T.comps if isinstance(T, TensorField) else T
-        return TensorField(np.einsum("m,m...->...", self.grad_up(s), arr))
+        return np.einsum("m,m...->...", self.grad_up(s), T)
 
     def dstar_f(self, T):
-        return TensorField(-self.div_f(T))
+        return -self.div_f(T)
 
     def bismut_curvature_rhs(self):
         """Rm+ from the Riemannian data: Rm + (1/2)(nabla H terms) - (1/4)(H o H terms)."""
-        rm = self.Rm.comps
-        dh = self.covd(self.H, self.gamma).comps
+        dh = self.covd(self.H, self.gamma)
         q = Fraction(1, 4)
         hh1 = np.einsum("ila,jkb,ab->ijkl", self.H, self.H, self.ginv)
         hh2 = np.einsum("jla,ikb,ab->ijkl", self.H, self.H, self.ginv)
         half = Fraction(1, 2)
-        out = (rm + np.einsum("ijkl->ijkl", dh) * half
-               - np.transpose(dh, (1, 0, 2, 3)) * half - hh1 * q + hh2 * q)
-        return TensorField(out)
+        return (self.Rm + dh * half - np.transpose(dh, (1, 0, 2, 3)) * half
+                - hh1 * q + hh2 * q)
 
     # -- Bakry-Emery -------------------------------------------------------
 
@@ -362,25 +311,22 @@ class Geometry:
     def generalized_scalar(self):
         """R^{H,f} = R - |H|^2/12 + 2 laplacian f - |grad f|^2."""
         df = self.covd_scalar(self.f)
-        norm2 = np.einsum("m,m->", self.grad_up(self.f), df.comps)
+        norm2 = np.einsum("m,m->", self.grad_up(self.f), df)
         return self.R - Fraction(1, 12) * self.H2_norm + 2 * self.div(df) - norm2
 
     # -- mixed connection suite ---------------------------------------------
 
     def mixed_covd(self, gamma):
         """nabla-bar: first slot with the minus connection, second with plus."""
-        arr = gamma.comps if isinstance(gamma, TensorField) else gamma
-        if arr.ndim != 2:
+        if gamma.ndim != 2:
             raise BadRank("mixed connection acts on rank-2 tensors")
-        return self.covd(arr, (self.gamma_m, self.gamma_p))
+        return self.covd(gamma, (self.gamma_m, self.gamma_p))
 
     def twisted_divergence(self, gamma):
         """The pair ((nabla+)^m gamma_{ml} - f_m gamma_{ml}, (nabla-)^m gamma_{lm} - f_m gamma_{lm})."""
-        arr = gamma.comps if isinstance(gamma, TensorField) else gamma
-        if arr.ndim != 2:
+        if gamma.ndim != 2:
             raise BadRank("twisted divergence acts on rank-2 tensors")
-        return (TensorField(self.div_f(arr, self.gamma_p)),
-                TensorField(self.div_f(arr.T, self.gamma_m)))
+        return self.div_f(gamma, self.gamma_p), self.div_f(gamma.T, self.gamma_m)
 
     def pair_divergence(self, pair):
         u, v = pair
@@ -389,49 +335,43 @@ class Geometry:
     def divergence_adjoint(self, pair):
         """Formal adjoint: (u,v) -> -(nabla+ u)_{ij} - (nabla- v)_{ji}."""
         u, v = pair
-        du = self.covd(u.comps if isinstance(u, TensorField) else u, self.gamma_p).comps
-        dv = self.covd(v.comps if isinstance(v, TensorField) else v, self.gamma_m).comps
-        return TensorField(-(du + dv.T))
+        return -(self.covd(u, self.gamma_p) + self.covd(v, self.gamma_m).T)
 
     def mixed_laplacian_formula(self, gamma):
         """The componentwise formula for the mixed Laplacian on 2-tensors."""
-        arr = gamma.comps if isinstance(gamma, TensorField) else gamma
-        if arr.ndim != 2:
+        if gamma.ndim != 2:
             raise BadRank("mixed Laplacian acts on rank-2 tensors")
-        d = self.covd(arr).comps
+        d = self.covd(gamma)
         base = self.div_f(d)
         t2 = -np.einsum("ajb,ma,kb,mik->ij", self.H, self.ginv, self.ginv, d)
         t3 = np.einsum("aib,ma,kb,mkj->ij", self.H, self.ginv, self.ginv, d)
-        h2 = self.H2.comps
         q = Fraction(1, 4)
-        t4 = -(np.einsum("jl,la,ia->ij", h2, self.ginv, arr)
-               + np.einsum("il,la,aj->ij", h2, self.ginv, arr)) * q
+        t4 = -(np.einsum("jl,la,ia->ij", self.H2, self.ginv, gamma)
+               + np.einsum("il,la,aj->ij", self.H2, self.ginv, gamma)) * q
         t5 = -Fraction(1, 2) * np.einsum(
             "abj,cdi,ef,ac,bf,de->ij",
-            self.H, self.H, arr, self.ginv, self.ginv, self.ginv,
+            self.H, self.H, gamma, self.ginv, self.ginv, self.ginv,
         )
-        return TensorField(base + t2 + t3 + t4 + t5)
+        return base + t2 + t3 + t4 + t5
 
     def mixed_laplacian_definition(self, gamma):
         """-(adjoint of nabla-bar) applied to nabla-bar gamma."""
-        T = self.mixed_covd(gamma).comps
+        T = self.mixed_covd(gamma)
         out = -self.div_f(T)
         out = out + Fraction(1, 2) * np.einsum("abi,ac,bd,cdj->ij",
                                                self.H, self.ginv, self.ginv, T)
         out = out - Fraction(1, 2) * np.einsum("abj,ac,bd,cid->ij",
                                                self.H, self.ginv, self.ginv, T)
-        return TensorField(-out)
+        return -out
 
     # -- inner products ------------------------------------------------------
 
     def inner(self, A, B):
         """Pointwise full contraction <A, B>_g for tensors of equal rank."""
-        a = A.comps if isinstance(A, TensorField) else A
-        b = B.comps if isinstance(B, TensorField) else B
-        if a.ndim != b.ndim:
+        if A.ndim != B.ndim:
             raise BadRank("inner product needs equal ranks")
-        letters = "ijkl"[: a.ndim]
-        letters2 = "pqrs"[: a.ndim]
+        letters = "ijkl"[: A.ndim]
+        letters2 = "pqrs"[: A.ndim]
         spec = (letters + "," + letters2 + ","
                 + ",".join(x + y for x, y in zip(letters, letters2)) + "->")
-        return np.einsum(spec, a, b, *([self.ginv] * a.ndim))
+        return np.einsum(spec, A, B, *([self.ginv] * A.ndim))

@@ -12,7 +12,7 @@ import scipy.linalg
 from . import linalg
 from .harmonics import canonical_space, harmonic_basis
 from .poly import Polynomial, as_poly, integrate_s3
-from .tensors import Geometry, TensorField, zeros
+from .tensors import Geometry, zeros
 
 
 class SolverError(RuntimeError):
@@ -57,11 +57,11 @@ def kernel_span(basis, image):
     eqs = list(zip(*(image(t) for t in basis)))
     out = []
     for vec in linalg.kernel_basis(eqs):
-        arr = zeros(basis[0].comps.shape)
+        arr = zeros(basis[0].shape)
         for c, t in zip(vec, basis):
             if c != 0:
-                arr = arr + t.comps * c
-        out.append(TensorField(arr))
+                arr = arr + t * c
+        out.append(arr)
     return out
 
 
@@ -116,7 +116,8 @@ def lambda_min(g, H, degree=2):
         raise SolverError(str(exc)) from exc
     lam = float(w[0])
     c = vecs[:, 0]
-    residual = float(np.linalg.norm(A @ c - lam * (M @ c)) / np.linalg.norm(c))
+    # scaled norms: the squares of a large residual's entries overflow
+    residual = float(scipy.linalg.norm(A @ c - lam * (M @ c)) / scipy.linalg.norm(c))
     # normalize int psi^2 dV_g = 1 and fix the overall sign
     vol_factor = math.sqrt(detg) * math.pi**2
     norm2 = float(c @ (M @ c)) * vol_factor
@@ -166,9 +167,8 @@ def first_variation(g, H, f, gamma):
 
 def curvature_action(geo, gamma, bismut=True):
     """R-ring action: (R(gamma))_{jk} = R_{ijkl} gamma^{il} with Rm or Rm+."""
-    rm = (geo.Rm_plus if bismut else geo.Rm).comps
-    arr = gamma.comps if isinstance(gamma, TensorField) else gamma
-    return TensorField(np.einsum("ijkl,ia,lb,ab->jk", rm, geo.ginv, geo.ginv, arr))
+    rm = geo.Rm_plus if bismut else geo.Rm
+    return np.einsum("ijkl,ia,lb,ab->jk", rm, geo.ginv, geo.ginv, gamma)
 
 
 def operator_B(gamma, geo):
@@ -206,15 +206,15 @@ def operator_A(gamma, geo):
 def bianchi_contracted_check(g, H, f):
     """Residual of div_f(Rc - H^2/4 + hess f) - grad(R^{H,f})/2 - <d*_f H, H>/4.
 
-    Must vanish identically for every (g, H, f); returned as a rank-1 field.
+    Must vanish identically for every (g, H, f); returned as a rank-1 array.
     """
     geo = _as_geometry(g, H, f)
     s = geo.Rc - Fraction(1, 4) * geo.H2 + geo.hessian(geo.f)
     lhs = geo.div_f(s)
-    grad_r = geo.covd_scalar(geo.generalized_scalar()).comps
-    dsf = geo.dstar_f(geo.H).comps
+    grad_r = geo.covd_scalar(geo.generalized_scalar())
+    dsf = geo.dstar_f(geo.H)
     hterm = np.einsum("ab,lcd,ac,bd->l", dsf, geo.H, geo.ginv, geo.ginv)
-    return TensorField(lhs - grad_r * Fraction(1, 2) - hterm * Fraction(1, 4))
+    return lhs - grad_r * Fraction(1, 2) - hterm * Fraction(1, 4)
 
 
 def phi_operator(pair, geo):
@@ -280,7 +280,7 @@ class TensorSpace:
                 for phi in polys:
                     arr = zeros((3, 3))
                     arr[a, b] = phi
-                    out.append(TensorField(arr))
+                    out.append(arr)
         return out
 
     def coords(self, *tensors):
@@ -288,7 +288,7 @@ class TensorSpace:
         row-major order, concatenated."""
         out = []
         for t in tensors:
-            for p in t.comps.reshape(-1):
+            for p in t.reshape(-1):
                 out.extend(self.space.coords(p))
         return out
 

@@ -24,7 +24,7 @@ from grflab.flow import FlowState, grf_rhs, run_flow, soliton_residual, step_rk4
 from grflab.harmonics import canonical_space, harmonic_basis
 from grflab.linalg import rank
 from grflab.poly import IntegralValue, Polynomial
-from grflab.tensors import Geometry, SingularMetric, TensorField, tensor, zeros
+from grflab.tensors import Geometry, SingularMetric, is_zero, obj_array, zeros
 from grflab.variational import (TensorSpace, bianchi_contracted_check,
                                 first_variation, lambda_min,
                                 second_variation_matrix, slice_tangent_basis)
@@ -63,7 +63,7 @@ def rand_tensor(rng, degree=2):
                 if rng.random() < 0.3:
                     p = p + Fraction(rng.randint(-2, 2), rng.randint(1, 2)) * b
             arr[i, j] = p
-    return TensorField(arr)
+    return arr
 
 
 def rand_potential(rng, degree=2):
@@ -77,10 +77,10 @@ def rand_potential(rng, degree=2):
 def test_criterion_01_round_critical_point():
     start = time.monotonic()
     geo = round_geometry()
-    ok = (geo.Rm_plus.is_zero
-          and geo.covd(geo.H, geo.gamma).is_zero
-          and geo.Rc == Fraction(1, 4) * geo.H2
-          and geo.dstar(geo.H).is_zero)
+    ok = (is_zero(geo.Rm_plus)
+          and is_zero(geo.covd(geo.H, geo.gamma))
+          and is_zero(geo.Rc - Fraction(1, 4) * geo.H2)
+          and is_zero(geo.dstar(geo.H)))
     ok = ok and (time.monotonic() - start) < 1.0
     report(1, "round metric with torsion 2 dV is critical", ok)
 
@@ -92,7 +92,7 @@ def test_criterion_02_bismut_ricci_identity_randomized():
     for _ in range(20):
         geo = Geometry(rand_metric(rng), H=Fraction(rng.randint(1, 3), rng.randint(1, 2)))
         want = geo.Rc - Fraction(1, 4) * geo.H2 - Fraction(1, 2) * geo.dstar(geo.H)
-        ok = ok and geo.Rc_plus == want
+        ok = ok and is_zero(geo.Rc_plus - want)
     ok = ok and (time.monotonic() - start) < 10.0
     report(2, "connection Ricci tensor matches its closed form", ok)
 
@@ -103,7 +103,7 @@ def test_criterion_03_mixed_laplacian_dual_paths():
     ok = True
     for _ in range(20):
         t = rand_tensor(rng)
-        ok = ok and geo.mixed_laplacian_formula(t) == geo.mixed_laplacian_definition(t)
+        ok = ok and is_zero(geo.mixed_laplacian_formula(t) - geo.mixed_laplacian_definition(t))
     report(3, "mixed Laplacian formula equals adjoint definition", ok)
 
 
@@ -114,7 +114,7 @@ def test_criterion_04_contracted_bianchi_randomized():
         res = bianchi_contracted_check(rand_metric(rng),
                                        Fraction(rng.randint(1, 3)),
                                        rand_potential(rng))
-        ok = ok and res.is_zero
+        ok = ok and is_zero(res)
     report(4, "weighted contracted Bianchi identity is exact", ok)
 
 
@@ -123,8 +123,8 @@ def test_criterion_05_lambda_and_first_variation():
     ok = abs(r.value - 4.0) < 1e-9 and r.f.is_constant and r.residual < 1e-10
     for a in range(3):
         for b in range(3):
-            gamma = tensor([[1 if (i, j) == (a, b) else 0 for j in range(3)]
-                            for i in range(3)])
+            gamma = obj_array([[1 if (i, j) == (a, b) else 0 for j in range(3)]
+                               for i in range(3)])
             ok = ok and first_variation(EYE, 2, Fraction(0), gamma) == 0.0
     report(5, "lambda is 4 at the critical point with vanishing first variation", ok)
 
@@ -172,7 +172,7 @@ def test_criterion_08_no_trace_free_kernel_directions():
     space = ts.space
     trace_rows = []
     for d in ker:
-        tr = sum((d.h.comps[i, i] for i in range(3)), Polynomial.zero())
+        tr = sum((d.h[i, i] for i in range(3)), Polynomial.zero())
         trace_rows.append(space.coords(tr))
     from grflab.linalg import kernel_basis
     eqs = [[trace_rows[j][i] for j in range(len(ker))] for i in range(space.dim)]
@@ -184,7 +184,7 @@ def test_criterion_09_integral_identities_on_kernel():
     ok = True
     for i in (1, 2, 3):
         for j in (1, 2, 3):
-            rep = integral_identities(parallel_from_invariant_forms(i, j))
+            rep = integral_identities(parallel_from_invariant_forms(i, j).gamma)
             ok = (ok and rep["chain_holds"] and rep["gradient_norms_equal"]
                   and rep["ricci_identity_holds"])
     report(9, "curvature and divergence integral identities hold on the kernel", ok)

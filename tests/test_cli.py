@@ -120,12 +120,15 @@ def test_output_file(tmp_path, capsys):
     (["flow", "--g", "diag:1e150,1e150,1e150", "--h0", "0", "--steps", "3"], None, "det g"),
     (["lambda", "--h0", "1e154", "--degree", "0"], None, "symmetrized operator matrix"),
     (["flow", "--h0", "1e154", "--steps", "3"], None, "symmetrized operator matrix"),
+    # the degree-2 Galerkin eigenvalues coincide in float64 at this scale
+    (["lambda", "--h0", "7e153", "--degree", "2"], None, "nonpositive mean square"),
     (["spectrum", "--h0", "5"], None, "h0 must be 2"),
     (["spectrum", "--degree", "3"], None, "degree at most 2"),
 ], ids=["config-type", "config-command", "config-unknown-key", "sample-every-zero",
         "metric-indefinite", "output-dir-missing", "lambda-overflow", "flow-h0-overflow",
         "flow-metric-huge", "lambda-det-overflow", "flow-det-overflow",
-        "lambda-matrix-overflow", "flow-matrix-overflow", "spectrum-h0", "spectrum-degree"])
+        "lambda-matrix-overflow", "flow-matrix-overflow", "lambda-ground-state-lost",
+        "spectrum-h0", "spectrum-degree"])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, message):
     if config is not None:
@@ -140,6 +143,22 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, mes
     assert captured.err.startswith("error: ")
     assert message in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_lambda_large_torsion_prints_strict_json(capsys):
+    # the residual's squared entries overflow float64; its scaled norm does not
+    code = main(["lambda", "--h0", "1e153", "--degree", "0"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    rep = json.loads(captured.out, parse_constant=reject)
+    assert rep["lambda"] == pytest.approx(-5e305, rel=1e-9)
+    assert 0 < rep["residual"] < 1e300
 
 
 @pytest.mark.parametrize("argv, message", [

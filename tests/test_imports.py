@@ -29,3 +29,13 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_one_tensor_format():
+    # tensors are object ndarrays: no wrapper class and no unwrapping attribute
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "TensorField" in (getattr(node, "id", None), getattr(node, "name", None))
+             or (isinstance(node, ast.Attribute) and node.attr == "comps")]
+    assert found == []

@@ -6,8 +6,8 @@ import pytest
 
 from grflab.frames import adjoint_matrix, frame_derive, laplacian_scalar
 from grflab.poly import JetScalar, Polynomial, as_poly, integrate_s3
-from grflab.tensors import (BadRank, Geometry, SingularMetric, TensorField,
-                            obj_array, tensor, volume_form, zeros)
+from grflab.tensors import (BadRank, Geometry, SingularMetric, antisym, is_zero,
+                            jet_part, obj_array, sym, volume_form, zeros)
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 EYE = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
@@ -42,21 +42,51 @@ def rand_tensor(rng, degree=2):
                 if rng.random() < 0.3:
                     p = p + Fraction(rng.randint(-2, 2), rng.randint(1, 2)) * b
             arr[i, j] = p
-    return TensorField(arr)
+    return arr
 
 
-# -- TensorField basics -------------------------------------------------------
+# -- tensor basics ---------------------------------------------------------------
 
 def test_tensor_field_algebra():
-    t = tensor([[X[0], 1, 0], [0, X[1], 0], [0, 0, 2]])
-    assert (t + t) == 2 * t
-    assert (t - t).is_zero
-    assert t.sym().comps[0, 1] == Fraction(1, 2)
-    assert t.antisym().comps[0, 1] == Fraction(1, 2)
+    t = obj_array([[X[0], 1, 0], [0, X[1], 0], [0, 0, 2]])
+    assert is_zero((t + t) - 2 * t)
+    assert is_zero(t - t)
+    assert sym(t)[0, 1] == Fraction(1, 2)
+    assert antisym(t)[0, 1] == Fraction(1, 2)
     with pytest.raises(BadRank):
-        volume_form().sym()
+        sym(volume_form())
     with pytest.raises(BadRank):
-        TensorField([[1, 2], [3, 4]])
+        antisym(volume_form())
+    with pytest.raises(BadRank):
+        Geometry([[1, 2], [3, 4]])
+    with pytest.raises(BadRank):
+        Geometry(EYE, H=EYE)
+
+
+def test_tensor_helpers_on_mixed_entries():
+    # one array holding every kind of component: Polynomial, JetScalar, Fraction, int
+    j = JetScalar(X[0], X[1] * X[2], 3)
+    a = np.array([[X[0], j, Fraction(1, 2)], [2, 0, X[2] - 1], [Fraction(-1, 3), -j, 1]],
+                 dtype=object)
+    assert is_zero(a) is False
+    assert is_zero(a - a) is True
+    assert is_zero(np.array([Polynomial.zero(), JetScalar(), Fraction(0), 0],
+                            dtype=object)) is True
+    assert is_zero(np.array([JetScalar(0, 0, X[3])], dtype=object)) is False
+    s, k = sym(a), antisym(a)
+    assert is_zero(s - s.T) and is_zero(k + k.T) and is_zero(s + k - a)
+    assert s[0, 1] == Fraction(1, 2) * (j + 2) and k[2, 0] == Fraction(-5, 12)
+    assert s[1, 2] == Fraction(1, 2) * (X[2] - 1 - j)
+    for order, want in ((0, X[0]), (1, X[1] * X[2]), (2, Polynomial.constant(3))):
+        part = jet_part(a, order)
+        assert part.shape == (3, 3)
+        assert all(isinstance(x, Polynomial) for x in part.reshape(-1))
+        assert part[0, 1] == want and part[2, 1] == -want
+        const = (X[0], Fraction(1, 2), 2, 0, X[2] - 1, Fraction(-1, 3), 1)
+        got = (part[0, 0], part[0, 2], part[1, 0], part[1, 1], part[1, 2], part[2, 0], part[2, 2])
+        assert got == (const if order == 0 else (0,) * 7)
+    with pytest.raises(BadRank):
+        sym(np.array([X[0], 1, j], dtype=object))
 
 
 def test_volume_form():
@@ -70,18 +100,18 @@ def test_levi_civita_metric_and_torsion_free():
     rng = random.Random(0)
     for _ in range(5):
         geo = Geometry(rand_metric(rng), H=Fraction(3, 2))
-        assert geo.covd(geo.g, geo.gamma).is_zero
-        assert geo.torsion(geo.gamma).is_zero
+        assert is_zero(geo.covd(geo.g, geo.gamma))
+        assert is_zero(geo.torsion(geo.gamma))
 
 
 def test_bismut_connections_metric_with_prescribed_torsion():
     rng = random.Random(1)
     for _ in range(5):
         geo = Geometry(rand_metric(rng), H=2)
-        assert geo.covd(geo.g, geo.gamma_p).is_zero
-        assert geo.covd(geo.g, geo.gamma_m).is_zero
-        assert geo.torsion(geo.gamma_p) == TensorField(geo.H)
-        assert geo.torsion(geo.gamma_m) == -TensorField(geo.H)
+        assert is_zero(geo.covd(geo.g, geo.gamma_p))
+        assert is_zero(geo.covd(geo.g, geo.gamma_m))
+        assert is_zero(geo.torsion(geo.gamma_p) - geo.H)
+        assert is_zero(geo.torsion(geo.gamma_m) + geo.H)
 
 
 def test_singular_metric_rejected():
@@ -96,13 +126,13 @@ def test_singular_metric_rejected():
 def test_round_curvature_suite():
     geo = round_geo()
     assert geo.R == 6
-    assert np.einsum("jk,jk->", geo.Rc_plus.comps, geo.ginv) == 0
-    assert geo.Rc == 2 * TensorField(EYE)
-    assert geo.Rc_plus.is_zero and geo.Rm_plus.is_zero
-    assert geo.H2 == 8 * TensorField(EYE)
+    assert np.einsum("jk,jk->", geo.Rc_plus, geo.ginv) == 0
+    assert is_zero(geo.Rc - 2 * obj_array(EYE))
+    assert is_zero(geo.Rc_plus) and is_zero(geo.Rm_plus)
+    assert is_zero(geo.H2 - 8 * obj_array(EYE))
     assert geo.H2_norm == 24
-    assert geo.dstar(geo.H).is_zero
-    assert geo.covd(geo.H, geo.gamma).is_zero
+    assert is_zero(geo.dstar(geo.H))
+    assert is_zero(geo.covd(geo.H, geo.gamma))
     # constant sectional curvature +1: Rm_ijij = 1 for i != j
     rm = geo.Rm
     assert rm[0, 1, 1, 0] == 1 and rm[0, 1, 0, 1] == -1
@@ -110,23 +140,23 @@ def test_round_curvature_suite():
 
 def test_generalized_scalar_and_soliton_tensor():
     geo = round_geo()
-    assert geo.bakry_emery().is_zero
-    assert geo.bakry_emery(soliton_normalization=False).is_zero
+    assert is_zero(geo.bakry_emery())
+    assert is_zero(geo.bakry_emery(soliton_normalization=False))
     assert as_poly(geo.generalized_scalar()) == 4
     # with potential: hessian coefficient differs between normalizations
     geo2 = Geometry(EYE, H=2, f=X[0] * X[1])
     d = geo2.bakry_emery(True) - geo2.bakry_emery(False)
-    assert d == Fraction(1, 2) * geo2.hessian(geo2.f)
+    assert is_zero(d - Fraction(1, 2) * geo2.hessian(geo2.f))
 
 
 def test_bismut_curvature_dual_path_randomized():
     rng = random.Random(2)
     for _ in range(8):
         geo = Geometry(rand_metric(rng), H=Fraction(rng.randint(1, 3)))
-        assert geo.bismut_curvature_rhs() == geo.Rm_plus
+        assert is_zero(geo.bismut_curvature_rhs() - geo.Rm_plus)
         want = geo.Rc - Fraction(1, 4) * geo.H2 - Fraction(1, 2) * geo.dstar(geo.H)
-        assert geo.Rc_plus == want
-        rplus = np.einsum("jk,jk->", geo.Rc_plus.comps, geo.ginv)
+        assert is_zero(geo.Rc_plus - want)
+        rplus = np.einsum("jk,jk->", geo.Rc_plus, geo.ginv)
         assert as_poly(rplus) == as_poly(geo.R) - Fraction(1, 4) * as_poly(geo.H2_norm)
 
 
@@ -134,7 +164,7 @@ def test_bismut_curvature_dual_path_randomized():
 
 def test_mixed_covd_of_metric_is_torsion():
     geo = round_geo()
-    assert geo.mixed_covd(geo.g) == TensorField(geo.H)
+    assert is_zero(geo.mixed_covd(geo.g) - geo.H)
 
 
 def test_mixed_laplacian_dual_path():
@@ -142,15 +172,15 @@ def test_mixed_laplacian_dual_path():
     rng = random.Random(3)
     for _ in range(6):
         t = rand_tensor(rng)
-        assert geo.mixed_laplacian_formula(t) == geo.mixed_laplacian_definition(t)
+        assert is_zero(geo.mixed_laplacian_formula(t) - geo.mixed_laplacian_definition(t))
     with pytest.raises(BadRank):
         geo.mixed_covd(volume_form())
 
 
 def test_mixed_laplacian_of_metric():
     geo = round_geo()
-    g = TensorField(geo.g)
-    assert geo.mixed_laplacian_formula(g) == Fraction(-8) * g
+    g = geo.g
+    assert is_zero(geo.mixed_laplacian_formula(g) - Fraction(-8) * g)
 
 
 def test_twisted_divergence_adjointness():
@@ -158,8 +188,8 @@ def test_twisted_divergence_adjointness():
     rng = random.Random(4)
     for _ in range(4):
         gamma = rand_tensor(rng)
-        u = TensorField(obj_array([X[0] * X[1], X[2], X[3] * X[0]]))
-        v = TensorField(obj_array([X[1], X[0] * X[2], X[3]]))
+        u = obj_array([X[0] * X[1], X[2], X[3] * X[0]])
+        v = obj_array([X[1], X[0] * X[2], X[3]])
         du, dv = geo.twisted_divergence(gamma)
         lhs = integrate_s3(as_poly(geo.inner(du, u) + geo.inner(dv, v)))
         rhs = integrate_s3(as_poly(geo.inner(gamma, geo.divergence_adjoint((u, v)))))
@@ -262,9 +292,9 @@ def test_curvature_kernel_agrees_in_float_and_exact_dtypes():
         gamma = christoffel(c, gf, ginv)
         rm_plus = riemann(c, gamma + np.einsum("mik,pk->mip", float(s) * vol, ginv) / 2, gf)
         q = curvature_quantities(gf, float(s) * vol)
-        pairs = [(gamma, geo.gamma), (rm_plus, geo.Rm_plus.comps),
-                 (q["Rc"], geo.Rc.comps), (q["H2"], geo.H2.comps),
-                 (q["Rc+"], geo.Rc_plus.comps)]
+        pairs = [(gamma, geo.gamma), (rm_plus, geo.Rm_plus),
+                 (q["Rc"], geo.Rc), (q["H2"], geo.H2),
+                 (q["Rc+"], geo.Rc_plus)]
         for got, exact in pairs:
             assert got.dtype == np.float64
             assert np.abs(got - to_float(exact)).max() <= 1e-12
