@@ -89,14 +89,13 @@ def igsd_kernel(d):
     return out
 
 
-def first_order_system_check(gamma, geo=None):
+def first_order_system_check(gamma):
     """The coupled first-order equations on h = sym(gamma), K = -antisym(gamma):
 
     nabla_m h_ij = -1/2 (H_mik K_jk + H_mjk K_ik),
     nabla_m K_ij = -1/2 (H_mjk h_ik - H_mik h_jk).
     """
-    if geo is None:
-        geo = round_geometry()
+    geo = round_geometry()
     h, K = sym(gamma), -antisym(gamma)
     dh = geo.covd(h, geo.gamma)
     dK = geo.covd(K, geo.gamma)
@@ -107,15 +106,14 @@ def first_order_system_check(gamma, geo=None):
     return is_zero(dh - rhs_h) and is_zero(dK - rhs_K)
 
 
-def equivalence_check(gamma, geo=None):
+def equivalence_check(gamma):
     """Evaluate the four equivalent kernel characterizations independently."""
-    if geo is None:
-        geo = round_geometry()
+    geo = round_geometry()
     u, v = geo.twisted_divergence(gamma)
     in_slice = is_zero(u) and is_zero(v)
     cond_a = is_zero(operator_B(gamma, geo)) and in_slice
     cond_b = is_zero(geo.mixed_covd(gamma))
-    cond_c = first_order_system_check(gamma, geo)
+    cond_c = first_order_system_check(gamma)
     cond_d = second_variation_form(gamma, gamma, geo).is_zero and in_slice
     report = {
         "kernel_of_B": cond_a,
@@ -127,10 +125,9 @@ def equivalence_check(gamma, geo=None):
     return report
 
 
-def integral_identities(gamma, geo=None):
+def integral_identities(gamma):
     """The exact integral identities satisfied by every kernel deformation."""
-    if geo is None:
-        geo = round_geometry()
+    geo = round_geometry()
     if not is_zero(geo.mixed_covd(gamma)):
         raise PreconditionFailed("deformation is not parallel for the mixed connection")
     h, K = sym(gamma), -antisym(gamma)

@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .frames import EPS, STRUCTURE
-from .tensors import SingularMetric, christoffel, riemann
+from .frames import EPS
+from .tensors import Geometry, SingularMetric
 from .variational import lambda_min
 
 
@@ -19,7 +19,6 @@ class FlowBlowup(RuntimeError):
 
 
 _VOL = np.array(EPS, dtype=float)
-_C = np.array(STRUCTURE, dtype=float)
 
 
 @dataclass
@@ -36,6 +35,10 @@ class FlowState:
     def torsion(self):
         """H = H0 vol: db vanishes for every invariant 2-form b."""
         return self.H0_coeff * _VOL
+
+    def geometry(self):
+        """The float64 Geometry of (g, H); b does not enter, since db = 0."""
+        return Geometry(self.g, self.torsion())
 
     def copy_with(self, g, b, t):
         return FlowState(g=g, b=b, H0_coeff=self.H0_coeff, t=t)
@@ -55,54 +58,29 @@ class Trajectory:
         return [s[3] for s in self.samples]
 
 
-def _covd3(gamma, H):
-    """Covariant derivative of an invariant 3-tensor, derivative index first."""
-    return -(np.einsum("mip,pjk->mijk", gamma, H)
-             + np.einsum("mjp,ipk->mijk", gamma, H)
-             + np.einsum("mkp,ijp->mijk", gamma, H))
-
-
-def curvature_quantities(g, H):
-    """Rc, H^2, d*H, Rc+ for invariant (g, H), all as frame matrices."""
-    try:
-        ginv = np.linalg.inv(g)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(str(exc)) from exc
-    gamma = christoffel(_C, g, ginv)
-    rc = np.einsum("ijkl,il->jk", riemann(_C, gamma, g), ginv)
-    h2 = np.einsum("ipq,jrs,pr,qs->ij", H, H, ginv, ginv)
-    dstar_h = -np.einsum("mnjk,mn->jk", _covd3(gamma, H), ginv)
-    hup = np.einsum("mik,pk->mip", H, ginv)
-    rcp = np.einsum("ijkl,il->jk", riemann(_C, gamma + hup / 2.0, g), ginv)
-    return {"Rc": rc, "H2": h2, "dstarH": dstar_h, "Rc+": rcp, "ginv": ginv}
+def _rhs(geo):
+    """(dg/dt, db/dt) = (-2 Rc + H^2/2, -d*H) of one Geometry; -d*H = div H."""
+    return -2.0 * geo.Rc + 0.5 * geo.H2, geo.div(geo.H)
 
 
 def grf_rhs(state):
     """Right side (dg/dt, db/dt) of the flow, checked against the -2 Rc+ path."""
-    eig = np.linalg.eigvalsh(state.g)
-    if eig.min() <= 0:
+    if np.linalg.eigvalsh(state.g).min() <= 0:
         raise SingularMetric("metric is not positive definite")
-    H = state.torsion()
-    q = curvature_quantities(state.g, H)
-    dg = -2.0 * q["Rc"] + 0.5 * q["H2"]
-    db = -q["dstarH"]
-    return dg, db
+    return _rhs(state.geometry())
 
 
 def dual_path_residual(state):
     """Max-norm of (dg - db) + 2 Rc+, which must vanish identically."""
-    H = state.torsion()
-    q = curvature_quantities(state.g, H)
-    dg = -2.0 * q["Rc"] + 0.5 * q["H2"]
-    db = -q["dstarH"]
-    return float(np.abs((dg - db) + 2.0 * q["Rc+"]).max())
+    geo = state.geometry()
+    dg, db = _rhs(geo)
+    return float(np.abs((dg - db) + 2.0 * geo.Rc_plus).max())
 
 
 def soliton_residual(state):
     """Frobenius norm of Rc - H^2/4 plus the norm of d*H (constant f)."""
-    H = state.torsion()
-    q = curvature_quantities(state.g, H)
-    return float(np.linalg.norm(q["Rc"] - q["H2"] / 4.0) + np.linalg.norm(q["dstarH"]))
+    geo = state.geometry()
+    return float(np.linalg.norm(geo.Rc - geo.H2 / 4.0) + np.linalg.norm(geo.dstar(geo.H)))
 
 
 def flow_lambda(state):
@@ -111,7 +89,7 @@ def flow_lambda(state):
     The potential of invariant data is constant, so degree 0 is exact.
     """
     g = [[Fraction(float(x)) for x in row] for row in state.g]
-    return lambda_min(g, Fraction(state.H0_coeff), 0).value
+    return lambda_min(Geometry(g, Fraction(state.H0_coeff)), 0).value
 
 
 def step_rk4(state, dt):

@@ -78,17 +78,26 @@ def volume_form(coeff=1):
     return EPS * _coerce_scalar(coeff)
 
 
+# flat indices of m[a + s, b + t] (mod 3) at (a, b), for (s, t) = (1, 1),
+# (2, 2), (1, 2), (2, 1)
+_COFACTOR_INDEX = [np.array([[3 * ((a + s) % 3) + (b + t) % 3 for b in range(3)]
+                             for a in range(3)]) for s, t in ((1, 1), (2, 2), (1, 2), (2, 1))]
+
+
 def _adjugate(m):
-    """adj(m) of a 3x3 object array, m adj(m) = det(m) I: entry (i, j) is the
-    cofactor of m[j, i], written with cyclic indices."""
-    def cof(a, b):
-        a1, a2, b1, b2 = (a + 1) % 3, (a + 2) % 3, (b + 1) % 3, (b + 2) % 3
-        return m[a1, b1] * m[a2, b2] - m[a1, b2] * m[a2, b1]
-    return obj_array([[cof(j, i) for j in range(3)] for i in range(3)])
+    """adj(m) of a 3x3 array, m adj(m) = det(m) I: the transpose of the
+    cofactors m[a+1, b+1] m[a+2, b+2] - m[a+1, b+2] m[a+2, b+1]."""
+    m11, m22, m12, m21 = (m.take(i) for i in _COFACTOR_INDEX)
+    return (m11 * m22 - m12 * m21).T
 
 
 def _reciprocal(det):
-    """1/det for a jet with a nonzero constant t=0 part or a nonzero constant."""
+    """1/det for a jet with a nonzero constant t=0 part, a nonzero constant or
+    a nonzero float."""
+    if isinstance(det, float):
+        if det == 0:
+            raise SingularMetric("metric determinant is zero")
+        return 1.0 / det
     if isinstance(det, JetScalar):
         try:
             return det.inverse()
@@ -97,6 +106,12 @@ def _reciprocal(det):
     if not det.is_constant or det.is_zero:
         raise SingularMetric("metric determinant is not a nonzero constant")
     return Fraction(1) / det.constant_value()
+
+
+def _half(a):
+    """a / 2. 0.5 would turn exact components into floats, Fraction would
+    turn a float array into an object array."""
+    return a * (Fraction(1, 2) if a.dtype == object else 0.5)
 
 
 def christoffel(c, g, ginv, dg=None):
@@ -111,10 +126,7 @@ def christoffel(c, g, ginv, dg=None):
          - np.einsum("ikp,mp->mik", c, g))
     if dg is not None:
         a = a + dg + np.einsum("imk->mik", dg) - np.einsum("kmi->mik", dg)
-    # 0.5 would turn exact components into floats, Fraction would turn a
-    # float array into an object array.
-    a = a * (Fraction(1, 2) if a.dtype == object else 0.5)
-    return np.einsum("mik,pk->mip", a, ginv)
+    return np.einsum("mik,pk->mip", _half(a), ginv)
 
 
 def riemann(c, conn, g, dconn=None):
@@ -131,22 +143,32 @@ def riemann(c, conn, g, dconn=None):
     return np.einsum("ijkp,pl->ijkl", coef, g)
 
 
-_STRUCTURE = obj_array(frames.STRUCTURE)
+_STRUCTURE = {np.dtype(object): obj_array(frames.STRUCTURE),
+              np.dtype(float): np.array(frames.STRUCTURE, dtype=float)}
+
+
+def _as_data(x):
+    """A float64 array as it is, anything else through obj_array."""
+    if isinstance(x, np.ndarray) and x.dtype == np.float64:
+        return x
+    return obj_array(x)
 
 
 class Geometry:
-    """Invariant-frame geometry data (g, H, f) with exact connections.
+    """Invariant-frame geometry data (g, H, f) with its connections.
 
     g is a 3x3 symmetric matrix of scalars, H either a 3x3x3 array or a
     number s standing for s * e^1^e^2^e^3, f a scalar potential (default 0).
-    g^-1 = adj(g) / det g for constant and jet metrics alike, so det g must be
-    a nonzero constant or a jet with a nonzero constant t=0 part. Tensors go
-    in and come out as object ndarrays indexed by the frame.
+    g^-1 = adj(g) / det g for constant, jet and float metrics alike, so det g
+    must be a nonzero constant, a jet with a nonzero constant t=0 part or a
+    nonzero float. Tensors go in and come out as object ndarrays indexed by
+    the frame. Float64 arrays g and H are invariant data: they stay float64,
+    and so does everything computed from them.
     """
 
     def __init__(self, g, H=0, f=0):
-        self.g = obj_array(g)
-        H = obj_array(H)
+        self.g = _as_data(g)
+        H = _as_data(H)
         self.H = volume_form(H[()]) if H.ndim == 0 else H
         if self.g.shape != (3, 3) or self.H.shape != (3, 3, 3):
             raise BadRank("g must be 3x3 and H 3x3x3 or a number")
@@ -154,12 +176,8 @@ class Geometry:
         adj = _adjugate(self.g)
         self.det = sum(self.g[0, k] * adj[k, 0] for k in range(3))
         self.ginv = adj * _reciprocal(self.det)
-        self.c = _STRUCTURE
+        self.c = _STRUCTURE[self.g.dtype]
         self.gamma = christoffel(self.c, self.g, self.ginv, self._frame_gradient(self.g))
-        half = Fraction(1, 2)
-        hup = np.einsum("mik,pk->mip", self.H, self.ginv)
-        self.gamma_p = self.gamma + hup * half
-        self.gamma_m = self.gamma - hup * half
 
     # -- scalar helpers ---------------------------------------------------
 
@@ -168,7 +186,10 @@ class Geometry:
         return frame_derive(s, m + 1)
 
     def _frame_gradient(self, arr):
-        """out[m, ...] = E_{m+1}(arr[...]), one frame derivative per component."""
+        """out[m, ...] = E_{m+1}(arr[...]), one frame derivative per component;
+        None for float64 data, which has no frame derivatives."""
+        if arr.dtype != object:
+            return None
         out = np.empty((3,) + arr.shape, dtype=object)
         for m in range(3):
             for idx in np.ndindex(*arr.shape):
@@ -194,18 +215,14 @@ class Geometry:
         conn is one symbol array for every slot (Levi-Civita if None) or a
         tuple with one symbol array per slot of T.
         """
-        rank = T.ndim
+        idx = "abcd"[:T.ndim]
         if not isinstance(conn, tuple):
-            conn = (self.gamma if conn is None else conn,) * rank
-        out = zeros((3,) * (rank + 1))
-        for m in range(3):
-            for idx in np.ndindex(*(3,) * rank):
-                val = self.E(T[idx], m)
-                for s in range(rank):
-                    for p in range(3):
-                        jdx = idx[:s] + (p,) + idx[s + 1:]
-                        val = val - conn[s][m, idx[s], p] * T[jdx]
-                out[(m,) + idx] = val
+            conn = (self.gamma if conn is None else conn,) * T.ndim
+        out = self._frame_gradient(T)
+        for s, cs in enumerate(conn):
+            # conn_s[m, i, p] T[..., p, ...] with p in slot s
+            term = np.einsum(f"m{idx[s]}p,{idx[:s]}p{idx[s + 1:]}->m{idx}", cs, T)
+            out = -term if out is None else out - term
         return out
 
     def covd_scalar(self, s):
@@ -241,8 +258,23 @@ class Geometry:
         """Lowered curvature Rm_{ijkl} = <R(E_i,E_j)E_k, E_l> of the connection."""
         return riemann(self.c, conn, self.g, self._frame_gradient(conn))
 
-    # Derived curvature data, each computed on first use: a Geometry is
-    # never changed after __init__.
+    # Derived connection and curvature data, each computed on first use: a
+    # Geometry is never changed after __init__.
+
+    @cached_property
+    def _half_hup(self):
+        """H with its last index raised, halved: the torsion part of nabla+-."""
+        return _half(np.einsum("mik,pk->mip", self.H, self.ginv))
+
+    @cached_property
+    def gamma_p(self):
+        """Symbols of the Bismut connection nabla+ = nabla + H/2."""
+        return self.gamma + self._half_hup
+
+    @cached_property
+    def gamma_m(self):
+        """Symbols of the Bismut connection nabla- = nabla - H/2."""
+        return self.gamma - self._half_hup
 
     @cached_property
     def Rm(self):

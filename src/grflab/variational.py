@@ -12,7 +12,7 @@ import scipy.linalg
 from . import linalg
 from .harmonics import canonical_space, harmonic_basis
 from .poly import Polynomial, as_poly, integrate_s3
-from .tensors import Geometry, zeros
+from .tensors import zeros
 
 
 class SolverError(RuntimeError):
@@ -28,12 +28,6 @@ class LambdaResult:
     value: float
     f: Polynomial
     residual: float
-
-
-def _as_geometry(g, H, f=0):
-    if isinstance(g, Geometry):
-        return g
-    return Geometry(g, H, f)
 
 
 def schrodinger_potential(geo):
@@ -92,15 +86,15 @@ def _float_det(geo):
     return det
 
 
-def lambda_min(g, H, degree=2):
+def lambda_min(geo, degree=2):
     """Smallest eigenvalue of -4 lap_g + (R - |H|^2/12) on polynomials of degree <= d.
 
     The matrix of the operator in the harmonic basis is assembled exactly;
     only the final symmetric generalized eigensolve is floating point. The
     minimizer is returned as f = -log(psi^2) for the normalized ground state
     psi, expanded to second order around its mean (exact when psi is constant).
+    geo.f is not read.
     """
-    geo = _as_geometry(g, H)
     detg = _float_det(geo)
     space = canonical_space(degree)
     V = schrodinger_potential(geo)
@@ -114,6 +108,10 @@ def lambda_min(g, H, degree=2):
         w, vecs = scipy.linalg.eigh(A, M)
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(str(exc)) from exc
+    # eigh returns an arbitrary vector of an eigenspace that float64 cannot split
+    if len(w) > 1 and w[1] - w[0] <= 16 * np.finfo(float).eps * max(abs(w[0]), abs(w[1])):
+        raise SolverError(f"ground state is not resolved in float64: the two lowest "
+                          f"eigenvalues {w[0]:.17g} and {w[1]:.17g} are within 16 eps")
     lam = float(w[0])
     c = vecs[:, 0]
     # scaled norms: the squares of a large residual's entries overflow
@@ -145,13 +143,12 @@ def lambda_min(g, H, degree=2):
     return LambdaResult(value=lam, f=f, residual=residual)
 
 
-def first_variation(g, H, f, gamma):
+def first_variation(geo, gamma):
     """d lambda / dt along gamma: the pairing -int <gamma, Rc^{H,f}> e^{-f} dV_g.
 
     The weight e^{-f} is exact for constant f and a fourth-order series
     around the constant term of f otherwise.
     """
-    geo = _as_geometry(g, H, f)
     rchf = geo.bakry_emery(soliton_normalization=True)
     s = geo.inner(gamma, rchf)
     c = geo.f.terms.get((0, 0, 0, 0), Fraction(0))
@@ -203,12 +200,11 @@ def operator_A(gamma, geo):
     return out
 
 
-def bianchi_contracted_check(g, H, f):
+def bianchi_contracted_check(geo):
     """Residual of div_f(Rc - H^2/4 + hess f) - grad(R^{H,f})/2 - <d*_f H, H>/4.
 
     Must vanish identically for every (g, H, f); returned as a rank-1 array.
     """
-    geo = _as_geometry(g, H, f)
     s = geo.Rc - Fraction(1, 4) * geo.H2 + geo.hessian(geo.f)
     lhs = geo.div_f(s)
     grad_r = geo.covd_scalar(geo.generalized_scalar())

@@ -111,21 +111,22 @@ def test_criterion_04_contracted_bianchi_randomized():
     rng = random.Random(4)
     ok = True
     for _ in range(10):
-        res = bianchi_contracted_check(rand_metric(rng),
-                                       Fraction(rng.randint(1, 3)),
-                                       rand_potential(rng))
+        res = bianchi_contracted_check(Geometry(rand_metric(rng),
+                                                Fraction(rng.randint(1, 3)),
+                                                rand_potential(rng)))
         ok = ok and is_zero(res)
     report(4, "weighted contracted Bianchi identity is exact", ok)
 
 
 def test_criterion_05_lambda_and_first_variation():
-    r = lambda_min(EYE, 2, 2)
+    geo = Geometry(EYE, H=2)
+    r = lambda_min(geo, 2)
     ok = abs(r.value - 4.0) < 1e-9 and r.f.is_constant and r.residual < 1e-10
     for a in range(3):
         for b in range(3):
             gamma = obj_array([[1 if (i, j) == (a, b) else 0 for j in range(3)]
                                for i in range(3)])
-            ok = ok and first_variation(EYE, 2, Fraction(0), gamma) == 0.0
+            ok = ok and first_variation(geo, gamma) == 0.0
     report(5, "lambda is 4 at the critical point with vanishing first variation", ok)
 
 

@@ -1,9 +1,11 @@
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from grflab.cli import main, parse_metric, parse_u
+from grflab.cli import _rand_metric, main, parse_metric, parse_u
 from grflab.poly import Polynomial
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
@@ -52,6 +54,17 @@ def test_parse_u_coefficients():
     assert u == X[0] * X[1]
     with pytest.raises(ValueError):
         parse_u("1,2,3")
+
+
+def test_rand_metric_is_positive_definite():
+    # Sylvester's criterion, exactly: seed 183 once gave [[1,1,0],[1,1,-1],[0,-1,4]]
+    for seed in range(300):
+        m = [[Fraction(x) for x in row] for row in _rand_metric(random.Random(seed))]
+        minors = [m[0][0], m[0][0] * m[1][1] - m[0][1] * m[1][0],
+                  m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                  - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                  + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])]
+        assert all(d > 0 for d in minors), (seed, m)
 
 
 def test_parse_metric():
@@ -121,13 +134,18 @@ def test_output_file(tmp_path, capsys):
     (["lambda", "--h0", "1e154", "--degree", "0"], None, "symmetrized operator matrix"),
     (["flow", "--h0", "1e154", "--steps", "3"], None, "symmetrized operator matrix"),
     # the degree-2 Galerkin eigenvalues coincide in float64 at this scale
-    (["lambda", "--h0", "7e153", "--degree", "2"], None, "nonpositive mean square"),
+    (["lambda", "--h0", "7e153", "--degree", "2"], None,
+     "ground state is not resolved in float64"),
+    # two eigenvalues a few eps apart: eigh returns a mixture, not the constant ground state
+    (["lambda", "--g", "diag:1.1,0.9,1.05", "--h0", "1e10", "--degree", "2"], None,
+     "ground state is not resolved in float64"),
     (["spectrum", "--h0", "5"], None, "h0 must be 2"),
     (["spectrum", "--degree", "3"], None, "degree at most 2"),
 ], ids=["config-type", "config-command", "config-unknown-key", "sample-every-zero",
         "metric-indefinite", "output-dir-missing", "lambda-overflow", "flow-h0-overflow",
         "flow-metric-huge", "lambda-det-overflow", "flow-det-overflow",
         "lambda-matrix-overflow", "flow-matrix-overflow", "lambda-ground-state-lost",
+        "lambda-ground-state-unresolved",
         "spectrum-h0", "spectrum-degree"])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, message):

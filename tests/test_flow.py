@@ -3,6 +3,7 @@ import pytest
 
 from grflab.flow import (FlowBlowup, FlowState, dual_path_residual, grf_rhs,
                          run_flow, soliton_residual, step_rk4)
+from grflab import tensors
 from grflab.frames import STRUCTURE
 from grflab.tensors import SingularMetric
 
@@ -47,6 +48,15 @@ def test_dual_path_identity_random_states():
         b = b - b.T
         s = FlowState(g=np.diag(d), b=b, H0_coeff=rng.uniform(0.5, 2.5))
         assert dual_path_residual(s) < 1e-12
+
+
+def test_rhs_builds_one_riemann_tensor(monkeypatch):
+    # the Bismut Ricci tensor is only built when the dual-path check asks for it
+    calls = []
+    real = tensors.riemann
+    monkeypatch.setattr(tensors, "riemann", lambda *a: calls.append(1) or real(*a))
+    grf_rhs(round_state(eps=0.1))
+    assert len(calls) == 1
 
 
 def test_singular_metric():

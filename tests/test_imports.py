@@ -31,6 +31,14 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_flow_curvature_comes_from_geometry():
+    # flow reads Geometry's attributes: no contraction or curvature code of its own
+    tree = ast.parse((SRC / "flow.py").read_text())
+    called = [getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    assert {"einsum", "christoffel", "riemann"}.isdisjoint(called)
+
+
 def test_one_tensor_format():
     # tensors are object ndarrays: no wrapper class and no unwrapping attribute
     found = [f"{path.name}:{node.lineno}"

@@ -119,6 +119,8 @@ def test_singular_metric_rejected():
         Geometry([[1, 1, 0], [1, 1, 0], [0, 0, 1]], H=2)
     with pytest.raises(SingularMetric):
         Geometry([[X[0], 0, 0], [0, 1, 0], [0, 0, 1]], H=0)
+    with pytest.raises(SingularMetric):
+        Geometry(np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]]), np.zeros((3, 3, 3)))
 
 
 # -- curvature of the round critical point -------------------------------------
@@ -158,6 +160,32 @@ def test_bismut_curvature_dual_path_randomized():
         assert is_zero(geo.Rc_plus - want)
         rplus = np.einsum("jk,jk->", geo.Rc_plus, geo.ginv)
         assert as_poly(rplus) == as_poly(geo.R) - Fraction(1, 4) * as_poly(geo.H2_norm)
+
+
+def test_covd_matches_index_loop():
+    # reference: the component formula E_m(T_idx) - sum_s conn_s[m, i_s, p] T_{idx with p at s}
+    def loop_covd(T, conns):
+        out = zeros((3,) * (T.ndim + 1))
+        for m in range(3):
+            for idx in np.ndindex(*T.shape):
+                val = frame_derive(T[idx], m + 1)
+                for s, conn in enumerate(conns):
+                    for p in range(3):
+                        val = val - conn[m, idx[s], p] * T[idx[:s] + (p,) + idx[s + 1:]]
+                out[(m,) + idx] = val
+        return out
+
+    rng = random.Random(8)
+    u = X[0] * X[1]
+    jet = obj_array([[JetScalar(EYE[i][j], u * EYE[i][j], 0) for j in range(3)]
+                     for i in range(3)])
+    for geo in (Geometry(rand_metric(rng), H=Fraction(3, 2), f=X[2]), Geometry(jet, H=2)):
+        for T in (rand_tensor(rng, 1)[0], rand_tensor(rng, 1),
+                  np.array([rand_tensor(rng, 1) for _ in range(3)])):
+            for conns in ((geo.gamma,) * T.ndim, (geo.gamma_m, geo.gamma_p, geo.gamma)[:T.ndim]):
+                got, want = geo.covd(T, conns), loop_covd(T, conns)
+                assert is_zero(got - want)
+                assert [type(x) for x in got.reshape(-1)] == [type(x) for x in want.reshape(-1)]
 
 
 # -- mixed connection suite -----------------------------------------------------
@@ -272,29 +300,20 @@ def test_jet_curvature_first_order_matches_finite_difference():
 
 
 def test_curvature_kernel_agrees_in_float_and_exact_dtypes():
-    from grflab.flow import curvature_quantities
-    from grflab.frames import STRUCTURE
-    from grflab.tensors import EPS, christoffel, riemann
-
+    # one Geometry code for both: float64 (g, H) stays float64 throughout
     def to_float(arr):
         return np.array([float(as_poly(x).constant_value()) for x in arr.reshape(-1)],
                         dtype=float).reshape(arr.shape)
 
-    c = np.array(STRUCTURE, dtype=float)
-    vol = to_float(EPS)
     rng = random.Random(21)
     for _ in range(6):
         g = rand_metric(rng)
         s = Fraction(rng.randint(1, 5), rng.randint(1, 3))
         geo = Geometry(g, H=s)
-        gf = np.array(g, dtype=float)
-        ginv = np.linalg.inv(gf)
-        gamma = christoffel(c, gf, ginv)
-        rm_plus = riemann(c, gamma + np.einsum("mik,pk->mip", float(s) * vol, ginv) / 2, gf)
-        q = curvature_quantities(gf, float(s) * vol)
-        pairs = [(gamma, geo.gamma), (rm_plus, geo.Rm_plus),
-                 (q["Rc"], geo.Rc), (q["H2"], geo.H2),
-                 (q["Rc+"], geo.Rc_plus)]
+        fgeo = Geometry(np.array(g, dtype=float), to_float(geo.H))
+        pairs = [(fgeo.gamma, geo.gamma), (fgeo.ginv, geo.ginv),
+                 (fgeo.Rm_plus, geo.Rm_plus), (fgeo.Rc, geo.Rc), (fgeo.H2, geo.H2),
+                 (fgeo.Rc_plus, geo.Rc_plus), (fgeo.dstar(fgeo.H), geo.dstar(geo.H))]
         for got, exact in pairs:
             assert got.dtype == np.float64
             assert np.abs(got - to_float(exact)).max() <= 1e-12

@@ -38,7 +38,7 @@ def rand_tensor(rng, degree=2):
 # -- lambda --------------------------------------------------------------------
 
 def test_lambda_at_critical_point():
-    r = lambda_min(EYE, 2, 2)
+    r = lambda_min(round_geo(), 2)
     assert abs(r.value - 4.0) < 1e-9
     assert r.residual < 1e-10
     assert r.f.is_constant
@@ -47,21 +47,21 @@ def test_lambda_at_critical_point():
 
 
 def test_lambda_torsion_free():
-    r = lambda_min(EYE, 0, 2)
+    r = lambda_min(Geometry(EYE, H=0), 2)
     assert abs(r.value - 6.0) < 1e-9
 
 
 def test_lambda_spectral_shift():
     # scaling the torsion coefficient shifts the constant potential
-    r1 = lambda_min(EYE, 2, 2)
-    r2 = lambda_min(EYE, 1, 2)
+    r1 = lambda_min(round_geo(), 2)
+    r2 = lambda_min(Geometry(EYE, H=1), 2)
     # |H|^2 = 24 s^2 / 4 -> potential 6 - 2 s^2
     assert r2.value - r1.value == pytest.approx((6 - 0.5) - 4.0, abs=1e-9)
     assert r2.f.is_constant
 
 
 def test_lambda_degree_zero_is_constant_potential():
-    r = lambda_min(EYE, 2, 0)
+    r = lambda_min(round_geo(), 0)
     assert abs(r.value - 4.0) < 1e-12
 
 
@@ -72,7 +72,7 @@ def test_first_variation_zero_at_critical_point():
         for b in range(3):
             gamma = obj_array([[1 if (i, j) == (a, b) else 0 for j in range(3)]
                                for i in range(3)])
-            assert first_variation(EYE, 2, Fraction(0), gamma) == 0.0
+            assert first_variation(round_geo(), gamma) == 0.0
 
 
 def test_first_variation_negative_along_soliton_tensor():
@@ -80,7 +80,7 @@ def test_first_variation_negative_along_soliton_tensor():
     geo = Geometry(g, H=2)
     gamma = geo.bakry_emery()
     assert not is_zero(gamma)
-    assert first_variation(g, 2, Fraction(0), gamma) < 0
+    assert first_variation(geo, gamma) < 0
 
 
 def test_first_variation_matches_finite_difference():
@@ -92,20 +92,20 @@ def test_first_variation_matches_finite_difference():
         g = [[Fraction(1 + t * direction[i][j]) if i == j or direction[i][j]
               else Fraction(EYE[i][j]) for j in range(3)] for i in range(3)]
         g[0][0] = Fraction(1) + Fraction(t)
-        return lambda_min(g, 2, 0).value
+        return lambda_min(Geometry(g, H=2), 0).value
 
     base = [[Fraction(11, 10), 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def lam2(t):
         g = [[base[i][j] for j in range(3)] for i in range(3)]
         g[0][0] = g[0][0] + Fraction(t)
-        return lambda_min(g, 2, 0).value
+        return lambda_min(Geometry(g, H=2), 0).value
 
     fd = (lam2(Fraction(1, 10000)) - lam2(Fraction(-1, 10000))) / 2e-4
     gamma = obj_array(direction)
     # normalize the weight so that int e^{-f} dV_g = 1
     vol = 2 * math.pi ** 2 * math.sqrt(1.1)
-    got = first_variation(base, 2, Fraction(math.log(vol)), gamma)
+    got = first_variation(Geometry(base, 2, Fraction(math.log(vol))), gamma)
     assert got == pytest.approx(fd, abs=1e-5)
 
 
@@ -177,7 +177,7 @@ def test_contracted_bianchi_randomized():
         for b in space.basis:
             if rng.random() < 0.4:
                 f = f + Fraction(rng.randint(-2, 2), rng.randint(1, 3)) * b
-        res = bianchi_contracted_check(g, Fraction(rng.randint(1, 3)), f)
+        res = bianchi_contracted_check(Geometry(g, Fraction(rng.randint(1, 3)), f))
         assert is_zero(res)
 
 
