@@ -17,6 +17,7 @@ from .deformations import (equivalence_check, igsd_kernel, integrability_report,
                            integral_identities, round_geometry)
 from .frames import STRUCTURE, validate_structure
 from .harmonics import canonical_space, harmonic_basis
+from .linalg import rank
 from .poly import IntegralValue, Polynomial, as_poly, integrate_s3
 from .tensors import Geometry, is_zero, obj_array, zeros
 from .variational import (SolverError, bianchi_contracted_check, first_variation,
@@ -219,18 +220,16 @@ def cmd_verify(cfg):
 def cmd_spectrum(cfg):
     geo = round_geometry()
     r = lambda_min(geo, cfg.degree)
-    basis = slice_tangent_basis(geo, cfg.degree)
-    mat = second_variation_matrix(basis, geo)
+    mat = second_variation_matrix(slice_tangent_basis(geo, cfg.degree), geo)
     eig = mat.eigenvalues()
-    kernel_dim = int(np.sum(np.abs(eig) <= 1e-9))
     report = {
         "command": "spectrum",
         "degree": cfg.degree,
         "lambda": _fmt_float(r.value),
         "lambda_residual": _fmt_float(r.residual),
-        "slice_dimension": len(basis),
-        "eigenvalues": [_fmt_float(x) for x in sorted(eig)],
-        "kernel_dim": kernel_dim,
+        "slice_dimension": sum(len(e) for e in mat.blocks),
+        "eigenvalues": [_fmt_float(x) for x in eig],
+        "kernel_dim": sum(len(e) - rank(e) for e in mat.blocks),
         "max_eigenvalue": _fmt_float(eig.max()),
         "stable": bool(eig.max() <= 1e-9),
     }

@@ -13,7 +13,7 @@ from .frames import BadIndex, adjoint_matrix
 from .harmonics import canonical_space, harmonic_basis, is_eigenfunction
 from .poly import IntegralValue, JetScalar, Polynomial, as_poly, integrate_s3
 from .tensors import Geometry, antisym, is_zero, jet_part, obj_array, sym, zeros
-from .variational import (TensorSpace, curvature_action, kernel_span, operator_B,
+from .variational import (curvature_action, degree_kernels, operator_B,
                           second_variation_form)
 
 MU = Fraction(2)  # Einstein constant of the unit round 3-sphere
@@ -79,14 +79,9 @@ def igsd_kernel(d):
     kernel splits over harmonic degrees with no truncation error.
     """
     geo = round_geometry()
-    out = []
-    for k in range(d + 1):
-        ts = TensorSpace(k)
-        block = kernel_span(ts.basis(degree=k),
-                            lambda t: ts.coords(operator_B(t, geo), *geo.twisted_divergence(t)))
-        out.extend(Deformation(t, provenance=f"kernel(k={k},i={n})")
-                   for n, t in enumerate(block))
-    return out
+    blocks = degree_kernels(d, lambda t: (operator_B(t, geo), *geo.twisted_divergence(t)))
+    return [Deformation(t, provenance=f"kernel(k={k},i={n})")
+            for k, block in enumerate(blocks) for n, t in enumerate(block)]
 
 
 def first_order_system_check(gamma):

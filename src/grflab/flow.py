@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .frames import EPS
 from .tensors import Geometry, SingularMetric
 from .variational import lambda_min
 
@@ -16,9 +15,6 @@ class FlowBlowup(RuntimeError):
     def __init__(self, message, trajectory):
         super().__init__(message)
         self.trajectory = trajectory
-
-
-_VOL = np.array(EPS, dtype=float)
 
 
 @dataclass
@@ -32,13 +28,9 @@ class FlowState:
         self.g = np.array(self.g, dtype=float)
         self.b = np.array(self.b, dtype=float)
 
-    def torsion(self):
-        """H = H0 vol: db vanishes for every invariant 2-form b."""
-        return self.H0_coeff * _VOL
-
     def geometry(self):
-        """The float64 Geometry of (g, H); b does not enter, since db = 0."""
-        return Geometry(self.g, self.torsion())
+        """The float64 Geometry of (g, H0 vol); b does not enter, since db = 0."""
+        return Geometry(self.g, self.H0_coeff)
 
     def copy_with(self, g, b, t):
         return FlowState(g=g, b=b, H0_coeff=self.H0_coeff, t=t)

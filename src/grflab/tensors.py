@@ -39,9 +39,12 @@ def obj_array(nested):
     return flat.reshape(arr.shape)
 
 
+_ZERO = Polynomial.zero()  # one shared zero: a Polynomial is never changed in place
+
+
 def zeros(shape):
     arr = np.empty(shape, dtype=object)
-    arr.reshape(-1)[:] = [Polynomial.zero()] * arr.size
+    arr.reshape(-1)[:] = [_ZERO] * arr.size
     return arr
 
 
@@ -145,12 +148,13 @@ def riemann(c, conn, g, dconn=None):
 
 _STRUCTURE = {np.dtype(object): obj_array(frames.STRUCTURE),
               np.dtype(float): np.array(frames.STRUCTURE, dtype=float)}
+_VOLUME = {np.dtype(object): EPS, np.dtype(float): np.array(frames.EPS, dtype=float)}
 
 
 def _as_data(x):
-    """A float64 array as it is, anything else through obj_array."""
-    if isinstance(x, np.ndarray) and x.dtype == np.float64:
-        return x
+    """A float64 array or a float as float64, anything else through obj_array."""
+    if isinstance(x, float) or (isinstance(x, np.ndarray) and x.dtype == np.float64):
+        return np.asarray(x, dtype=float)
     return obj_array(x)
 
 
@@ -162,16 +166,21 @@ class Geometry:
     g^-1 = adj(g) / det g for constant, jet and float metrics alike, so det g
     must be a nonzero constant, a jet with a nonzero constant t=0 part or a
     nonzero float. Tensors go in and come out as object ndarrays indexed by
-    the frame. Float64 arrays g and H are invariant data: they stay float64,
-    and so does everything computed from them.
+    the frame. g and H are both exact or both float64 (an int H goes with
+    either); float64 data are invariant, and all computed from them stays float64.
     """
 
-    def __init__(self, g, H=0, f=0):
+    def __init__(self, g, H=0, f=_ZERO):
         self.g = _as_data(g)
+        if isinstance(H, int) and self.g.dtype == np.float64:
+            H = float(H)
         H = _as_data(H)
-        self.H = volume_form(H[()]) if H.ndim == 0 else H
+        self.H = _VOLUME[H.dtype] * H[()] if H.ndim == 0 else H
         if self.g.shape != (3, 3) or self.H.shape != (3, 3, 3):
             raise BadRank("g must be 3x3 and H 3x3x3 or a number")
+        if self.g.dtype != self.H.dtype:
+            kinds = ("float64", "exact") if self.g.dtype == np.float64 else ("exact", "float64")
+            raise TypeError("g is %s and H is %s data; both must be float64 or both exact" % kinds)
         self.f = _coerce_scalar(f)
         adj = _adjugate(self.g)
         self.det = sum(self.g[0, k] * adj[k, 0] for k in range(3))

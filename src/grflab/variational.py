@@ -41,24 +41,6 @@ def pairing_matrix(xs, ys, pair):
     return [[integrate_s3(as_poly(pair(x, y))).coeff for y in ys] for x in xs]
 
 
-def kernel_span(basis, image):
-    """Exact basis of the kernel of a linear map on the span of basis.
-
-    image(t) is the coordinate vector of the map's value on one basis
-    element; the columns are turned into equations, and each kernel vector
-    comes back as the matching combination of the basis elements.
-    """
-    eqs = list(zip(*(image(t) for t in basis)))
-    out = []
-    for vec in linalg.kernel_basis(eqs):
-        arr = zeros(basis[0].shape)
-        for c, t in zip(vec, basis):
-            if c != 0:
-                arr = arr + t * c
-        out.append(arr)
-    return out
-
-
 def _float_matrix(entries):
     try:
         return np.array([[float(x) for x in row] for row in entries])
@@ -243,20 +225,17 @@ def second_variation_form(gamma1, gamma2, geo):
 
 @dataclass
 class OperatorMatrix:
-    basis: list
-    entries: list  # exact Fractions, coefficients of pi^2
-
-    @property
-    def dim(self):
-        return len(self.basis)
+    blocks: list  # one square matrix per harmonic degree, exact Fractions, coefficients of pi^2
 
     @property
     def is_symmetric(self):
-        e = self.entries
-        return all(e[i][j] == e[j][i] for i in range(self.dim) for j in range(self.dim))
+        return all(e[i][j] == e[j][i] for e in self.blocks
+                   for i in range(len(e)) for j in range(len(e)))
 
     def eigenvalues(self):
-        return np.linalg.eigvalsh(_symmetrized("second-variation", _float_matrix(self.entries)))
+        return np.sort(np.concatenate([
+            np.linalg.eigvalsh(_symmetrized("second-variation", _float_matrix(e)))
+            for e in self.blocks]))
 
 
 class TensorSpace:
@@ -265,19 +244,6 @@ class TensorSpace:
 
     def __init__(self, d):
         self.space = canonical_space(d)
-
-    def basis(self, degree=None):
-        """Rank-2 basis tensors in (a, b, harmonic index) order: of the whole
-        space, or of the harmonic degree-`degree` block only."""
-        polys = self.space.basis if degree is None else harmonic_basis(degree)
-        out = []
-        for a in range(3):
-            for b in range(3):
-                for phi in polys:
-                    arr = zeros((3, 3))
-                    arr[a, b] = phi
-                    out.append(arr)
-        return out
 
     def coords(self, *tensors):
         """Coordinates of the components of rank-1 or rank-2 tensors, each in
@@ -289,13 +255,35 @@ class TensorSpace:
         return out
 
 
-def second_variation_matrix(basis, geo):
-    """Exact Gram matrix of the second-variation form -(x, A y) on the given basis."""
-    images = [-operator_A(b, geo) for b in basis]
-    return OperatorMatrix(basis=basis, entries=pairing_matrix(basis, images, geo.inner))
+def degree_kernels(d, image):
+    """Exact kernel of a linear map on rank-2 tensors, one list per harmonic
+    degree k = 0..d, solved on the 9 (k+1)^2 tensors with one entry in
+    harmonic_basis(k). image(t) is the tuple of tensors the map sends t to; the
+    map must keep each degree, as every constant-coefficient frame operator does.
+    """
+    out = []
+    for k in range(d + 1):
+        ts = TensorSpace(k)
+        basis = []
+        for a, b in np.ndindex(3, 3):
+            for phi in harmonic_basis(k):
+                t = zeros((3, 3))
+                t[a, b] = phi
+                basis.append(t)
+        eqs = list(zip(*(ts.coords(*image(t)) for t in basis)))
+        out.append([sum((t * c for c, t in zip(vec, basis) if c != 0), zeros((3, 3)))
+                    for vec in linalg.kernel_basis(eqs)])
+    return out
+
+
+def second_variation_matrix(blocks, geo):
+    """Exact Gram matrix of the second-variation form -(x, A y), one block per
+    harmonic degree: A keeps each degree, and distinct degrees are L2-orthogonal."""
+    return OperatorMatrix([pairing_matrix(b, [-operator_A(t, geo) for t in b], geo.inner)
+                           for b in blocks])
 
 
 def slice_tangent_basis(geo, d):
-    """Exact basis of {gamma : twisted divergence = 0} at degree <= d."""
-    ts = TensorSpace(d)
-    return kernel_span(ts.basis(), lambda t: ts.coords(*geo.twisted_divergence(t)))
+    """Exact basis of {gamma : twisted divergence = 0} at degree <= d, one
+    block per harmonic degree, for constant (g, H, f)."""
+    return degree_kernels(d, geo.twisted_divergence)

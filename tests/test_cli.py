@@ -105,6 +105,19 @@ def test_igsd_command(capsys):
     assert out == (REFERENCE / "igsd_degree2.json").read_text()
 
 
+def test_spectrum_command(capsys):
+    code, out = run(capsys, "spectrum", "--degree", "2")
+    rep = json.loads(out)
+    assert code == 0 and rep["stable"] is True
+    assert rep["slice_dimension"] == 61 and rep["kernel_dim"] == 9
+    ref = json.loads((REFERENCE / "spectrum_degree2.json").read_text())
+    assert len(rep["eigenvalues"]) == len(ref["eigenvalues"]) == 61
+    assert all(abs(x - r) <= 1e-9 * max(1.0, abs(r))
+               for x, r in zip(rep["eigenvalues"], ref["eigenvalues"]))
+    # the exact kernel dimension is the count of float eigenvalues at zero
+    assert sum(abs(x) <= 1e-9 for x in rep["eigenvalues"]) == rep["kernel_dim"]
+
+
 def test_bad_config_rejected(capsys):
     assert main(["lambda", "--degree", "-1"]) == 2
     with pytest.raises(SystemExit):

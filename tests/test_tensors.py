@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grflab.frames import adjoint_matrix, frame_derive, laplacian_scalar
+from grflab.frames import EPS, adjoint_matrix, frame_derive, laplacian_scalar
 from grflab.poly import JetScalar, Polynomial, as_poly, integrate_s3
 from grflab.tensors import (BadRank, Geometry, SingularMetric, antisym, is_zero,
                             jet_part, obj_array, sym, volume_form, zeros)
@@ -317,3 +317,23 @@ def test_curvature_kernel_agrees_in_float_and_exact_dtypes():
         for got, exact in pairs:
             assert got.dtype == np.float64
             assert np.abs(got - to_float(exact)).max() <= 1e-12
+
+
+def test_geometry_data_kinds():
+    # float64 g with a float or an int H: s * vol in float64
+    vol = np.array(EPS, dtype=float)
+    for s in (2.0, 2):
+        geo = Geometry(np.eye(3), s)
+        assert geo.H.dtype == np.float64 and np.array_equal(geo.H, 2.0 * vol)
+        assert np.abs(geo.Rc - geo.H2 / 4).max() <= 1e-12
+    assert np.array_equal(Geometry(np.eye(3)).H, 0.0 * vol)
+    # g and H of different kinds are named, not left to fail inside
+    for g, H in ((np.eye(3), Fraction(2)), (np.eye(3), volume_form(2)),
+                 (EYE, 2.0), (EYE, 2.0 * vol)):
+        with pytest.raises(TypeError, match="float64 .* exact|exact .* float64"):
+            Geometry(g, H)
+
+
+def test_default_potential_is_one_shared_zero():
+    assert Geometry(EYE).f is Geometry(EYE, H=1).f
+    assert Geometry(EYE).f.is_zero

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from grflab import linalg, variational
 from grflab.harmonics import canonical_space, harmonic_basis
 from grflab.poly import IntegralValue, Polynomial, as_poly, integrate_s3
 from grflab.tensors import Geometry, is_zero, obj_array, zeros
-from grflab.variational import (InconsistentSource, bianchi_contracted_check,
+from grflab.variational import (InconsistentSource, TensorSpace, bianchi_contracted_check,
                                 first_variation, lambda_min, operator_A, operator_B,
-                                phi_operator, phi_relation_check,
+                                pairing_matrix, phi_operator, phi_relation_check,
                                 second_variation_form, second_variation_matrix,
                                 slice_tangent_basis)
 
@@ -142,9 +143,9 @@ def test_operator_a_self_adjoint():
 
 def test_operator_a_equals_b_on_slice():
     geo = round_geo()
-    basis = slice_tangent_basis(geo, 1)
-    for gamma in basis[:5]:
-        assert is_zero(operator_A(gamma, geo) - operator_B(gamma, geo))
+    for block in slice_tangent_basis(geo, 1):
+        for gamma in block:
+            assert is_zero(operator_A(gamma, geo) - operator_B(gamma, geo))
 
 
 def test_operator_b_builds_bismut_curvature_once(monkeypatch):
@@ -183,9 +184,10 @@ def test_contracted_bianchi_randomized():
 
 def test_bianchi_on_divergence_free():
     geo = round_geo()
-    basis = slice_tangent_basis(geo, 1)
-    u, v = geo.twisted_divergence(basis[0])
-    assert is_zero(u) and is_zero(v)
+    for block in slice_tangent_basis(geo, 1):
+        for gamma in block:
+            u, v = geo.twisted_divergence(gamma)
+            assert is_zero(u) and is_zero(v)
 
 
 def test_phi_relation_randomized():
@@ -219,19 +221,81 @@ def test_second_variation_scaling_and_symmetry():
 
 def test_second_variation_equals_gradient_energy_on_slice():
     geo = round_geo()
-    for gamma in slice_tangent_basis(geo, 1)[:6]:
-        nb = geo.mixed_covd(gamma)
-        want = Fraction(-1, 2) * integrate_s3(as_poly(geo.inner(nb, nb)))
-        assert second_variation_form(gamma, gamma, geo) == want
+    for block in slice_tangent_basis(geo, 1):
+        for gamma in block:
+            nb = geo.mixed_covd(gamma)
+            want = Fraction(-1, 2) * integrate_s3(as_poly(geo.inner(nb, nb)))
+            assert second_variation_form(gamma, gamma, geo) == want
 
 
 def test_second_variation_matrix_stability():
     geo = round_geo()
-    basis = slice_tangent_basis(geo, 1)
-    m = second_variation_matrix(basis, geo)
+    blocks = slice_tangent_basis(geo, 1)
+    m = second_variation_matrix(blocks, geo)
     assert m.is_symmetric
     eig = m.eigenvalues()
     assert eig.max() <= 1e-9
+
+
+def _key(t):
+    return tuple(tuple(sorted(as_poly(x).terms.items())) for x in t.reshape(-1))
+
+
+def test_slice_blocks_equal_whole_space_slice():
+    geo = round_geo()
+    blocks = slice_tangent_basis(geo, 2)
+    assert [len(b) for b in blocks] == [6, 16, 39]
+    # reference: one kernel solve over all 126 basis tensors of degree <= 2
+    ts = TensorSpace(2)
+    basis = []
+    for a, b in np.ndindex(3, 3):
+        for phi in ts.space.basis:
+            t = zeros((3, 3))
+            t[a, b] = phi
+            basis.append(t)
+    eqs = list(zip(*(ts.coords(*geo.twisted_divergence(t)) for t in basis)))
+    ref = [sum((t * c for c, t in zip(vec, basis) if c != 0), zeros((3, 3)))
+           for vec in linalg.kernel_basis(eqs)]
+    assert len(ref) == 61
+    assert {_key(t) for b in blocks for t in b} == {_key(t) for t in ref}
+
+
+def test_slice_solves_one_degree_at_a_time(monkeypatch):
+    harmonic_basis(2)  # cached, so its own kernel solve is not recorded
+    columns = []
+    kernel_basis = linalg.kernel_basis
+
+    def recording(mat):
+        columns.append(len(mat[0]))
+        return kernel_basis(mat)
+
+    monkeypatch.setattr(linalg, "kernel_basis", recording)
+    slice_tangent_basis(round_geo(), 2)
+    assert columns == [9, 36, 81]
+
+
+def test_second_variation_pairs_distinct_degrees_to_zero():
+    geo = round_geo()
+    deg0, deg1 = slice_tangent_basis(geo, 1)
+    images0 = [-operator_A(y, geo) for y in deg0]
+    images1 = [-operator_A(y, geo) for y in deg1]
+    cross = (pairing_matrix(deg0, images1, geo.inner)
+             + pairing_matrix(deg1, images0, geo.inner))
+    assert len(cross) == 22 and all(x == 0 for row in cross for x in row)
+
+
+def test_second_variation_matrix_pairs_within_blocks(monkeypatch):
+    geo = round_geo()
+    blocks = slice_tangent_basis(geo, 1)
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return integrate_s3(p)
+
+    monkeypatch.setattr(variational, "integrate_s3", counting)
+    second_variation_matrix(blocks, geo)
+    assert len(calls) == 6 ** 2 + 16 ** 2
 
 
 def test_inconsistent_source_cannot_happen_but_raises():
