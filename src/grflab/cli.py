@@ -8,7 +8,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -24,21 +23,6 @@ from .variational import (SolverError, bianchi_contracted_check, first_variation
                           lambda_min, operator_A, phi_relation_check,
                           second_variation_matrix, slice_tangent_basis)
 from . import flow as flow_mod
-
-
-@dataclass
-class RunConfig:
-    command: str
-    degree: int = 2
-    h0: float = 2.0
-    metric: str = "diag:1,1,1"
-    output: str = ""
-    fmt: str = "json"
-    seed: int = 0
-    dt: float = 1e-3
-    steps: int = 1000
-    sample_every: int = 100
-    u_spec: str = "x1x2"
 
 
 def _fmt_float(x):
@@ -116,51 +100,51 @@ def _suite_bismut_flat():
     return out
 
 
-def _suite_curvature_dual_path(rng, samples=20):
-    def one(_):
+def _suite_curvature_dual_path(rng):
+    def one():
         g = _rand_metric(rng)
         s = _rand_fraction(rng, 1, 3, 2)
         geo = Geometry(g, H=s)
         want = geo.Rc - Fraction(1, 4) * geo.H2 - Fraction(1, 2) * geo.dstar(geo.H)
         return is_zero(geo.Rc_plus - want) and is_zero(geo.bismut_curvature_rhs() - geo.Rm_plus)
-    results = [one(i) for i in range(samples)]
+    results = [one() for _ in range(20)]
     return [("bismut curvature identities on randomized invariant data", all(results))]
 
 
-def _suite_mixed_laplacian(rng, samples=20):
+def _suite_mixed_laplacian(rng):
     geo = round_geometry()
-    tensors = [_rand_tensor(rng, 2) for _ in range(samples)]
+    tensors = [_rand_tensor(rng, 2) for _ in range(20)]
     oks = [is_zero(geo.mixed_laplacian_formula(t) - geo.mixed_laplacian_definition(t))
            for t in tensors]
     return [("mixed laplacian formula matches adjoint definition", all(oks))]
 
 
-def _suite_bianchi(rng, samples=10):
-    def one(_):
+def _suite_bianchi(rng):
+    def one():
         g = _rand_metric(rng)
         s = _rand_fraction(rng, 1, 3, 2)
         f = _rand_poly(rng, 2)
         return is_zero(bianchi_contracted_check(Geometry(g, s, f)))
     return [("contracted second bianchi identity on randomized data",
-             all(one(i) for i in range(samples)))]
+             all(one() for _ in range(10)))]
 
 
-def _suite_phi(rng, samples=8):
+def _suite_phi(rng):
     geo = round_geometry()
-    def one(_):
+    def one():
         r1, r2 = phi_relation_check(_rand_tensor(rng, 2), geo)
         return is_zero(r1) and is_zero(r2)
-    return [("bianchi of B factors through the divergence", all(one(i) for i in range(samples)))]
+    return [("bianchi of B factors through the divergence", all(one() for _ in range(8)))]
 
 
-def _suite_self_adjoint(rng, samples=5):
+def _suite_self_adjoint(rng):
     geo = round_geometry()
-    def one(_):
+    def one():
         a, b = _rand_tensor(rng, 2), _rand_tensor(rng, 2)
         lhs = integrate_s3(as_poly(geo.inner(operator_A(a, geo), b)))
         rhs = integrate_s3(as_poly(geo.inner(a, operator_A(b, geo))))
         return lhs == rhs
-    return [("stability operator is self adjoint", all(one(i) for i in range(samples)))]
+    return [("stability operator is self adjoint", all(one() for _ in range(5)))]
 
 
 def _suite_lambda(degree):
@@ -218,6 +202,8 @@ def cmd_verify(cfg):
 
 
 def cmd_spectrum(cfg):
+    if cfg.degree > 2:
+        raise ValueError("spectrum is computed at the round point for degree at most 2")
     geo = round_geometry()
     r = lambda_min(geo, cfg.degree)
     mat = second_variation_matrix(slice_tangent_basis(geo, cfg.degree), geo)
@@ -357,7 +343,7 @@ def cmd_lambda(cfg):
 
 
 def _emit(report, cfg):
-    if cfg.fmt == "csv" and report.get("command") == "flow":
+    if report["command"] == "flow" and cfg.fmt == "csv":
         buf = io.StringIO()
         rows = report["samples"]
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -374,99 +360,88 @@ def _emit(report, cfg):
         sys.stdout.write(text)
 
 
+# setting -> (flag, type, default); a --config file sets it under the same key
+_SETTINGS = {
+    "degree": ("--degree", int, 2),
+    "seed": ("--seed", int, 0),
+    "u_spec": ("--u", str, "x1x2"),
+    "metric": ("--g", str, "diag:1,1,1"),
+    "h0": ("--h0", float, 2.0),
+    "dt": ("--dt", float, 1e-3),
+    "steps": ("--steps", int, 1000),
+    "sample_every": ("--sample-every", int, 100),
+    "fmt": ("--format", str, "json"),
+}
+
+# command -> (handler, the settings it reads); every command also takes
+# --output and --config
+_COMMANDS = {
+    "verify": (cmd_verify, ("degree", "seed")),
+    "spectrum": (cmd_spectrum, ("degree",)),
+    "igsd": (cmd_igsd, ("degree",)),
+    "obstruction": (cmd_obstruction, ("u_spec",)),
+    "lambda": (cmd_lambda, ("degree", "metric", "h0")),
+    "flow": (cmd_flow, ("metric", "h0", "dt", "steps", "sample_every", "fmt")),
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="grflab",
                                 description="Exact calculus for generalized Ricci "
                                             "solitons on the 3-sphere")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--degree", type=int, default=2)
-        sp.add_argument("--h0", type=float, default=2.0)
-        sp.add_argument("--output", default="")
-        sp.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--config", default="", help="JSON file overriding the flags")
-
-    for name in ("verify", "spectrum", "igsd", "obstruction", "lambda"):
+    for name, (_, settings) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        common(sp)
-        if name == "obstruction":
-            sp.add_argument("--u", dest="u_spec", default="x1x2")
-        if name == "lambda":
-            sp.add_argument("--g", dest="metric", default="diag:1,1,1")
-
-    sp = sub.add_parser("flow")
-    common(sp)
-    sp.add_argument("--g", dest="metric", default="diag:1,1,1")
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--steps", type=int, default=1000)
-    sp.add_argument("--sample-every", dest="sample_every", type=int, default=100)
+        for key in settings:
+            flag, kind, default = _SETTINGS[key]
+            sp.add_argument(flag, dest=key, type=kind, default=default)
+        sp.add_argument("--output", default="")
+        sp.add_argument("--config", default="", help="JSON file overriding the flags")
     return p
 
 
-# Keys a --config file may set, with their types; the subcommand is not one.
-_CONFIG_KEYS = {f.name: f.type for f in fields(RunConfig) if f.name != "command"}
-
-
-def _config_value(key, value):
-    """A --config value, checked against the type of its RunConfig field."""
-    if key not in _CONFIG_KEYS:
-        raise ValueError(f"unknown config key {key!r}")
-    want = _CONFIG_KEYS[key]
-    if want is float and type(value) is int:
-        value = float(value)
-    if type(value) is not want:
-        raise ValueError(f"config key {key!r} must be {want.__name__}, not {value!r}")
-    return value
+def _check(key, value):
+    """Raise ValueError unless value is usable for the setting key."""
+    if key in ("degree", "steps") and value < 0:
+        raise ValueError(f"{key} must be nonnegative")
+    if key == "sample_every" and value < 1:
+        raise ValueError("sample-every must be positive")
+    if key == "dt" and not 0 < value < math.inf:
+        raise ValueError("dt must be positive and finite")
+    if key == "h0" and not math.isfinite(value):
+        raise ValueError("h0 must be finite")
+    if key == "fmt" and value not in ("json", "csv"):
+        raise ValueError("format must be json or csv")
+    if key == "metric":
+        parse_metric(value)
 
 
 def config_from_args(args):
-    """The run configuration from the flags and --config, rejected with
-    ValueError unless every value is usable."""
-    cfg = RunConfig(command=args.command)
-    for name in _CONFIG_KEYS:
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "config", ""):
+    """The parsed flags with --config applied, rejected with ValueError unless
+    every key is one the command reads and every value is usable."""
+    settings = _COMMANDS[args.command][1]
+    if args.config:
         with open(args.config) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-        for k, v in data.items():
-            setattr(cfg, k, _config_value(k, v))
-    if cfg.degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if cfg.steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if cfg.sample_every < 1:
-        raise ValueError("sample-every must be positive")
-    if not 0 < cfg.dt < math.inf:
-        raise ValueError("dt must be positive and finite")
-    if not math.isfinite(cfg.h0):
-        raise ValueError("h0 must be finite")
-    if cfg.fmt not in ("json", "csv"):
-        raise ValueError("format must be json or csv")
-    if cfg.command == "spectrum" and (cfg.h0 != 2 or cfg.degree > 2):
-        raise ValueError("spectrum is computed at the round point up to degree 2: "
-                         "h0 must be 2 and degree at most 2")
-    parse_metric(cfg.metric)
-    return cfg
-
-
-_DISPATCH = {
-    "verify": cmd_verify,
-    "spectrum": cmd_spectrum,
-    "igsd": cmd_igsd,
-    "obstruction": cmd_obstruction,
-    "flow": cmd_flow,
-    "lambda": cmd_lambda,
-}
+        types = {"output": str, **{k: _SETTINGS[k][1] for k in settings}}
+        for key, value in data.items():
+            if key not in types:
+                raise ValueError(f"unknown config key {key!r}")
+            if types[key] is float and type(value) is int:
+                value = float(value)
+            if type(value) is not types[key]:
+                raise ValueError(f"config key {key!r} must be {types[key].__name__}, "
+                                 f"not {value!r}")
+            setattr(args, key, value)
+    for key in settings:
+        _check(key, getattr(args, key))
+    return args
 
 
 def dispatch(cfg):
-    report, ok = _DISPATCH[cfg.command](cfg)
-    return report, ok
+    return _COMMANDS[cfg.command][0](cfg)
 
 
 def main(argv=None):

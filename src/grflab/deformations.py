@@ -63,9 +63,7 @@ def parallel_from_invariant_forms(i, j):
 
 def canonical_igsd(u):
     """gamma = 2 mu u g + hess u - (1/2) d*(uH) for an eigenfunction with lap u = -4 mu u."""
-    u = as_poly(u)
-    if not is_eigenfunction(u, 2):
-        raise NotEigenfunction("u must satisfy lap u = -8 u on the unit sphere")
+    u = _check_eigen(u)
     geo = round_geometry()
     gamma = (2 * MU * u) * geo.g + geo.hessian(u) - Fraction(1, 2) * geo.dstar(u * geo.H)
     return Deformation(gamma, provenance="canonical(u)")

@@ -238,41 +238,34 @@ class OperatorMatrix:
             for e in self.blocks]))
 
 
-class TensorSpace:
-    """Exact coordinates on tensors with coefficients of degree <= d: each
-    component in the harmonic basis of canonical_space(d)."""
-
-    def __init__(self, d):
-        self.space = canonical_space(d)
-
-    def coords(self, *tensors):
-        """Coordinates of the components of rank-1 or rank-2 tensors, each in
-        row-major order, concatenated."""
-        out = []
-        for t in tensors:
-            for p in t.reshape(-1):
-                out.extend(self.space.coords(p))
-        return out
-
-
 def degree_kernels(d, image):
     """Exact kernel of a linear map on rank-2 tensors, one list per harmonic
     degree k = 0..d, solved on the 9 (k+1)^2 tensors with one entry in
     harmonic_basis(k). image(t) is the tuple of tensors the map sends t to; the
-    map must keep each degree, as every constant-coefficient frame operator does.
+    map must keep each degree, as every constant-coefficient frame operator
+    does, so each image component is written in harmonic_basis(k) alone, and a
+    component with a lower-degree part raises ValueError.
     """
     out = []
     for k in range(d + 1):
-        ts = TensorSpace(k)
+        space, n = canonical_space(k), (k + 1) ** 2
         basis = []
         for a, b in np.ndindex(3, 3):
             for phi in harmonic_basis(k):
                 t = zeros((3, 3))
                 t[a, b] = phi
                 basis.append(t)
-        eqs = list(zip(*(ts.coords(*image(t)) for t in basis)))
+        columns = []
+        for t in basis:
+            col = []
+            for p in np.concatenate([s.reshape(-1) for s in image(t)]):
+                c = space.coords(p)
+                if any(c[:-n]):
+                    raise ValueError(f"map does not keep harmonic degree {k}")
+                col.extend(c[-n:])
+            columns.append(col)
         out.append([sum((t * c for c, t in zip(vec, basis) if c != 0), zeros((3, 3)))
-                    for vec in linalg.kernel_basis(eqs)])
+                    for vec in linalg.kernel_basis(list(zip(*columns)))])
     return out
 
 

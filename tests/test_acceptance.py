@@ -25,13 +25,17 @@ from grflab.harmonics import canonical_space, harmonic_basis
 from grflab.linalg import rank
 from grflab.poly import IntegralValue, Polynomial
 from grflab.tensors import Geometry, SingularMetric, is_zero, obj_array, zeros
-from grflab.variational import (TensorSpace, bianchi_contracted_check,
-                                first_variation, lambda_min,
+from grflab.variational import (bianchi_contracted_check, first_variation, lambda_min,
                                 second_variation_matrix, slice_tangent_basis)
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 EYE = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
+
+
+def flat_coords(space, t):
+    """Exact coordinates in space of the components of t, in row-major order."""
+    return [c for p in t.reshape(-1) for c in space.coords(p)]
 
 
 def report(number, name, ok):
@@ -146,21 +150,21 @@ def test_criterion_06_second_variation_nonpositive_on_slice():
 
 def test_criterion_07_kernel_dimension_and_spans():
     start = time.monotonic()
-    ts = TensorSpace(2)
+    space = canonical_space(2)
     ker2 = igsd_kernel(2)
     ker3 = igsd_kernel(3)
     ok = len(ker2) == 9 and len(ker3) == 9
-    rows_ker = [ts.coords(d.gamma) for d in ker2]
-    rows_par = [ts.coords(parallel_from_invariant_forms(i, j).gamma)
+    rows_ker = [flat_coords(space, d.gamma) for d in ker2]
+    rows_par = [flat_coords(space, parallel_from_invariant_forms(i, j).gamma)
                 for i in (1, 2, 3) for j in (1, 2, 3)]
-    rows_can = [ts.coords(canonical_igsd(u).gamma) for u in harmonic_basis(2)]
+    rows_can = [flat_coords(space, canonical_igsd(u).gamma) for u in harmonic_basis(2)]
     ok = ok and rank(rows_ker) == 9
     ok = ok and rank(rows_par) == 9 and rank(rows_can) == 9
     ok = ok and rank(rows_ker + rows_par) == 9 and rank(rows_ker + rows_can) == 9
     # the degree-3 kernel contains no new directions
-    ts3 = TensorSpace(3)
-    rows3 = [ts3.coords(d.gamma) for d in ker3]
-    rows_par3 = [ts3.coords(parallel_from_invariant_forms(i, j).gamma)
+    space3 = canonical_space(3)
+    rows3 = [flat_coords(space3, d.gamma) for d in ker3]
+    rows_par3 = [flat_coords(space3, parallel_from_invariant_forms(i, j).gamma)
                  for i in (1, 2, 3) for j in (1, 2, 3)]
     ok = ok and rank(rows3) == 9 and rank(rows3 + rows_par3) == 9
     ok = ok and (time.monotonic() - start) < 60.0
@@ -168,9 +172,8 @@ def test_criterion_07_kernel_dimension_and_spans():
 
 
 def test_criterion_08_no_trace_free_kernel_directions():
-    ts = TensorSpace(2)
     ker = igsd_kernel(2)
-    space = ts.space
+    space = canonical_space(2)
     trace_rows = []
     for d in ker:
         tr = sum((d.h[i, i] for i in range(3)), Polynomial.zero())

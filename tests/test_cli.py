@@ -1,15 +1,18 @@
+import argparse
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from grflab.cli import _rand_metric, main, parse_metric, parse_u
+from grflab.cli import _rand_metric, build_parser, main, parse_metric, parse_u
 from grflab.poly import Polynomial
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
-REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = ROOT / "bench" / "reference"
 
 
 def run(capsys, *argv):
@@ -152,14 +155,17 @@ def test_output_file(tmp_path, capsys):
     # two eigenvalues a few eps apart: eigh returns a mixture, not the constant ground state
     (["lambda", "--g", "diag:1.1,0.9,1.05", "--h0", "1e10", "--degree", "2"], None,
      "ground state is not resolved in float64"),
-    (["spectrum", "--h0", "5"], None, "h0 must be 2"),
     (["spectrum", "--degree", "3"], None, "degree at most 2"),
+    # a key the command does not read
+    (["igsd"], {"h0": 3.0}, "unknown config key 'h0'"),
+    (["verify"], {"metric": "full:1"}, "unknown config key 'metric'"),
+    (["obstruction"], {"dt": 5.0}, "unknown config key 'dt'"),
 ], ids=["config-type", "config-command", "config-unknown-key", "sample-every-zero",
         "metric-indefinite", "output-dir-missing", "lambda-overflow", "flow-h0-overflow",
         "flow-metric-huge", "lambda-det-overflow", "flow-det-overflow",
         "lambda-matrix-overflow", "flow-matrix-overflow", "lambda-ground-state-lost",
-        "lambda-ground-state-unresolved",
-        "spectrum-h0", "spectrum-degree"])
+        "lambda-ground-state-unresolved", "spectrum-degree",
+        "config-igsd-h0", "config-verify-metric", "config-obstruction-dt"])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, message):
     if config is not None:
@@ -174,6 +180,49 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, mes
     assert captured.err.startswith("error: ")
     assert message in captured.err
     assert captured.err.count("\n") == 1
+
+
+_UNREAD_FLAGS = [("verify", "--h0"), ("verify", "--format"),
+                 ("spectrum", "--h0"), ("spectrum", "--seed"), ("spectrum", "--format"),
+                 ("igsd", "--h0"), ("igsd", "--seed"), ("igsd", "--format"),
+                 ("obstruction", "--degree"), ("obstruction", "--h0"),
+                 ("obstruction", "--seed"), ("obstruction", "--format"),
+                 ("lambda", "--seed"), ("lambda", "--format"),
+                 ("flow", "--degree"), ("flow", "--seed")]
+_FLAG_VALUES = {"--h0": "3", "--format": "csv", "--seed": "4", "--degree": "7"}
+
+
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS,
+                         ids=[f"{c}-{f[2:]}" for c, f in _UNREAD_FLAGS])
+def test_unread_flag_exits_2(capsys, command, flag):
+    # a command takes only the flags of the settings it reads
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, _FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err
+
+
+def test_readme_lists_every_flag():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    usage = section.split("```", 2)[1]
+    listed, command = {}, None
+    for line in usage.strip().splitlines():
+        if line.startswith("grflab "):
+            command = line.split()[1]
+            listed[command] = {}
+        listed[command].update(re.findall(r"\[(--[a-z0-9-]+) ([^\]]+)\]", line))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(listed) == set(sub.choices)
+    for name, parser in sub.choices.items():
+        flags = {a.option_strings[-1]: a for a in parser._actions
+                 if a.option_strings and a.dest not in ("help", "output", "config")}
+        assert listed[name] == {f: str(a.default) for f, a in flags.items()}, name
+        assert all(f"`{a.dest}`" in section for a in flags.values()), name
+    assert "`--output FILE`" in section and "`--config FILE`" in section
 
 
 @pytest.mark.filterwarnings("error")

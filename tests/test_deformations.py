@@ -6,15 +6,14 @@ import pytest
 from grflab import linalg
 from grflab.deformations import (MU, Deformation, NotEigenfunction,
                                  PreconditionFailed, canonical_igsd,
-                                 equivalence_check,
+                                 equivalence_check, igsd_kernel,
                                  integrability_report, integral_identities,
                                  jet_second_variation_check, obstruction,
                                  parallel_from_invariant_forms, round_geometry)
 from grflab.frames import BadIndex
-from grflab.harmonics import harmonic_basis
+from grflab.harmonics import canonical_space, harmonic_basis
 from grflab.poly import IntegralValue, Polynomial, integrate_s3
 from grflab.tensors import Geometry, is_zero, obj_array
-from grflab.variational import TensorSpace
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 
@@ -61,15 +60,30 @@ def test_canonical_deformation():
 
 
 def test_span_equality_parallel_vs_canonical():
-    ts = TensorSpace(2)
+    space = canonical_space(2)
     par = [parallel_from_invariant_forms(i, j).gamma
            for i in (1, 2, 3) for j in (1, 2, 3)]
     can = [canonical_igsd(u).gamma for u in harmonic_basis(2)]
-    rows_par = [ts.coords(t) for t in par]
-    rows_can = [ts.coords(t) for t in can]
+    rows_par = [[c for p in t.reshape(-1) for c in space.coords(p)] for t in par]
+    rows_can = [[c for p in t.reshape(-1) for c in space.coords(p)] for t in can]
     assert linalg.rank(rows_par) == 9
     assert linalg.rank(rows_can) == 9
     assert linalg.rank(rows_par + rows_can) == 9
+
+
+def test_igsd_kernel_equations_in_degree_k_coordinates(monkeypatch):
+    # B(t) and the divergence pair have 15 components, each in harmonic_basis(k) alone
+    harmonic_basis(2)
+    shapes = []
+    kernel_basis = linalg.kernel_basis
+
+    def recording(mat):
+        shapes.append((len(mat), len(mat[0])))
+        return kernel_basis(mat)
+
+    monkeypatch.setattr(linalg, "kernel_basis", recording)
+    assert len(igsd_kernel(2)) == 9
+    assert shapes == [(15, 9), (60, 36), (135, 81)]
 
 
 def test_equivalence_four_ways():

@@ -9,7 +9,7 @@ from grflab import linalg, variational
 from grflab.harmonics import canonical_space, harmonic_basis
 from grflab.poly import IntegralValue, Polynomial, as_poly, integrate_s3
 from grflab.tensors import Geometry, is_zero, obj_array, zeros
-from grflab.variational import (InconsistentSource, TensorSpace, bianchi_contracted_check,
+from grflab.variational import (InconsistentSource, bianchi_contracted_check,
                                 first_variation, lambda_min, operator_A, operator_B,
                                 pairing_matrix, phi_operator, phi_relation_check,
                                 second_variation_form, second_variation_matrix,
@@ -246,14 +246,15 @@ def test_slice_blocks_equal_whole_space_slice():
     blocks = slice_tangent_basis(geo, 2)
     assert [len(b) for b in blocks] == [6, 16, 39]
     # reference: one kernel solve over all 126 basis tensors of degree <= 2
-    ts = TensorSpace(2)
+    space = canonical_space(2)
     basis = []
     for a, b in np.ndindex(3, 3):
-        for phi in ts.space.basis:
+        for phi in space.basis:
             t = zeros((3, 3))
             t[a, b] = phi
             basis.append(t)
-    eqs = list(zip(*(ts.coords(*geo.twisted_divergence(t)) for t in basis)))
+    eqs = list(zip(*([c for s in geo.twisted_divergence(t) for p in s.reshape(-1)
+                       for c in space.coords(p)] for t in basis)))
     ref = [sum((t * c for c, t in zip(vec, basis) if c != 0), zeros((3, 3)))
            for vec in linalg.kernel_basis(eqs)]
     assert len(ref) == 61
@@ -262,16 +263,25 @@ def test_slice_blocks_equal_whole_space_slice():
 
 def test_slice_solves_one_degree_at_a_time(monkeypatch):
     harmonic_basis(2)  # cached, so its own kernel solve is not recorded
-    columns = []
+    shapes = []
     kernel_basis = linalg.kernel_basis
 
     def recording(mat):
-        columns.append(len(mat[0]))
+        shapes.append((len(mat), len(mat[0])))
         return kernel_basis(mat)
 
     monkeypatch.setattr(linalg, "kernel_basis", recording)
     slice_tangent_basis(round_geo(), 2)
-    assert columns == [9, 36, 81]
+    # 9 (k+1)^2 unknowns; the 6 divergence components each in harmonic_basis(k) alone
+    assert shapes == [(6, 9), (24, 36), (54, 81)]
+
+
+def test_degree_kernels_rejects_a_map_that_lowers_degree():
+    def ambient_d1(t):
+        return (obj_array([[as_poly(x).diff(1) for x in row] for row in t]),)
+
+    with pytest.raises(ValueError, match="harmonic degree 1"):
+        variational.degree_kernels(1, ambient_d1)
 
 
 def test_second_variation_pairs_distinct_degrees_to_zero():
