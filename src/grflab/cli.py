@@ -264,7 +264,10 @@ def parse_u(spec):
     x = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
     if spec in _PRESETS:
         return _PRESETS[spec](x)
-    coeffs = [Fraction(c) for c in spec.split(",")]
+    try:
+        coeffs = [Fraction(c) for c in spec.split(",")]
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient with a zero denominator in {spec!r}") from None
     basis = harmonic_basis(2)
     if len(coeffs) != len(basis):
         raise ValueError(f"expected {len(basis)} coefficients or one of {sorted(_PRESETS)}")

@@ -92,10 +92,9 @@ def first_order_system_check(gamma):
     h, K = sym(gamma), -antisym(gamma)
     dh = geo.covd(h, geo.gamma)
     dK = geo.covd(K, geo.gamma)
-    rhs_h = -Fraction(1, 2) * (np.einsum("mia,ab,jb->mij", geo.H, geo.ginv, K)
-                               + np.einsum("mja,ab,ib->mij", geo.H, geo.ginv, K))
-    rhs_K = -Fraction(1, 2) * (np.einsum("mja,ab,ib->mij", geo.H, geo.ginv, h)
-                               - np.einsum("mia,ab,jb->mij", geo.H, geo.ginv, h))
+    hu = geo.H_ddu
+    rhs_h = -Fraction(1, 2) * (np.einsum("mib,jb->mij", hu, K) + np.einsum("mjb,ib->mij", hu, K))
+    rhs_K = -Fraction(1, 2) * (np.einsum("mjb,ib->mij", hu, h) - np.einsum("mib,jb->mij", hu, h))
     return is_zero(dh - rhs_h) and is_zero(dK - rhs_K)
 
 

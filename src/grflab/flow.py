@@ -40,9 +40,6 @@ class FlowState:
 class Trajectory:
     samples: list = field(default_factory=list)  # (t, FlowState, lambda, residual)
 
-    def times(self):
-        return [s[0] for s in self.samples]
-
     def lambdas(self):
         return [s[2] for s in self.samples]
 

@@ -58,11 +58,6 @@ def apply_vector(coeffs, p):
     return out
 
 
-def vector_bracket(v, w):
-    """Bracket [v, w] of two ambient polynomial vector fields (4 components each)."""
-    return tuple(apply_vector(v, w[mu]) - apply_vector(w, v[mu]) for mu in range(4))
-
-
 def frame_derive(p, i, chirality="left"):
     """Directional derivative E_i(p) (or F_i(p)) for i in 1..3."""
     if i not in (1, 2, 3):

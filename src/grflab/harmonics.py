@@ -88,10 +88,6 @@ class CanonicalSpace:
                 mat[self.exp_index[e]][col] = cf
         self._inv = linalg.mat_inv(mat)
 
-    @property
-    def dim(self):
-        return len(self.basis)
-
     def coords(self, p):
         """Exact coordinate vector of p in the harmonic basis."""
         p = as_poly(p)

@@ -7,7 +7,6 @@ relation x4^2 = 1 - x1^2 - x2^2 - x3^2 (so the exponent of x4 is always
 representatives are exact rational multiples of pi^2.
 """
 
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -156,23 +155,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = Polynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other):
         other = as_poly(other)
         if other is NotImplemented:
@@ -200,33 +182,6 @@ class Polynomial:
         out = Polynomial.__new__(Polynomial)
         out.terms = _canonicalize(raw)
         return out
-
-    def evaluate(self, point):
-        """Evaluate the representative at a point (x1,x2,x3,x4)."""
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for a, x in zip(e, point):
-                v = v * x**a
-            total = total + v
-        return total
-
-    def to_json(self):
-        terms = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            terms.append({"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)})
-        return {"terms": terms}
-
-    @classmethod
-    def from_json(cls, data):
-        if isinstance(data, str):
-            data = json.loads(data)
-        raw = {}
-        for t in data["terms"]:
-            exp = tuple(int(a) for a in t["exp"])
-            raw[exp] = raw.get(exp, 0) + Fraction(int(t["num"]), int(t["den"]))
-        return cls(raw)
 
     def __repr__(self):
         if not self.terms:
@@ -268,7 +223,6 @@ class IntegralValue:
     """Exact integral over S^3, stored as a rational coefficient of pi^2."""
 
     __slots__ = ("coeff",)
-    unit = "pi^2"
 
     def __init__(self, coeff):
         self.coeff = Fraction(coeff)
@@ -276,9 +230,6 @@ class IntegralValue:
     @property
     def is_zero(self):
         return self.coeff == 0
-
-    def __float__(self):
-        return float(self.coeff) * math.pi**2
 
     def __eq__(self, other):
         if isinstance(other, IntegralValue):
@@ -304,9 +255,6 @@ class IntegralValue:
 
     def __neg__(self):
         return IntegralValue(-self.coeff)
-
-    def to_json(self):
-        return {"coeff": f"{self.coeff.numerator}/{self.coeff.denominator}", "unit": self.unit}
 
     def __repr__(self):
         return f"({self.coeff})*pi^2"

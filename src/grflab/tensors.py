@@ -271,19 +271,14 @@ class Geometry:
     # Geometry is never changed after __init__.
 
     @cached_property
-    def _half_hup(self):
-        """H with its last index raised, halved: the torsion part of nabla+-."""
-        return _half(np.einsum("mik,pk->mip", self.H, self.ginv))
-
-    @cached_property
     def gamma_p(self):
         """Symbols of the Bismut connection nabla+ = nabla + H/2."""
-        return self.gamma + self._half_hup
+        return self.gamma + _half(self.H_ddu)
 
     @cached_property
     def gamma_m(self):
         """Symbols of the Bismut connection nabla- = nabla - H/2."""
-        return self.gamma - self._half_hup
+        return self.gamma - _half(self.H_ddu)
 
     @cached_property
     def Rm(self):
@@ -319,6 +314,52 @@ class Geometry:
     def H2_norm(self):
         """|H|^2, full contraction without combinatorial factor."""
         return np.einsum("ij,ij->", self.H2, self.ginv)
+
+    # Raised tensors, each built once: the operators below contract them with
+    # their argument in one two-operand einsum. g is symmetric, so g^-1 is
+    # too, and raising a slot by g^{pq} or by g^{qp} is the same.
+
+    def raised(self, T, *slots):
+        """T with each listed slot raised: g^{pq} T_{..q..}, p in the slot of q."""
+        for s in slots:
+            T = np.moveaxis(np.tensordot(self.ginv, T, axes=(1, s)), 0, s)
+        return T
+
+    @cached_property
+    def H_ddu(self):
+        """H_ij^k: H with its last slot raised, the torsion part of nabla+-."""
+        return self.raised(self.H, 2)
+
+    @cached_property
+    def H_udu(self):
+        """H^i_j^k: H with its first and last slots raised."""
+        return self.raised(self.H, 0, 2)
+
+    @cached_property
+    def H_uud(self):
+        """H^ij_k: H with its first two slots raised."""
+        return self.raised(self.H, 0, 1)
+
+    @cached_property
+    def H2_du(self):
+        """(H^2)_i^j: H^2 with its last slot raised."""
+        return self.raised(self.H2, 1)
+
+    @cached_property
+    def HH_up(self):
+        """HH[i, j, e, f] = H_abj H_cdi g^ac g^bf g^de: the mixed Laplacian's
+        H*H term without its gamma_ef, built as H^cf_j H_c^e_i."""
+        return np.einsum("cfj,cei->ijef", self.H_uud, self.raised(self.H, 1))
+
+    @cached_property
+    def Rm_up(self):
+        """Rm^i_jk^l: Rm with its first and last slots raised."""
+        return self.raised(self.Rm, 0, 3)
+
+    @cached_property
+    def Rm_plus_up(self):
+        """Rm+^i_jk^l: Rm+ with its first and last slots raised."""
+        return self.raised(self.Rm_plus, 0, 3)
 
     def dstar(self, T):
         """Codifferential of a 2- or 3-form: (d*T)_... = -g^{mn} (nabla T)_{mn...}."""
@@ -384,35 +425,26 @@ class Geometry:
             raise BadRank("mixed Laplacian acts on rank-2 tensors")
         d = self.covd(gamma)
         base = self.div_f(d)
-        t2 = -np.einsum("ajb,ma,kb,mik->ij", self.H, self.ginv, self.ginv, d)
-        t3 = np.einsum("aib,ma,kb,mkj->ij", self.H, self.ginv, self.ginv, d)
-        q = Fraction(1, 4)
-        t4 = -(np.einsum("jl,la,ia->ij", self.H2, self.ginv, gamma)
-               + np.einsum("il,la,aj->ij", self.H2, self.ginv, gamma)) * q
-        t5 = -Fraction(1, 2) * np.einsum(
-            "abj,cdi,ef,ac,bf,de->ij",
-            self.H, self.H, gamma, self.ginv, self.ginv, self.ginv,
-        )
+        t2 = -np.einsum("mjk,mik->ij", self.H_udu, d)
+        t3 = np.einsum("mik,mkj->ij", self.H_udu, d)
+        t4 = -(np.einsum("ja,ia->ij", self.H2_du, gamma)
+               + np.einsum("ia,aj->ij", self.H2_du, gamma)) * Fraction(1, 4)
+        t5 = -Fraction(1, 2) * np.einsum("ijef,ef->ij", self.HH_up, gamma)
         return base + t2 + t3 + t4 + t5
 
     def mixed_laplacian_definition(self, gamma):
         """-(adjoint of nabla-bar) applied to nabla-bar gamma."""
         T = self.mixed_covd(gamma)
         out = -self.div_f(T)
-        out = out + Fraction(1, 2) * np.einsum("abi,ac,bd,cdj->ij",
-                                               self.H, self.ginv, self.ginv, T)
-        out = out - Fraction(1, 2) * np.einsum("abj,ac,bd,cid->ij",
-                                               self.H, self.ginv, self.ginv, T)
+        out = out + Fraction(1, 2) * np.einsum("cdi,cdj->ij", self.H_uud, T)
+        out = out - Fraction(1, 2) * np.einsum("cdj,cid->ij", self.H_uud, T)
         return -out
 
     # -- inner products ------------------------------------------------------
 
     def inner(self, A, B):
-        """Pointwise full contraction <A, B>_g for tensors of equal rank."""
+        """Pointwise full contraction <A, B>_g for tensors of equal rank: B
+        raised one slot at a time, then summed against A."""
         if A.ndim != B.ndim:
             raise BadRank("inner product needs equal ranks")
-        letters = "ijkl"[: A.ndim]
-        letters2 = "pqrs"[: A.ndim]
-        spec = (letters + "," + letters2 + ","
-                + ",".join(x + y for x, y in zip(letters, letters2)) + "->")
-        return np.einsum(spec, A, B, *([self.ginv] * A.ndim))
+        return (A * self.raised(B, *range(B.ndim))).sum()

@@ -146,8 +146,8 @@ def first_variation(geo, gamma):
 
 def curvature_action(geo, gamma, bismut=True):
     """R-ring action: (R(gamma))_{jk} = R_{ijkl} gamma^{il} with Rm or Rm+."""
-    rm = geo.Rm_plus if bismut else geo.Rm
-    return np.einsum("ijkl,ia,lb,ab->jk", rm, geo.ginv, geo.ginv, gamma)
+    rm_up = geo.Rm_plus_up if bismut else geo.Rm_up
+    return np.einsum("ijkl,il->jk", rm_up, gamma)
 
 
 def operator_B(gamma, geo):
@@ -191,7 +191,7 @@ def bianchi_contracted_check(geo):
     lhs = geo.div_f(s)
     grad_r = geo.covd_scalar(geo.generalized_scalar())
     dsf = geo.dstar_f(geo.H)
-    hterm = np.einsum("ab,lcd,ac,bd->l", dsf, geo.H, geo.ginv, geo.ginv)
+    hterm = np.einsum("lcd,cd->l", geo.H, geo.raised(dsf, 0, 1))
     return lhs - grad_r * Fraction(1, 2) - hterm * Fraction(1, 4)
 
 

@@ -179,7 +179,7 @@ def test_criterion_08_no_trace_free_kernel_directions():
         tr = sum((d.h[i, i] for i in range(3)), Polynomial.zero())
         trace_rows.append(space.coords(tr))
     from grflab.linalg import kernel_basis
-    eqs = [[trace_rows[j][i] for j in range(len(ker))] for i in range(space.dim)]
+    eqs = [[trace_rows[j][i] for j in range(len(ker))] for i in range(len(space.basis))]
     ok = kernel_basis(eqs) == []
     report(8, "kernel meets the trace-free tensors only in zero", ok)
 

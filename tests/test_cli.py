@@ -160,12 +160,14 @@ def test_output_file(tmp_path, capsys):
     (["igsd"], {"h0": 3.0}, "unknown config key 'h0'"),
     (["verify"], {"metric": "full:1"}, "unknown config key 'metric'"),
     (["obstruction"], {"dt": 5.0}, "unknown config key 'dt'"),
+    (["obstruction", "--u", "1/0,0,0,0,0,0,0,0,0"], None, "zero denominator"),
 ], ids=["config-type", "config-command", "config-unknown-key", "sample-every-zero",
         "metric-indefinite", "output-dir-missing", "lambda-overflow", "flow-h0-overflow",
         "flow-metric-huge", "lambda-det-overflow", "flow-det-overflow",
         "lambda-matrix-overflow", "flow-matrix-overflow", "lambda-ground-state-lost",
         "lambda-ground-state-unresolved", "spectrum-degree",
-        "config-igsd-h0", "config-verify-metric", "config-obstruction-dt"])
+        "config-igsd-h0", "config-verify-metric", "config-obstruction-dt",
+        "obstruction-zero-denominator"])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -86,7 +86,8 @@ def test_berger_run_monotone():
     assert all(b <= a + 1e-12 for a, b in zip(res[1:], res[2:]))
     assert res[-1] < res[0]
     assert abs(lams[-1] - 4.0) < 1e-6
-    assert traj.times() == sorted(traj.times())
+    times = [s[0] for s in traj.samples]
+    assert times == sorted(times)
 
 
 def test_blowup_detected():

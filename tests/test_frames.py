@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from grflab.frames import (LEFT, RIGHT, STRUCTURE, BadIndex, adjoint_matrix,
-                           frame_derive, laplacian_scalar, validate_structure,
-                           vector_bracket)
+from grflab.frames import (LEFT, RIGHT, STRUCTURE, BadIndex, adjoint_matrix, apply_vector,
+                           frame_derive, laplacian_scalar, validate_structure)
 from grflab.poly import JetScalar, Polynomial, integrate_s3
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 NORM = sum((x * x for x in X), Polynomial.zero())
+
+
+def vector_bracket(v, w):
+    """Bracket [v, w] of two ambient polynomial vector fields (4 components each)."""
+    return tuple(apply_vector(v, w[mu]) - apply_vector(w, v[mu]) for mu in range(4))
 
 
 def test_frames_are_tangent():

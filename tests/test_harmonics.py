@@ -31,15 +31,15 @@ def test_canonical_space_roundtrip():
     space = canonical_space(3)
     p = X[0] * X[1] * X[2] - 2 * X[3] + Fraction(1, 5)
     assert space.from_coords(space.coords(p)) == p
-    assert space.dim == 1 + 4 + 9 + 16
+    assert len(space.basis) == 1 + 4 + 9 + 16
     with pytest.raises(ValueError):
-        space.coords(X[0] ** 4)
+        space.coords(X[0] * X[0] * X[0] * X[0])
 
 
 def test_poisson_solve():
     space = canonical_space(4)
-    rhs = X[0] * X[1] + (X[0] ** 4 - integrate_s3(X[0] ** 4).coeff
-                         / integrate_s3(1).coeff)
+    x1_4 = X[0] * X[0] * X[0] * X[0]
+    rhs = X[0] * X[1] + (x1_4 - integrate_s3(x1_4).coeff / integrate_s3(1).coeff)
     u = space.poisson_solve(rhs)
     assert laplacian_scalar(u) == rhs
     assert integrate_s3(u).is_zero
@@ -51,4 +51,4 @@ def test_spectral_completeness():
     # harmonics of degree <= d span exactly the canonical polynomials of degree <= d
     space = canonical_space(2)
     count = sum(1 for e in space.exps)
-    assert count == space.dim == 14
+    assert count == len(space.basis) == 14

@@ -8,6 +8,7 @@ from grflab.frames import EPS, adjoint_matrix, frame_derive, laplacian_scalar
 from grflab.poly import JetScalar, Polynomial, as_poly, integrate_s3
 from grflab.tensors import (BadRank, Geometry, SingularMetric, antisym, is_zero,
                             jet_part, obj_array, sym, volume_form, zeros)
+from grflab.variational import bianchi_contracted_check, curvature_action
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 EYE = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
@@ -337,3 +338,101 @@ def test_geometry_data_kinds():
 def test_default_potential_is_one_shared_zero():
     assert Geometry(EYE).f is Geometry(EYE, H=1).f
     assert Geometry(EYE).f.is_zero
+
+
+# -- raised tensors against the many-operand contractions -----------------------
+
+def _old_mixed_laplacian_formula(geo, gamma):
+    G, H = geo.ginv, geo.H
+    d = geo.covd(gamma)
+    t2 = -np.einsum("ajb,ma,kb,mik->ij", H, G, G, d)
+    t3 = np.einsum("aib,ma,kb,mkj->ij", H, G, G, d)
+    t4 = -(np.einsum("jl,la,ia->ij", geo.H2, G, gamma)
+           + np.einsum("il,la,aj->ij", geo.H2, G, gamma)) * Fraction(1, 4)
+    t5 = -Fraction(1, 2) * np.einsum("abj,cdi,ef,ac,bf,de->ij", H, H, gamma, G, G, G)
+    return geo.div_f(d) + t2 + t3 + t4 + t5
+
+
+def _old_mixed_laplacian_definition(geo, gamma):
+    G, H = geo.ginv, geo.H
+    T = geo.mixed_covd(gamma)
+    out = -geo.div_f(T)
+    out = out + Fraction(1, 2) * np.einsum("abi,ac,bd,cdj->ij", H, G, G, T)
+    out = out - Fraction(1, 2) * np.einsum("abj,ac,bd,cid->ij", H, G, G, T)
+    return -out
+
+
+def _old_curvature_action(geo, gamma, bismut):
+    rm = geo.Rm_plus if bismut else geo.Rm
+    return np.einsum("ijkl,ia,lb,ab->jk", rm, geo.ginv, geo.ginv, gamma)
+
+
+def _old_bianchi_contracted_check(geo):
+    s = geo.Rc - Fraction(1, 4) * geo.H2 + geo.hessian(geo.f)
+    grad_r = geo.covd_scalar(geo.generalized_scalar())
+    dsf = geo.dstar_f(geo.H)
+    hterm = np.einsum("ab,lcd,ac,bd->l", dsf, geo.H, geo.ginv, geo.ginv)
+    return geo.div_f(s) - grad_r * Fraction(1, 2) - hterm * Fraction(1, 4)
+
+
+def _old_inner(geo, A, B):
+    letters, letters2 = "ijkl"[:A.ndim], "pqrs"[:A.ndim]
+    spec = (letters + "," + letters2 + ","
+            + ",".join(x + y for x, y in zip(letters, letters2)) + "->")
+    return np.einsum(spec, A, B, *([geo.ginv] * A.ndim))
+
+
+def _rand_rank3(rng):
+    """A general 3-tensor: no antisymmetry, a few zero entries."""
+    return obj_array([[[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+                       for _ in range(3)] for _ in range(3)])
+
+
+def _rand_linear(rng, rank):
+    """A general tensor of the given rank with entries of degree <= 1."""
+    return (_rand_rank3(rng) * X[rng.randrange(4)] + _rand_rank3(rng))[(0,) * (3 - rank)]
+
+
+def _oracle_geometries():
+    """Dense rational metrics off the round point (g^-1 != I), with H = s vol
+    and with a general rank-3 H, and a degree-1 potential."""
+    rng = random.Random(1101)
+    out = []
+    for _ in range(2):
+        g = rand_metric(rng)
+        f = sum((Fraction(rng.randint(-2, 2), 3) * x for x in X), Polynomial.zero())
+        s = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        out += [Geometry(g, s, f), Geometry(g, _rand_rank3(rng), f)]
+    return rng, out
+
+
+def test_raised_contractions_match_many_operand_einsums():
+    rng, geos = _oracle_geometries()
+    for geo in geos:
+        assert not is_zero(geo.ginv - obj_array(EYE))
+        gamma = rand_tensor(rng, 1)
+        assert is_zero(geo.mixed_laplacian_formula(gamma)
+                       - _old_mixed_laplacian_formula(geo, gamma))
+        assert is_zero(geo.mixed_laplacian_definition(gamma)
+                       - _old_mixed_laplacian_definition(geo, gamma))
+        for bismut in (True, False):
+            assert is_zero(curvature_action(geo, gamma, bismut)
+                           - _old_curvature_action(geo, gamma, bismut))
+        assert is_zero(bianchi_contracted_check(geo) - _old_bianchi_contracted_check(geo))
+    # the general H is not closed, so the Bianchi residual compared above is not zero
+    assert not is_zero(_old_bianchi_contracted_check(geos[1]))
+
+
+def test_inner_matches_many_operand_einsum():
+    rng, geos = _oracle_geometries()
+    for geo in geos:
+        fgeo = Geometry(np.array([[float(as_poly(x).constant_value()) for x in row]
+                                  for row in geo.g]), 1.5)
+        for rank in (1, 2, 3):
+            A, B = _rand_linear(rng, rank), _rand_linear(rng, rank)
+            assert geo.inner(A, B) == _old_inner(geo, A, B)
+            fa = np.array([rng.uniform(-2, 2) for _ in range(3 ** rank)]).reshape((3,) * rank)
+            fb = np.array([rng.uniform(-2, 2) for _ in range(3 ** rank)]).reshape((3,) * rank)
+            got = fgeo.inner(fa, fb)
+            assert isinstance(got, float)
+            assert abs(got - _old_inner(fgeo, fa, fb)) <= 1e-12

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from grflab import linalg, variational
+from grflab.deformations import round_geometry
 from grflab.harmonics import canonical_space, harmonic_basis
 from grflab.poly import IntegralValue, Polynomial, as_poly, integrate_s3
 from grflab.tensors import Geometry, is_zero, obj_array, zeros
@@ -161,6 +162,43 @@ def test_operator_b_builds_bismut_curvature_once(monkeypatch):
     gamma = rand_tensor(random.Random(6), 1)
     assert is_zero(operator_B(gamma, geo) - operator_B(gamma, geo))
     assert len(calls) == 1
+
+
+def test_warm_operator_b_multiplies_few_polynomials(monkeypatch):
+    # gamma meets H, H^2 and Rm+ with g^-1 already contracted in: no
+    # 4- to 6-operand einsum re-multiplies those constants per call
+    geo = round_geometry()
+    gamma = rand_tensor(random.Random(6), 1)
+    operator_B(gamma, geo)
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    operator_B(gamma, geo)
+    assert len(calls) <= 2500  # 41,151 with the many-operand einsums
+
+
+def test_raised_tensors_built_once_per_geometry(monkeypatch):
+    built = []
+    raised = Geometry.raised
+
+    def counting(self, T, *slots):
+        built.append((id(T), slots))
+        return raised(self, T, *slots)
+
+    monkeypatch.setattr(Geometry, "raised", counting)
+    geo = round_geo()
+    gamma = rand_tensor(random.Random(6), 1)
+    operator_B(gamma, geo)
+    first = list(built)
+    assert first and len(set(first)) == len(first)
+    operator_B(gamma, geo)
+    geo.mixed_laplacian_definition(gamma)
+    assert built == first
 
 
 # -- Bianchi and Phi --------------------------------------------------------------
