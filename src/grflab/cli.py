@@ -18,7 +18,7 @@ from .frames import STRUCTURE, validate_structure
 from .harmonics import canonical_space, harmonic_basis
 from .linalg import rank
 from .poly import IntegralValue, Polynomial, as_poly, integrate_s3
-from .tensors import Geometry, is_zero, obj_array, zeros
+from .tensors import Geometry, _adjugate, is_zero, obj_array, zeros
 from .variational import (SolverError, bianchi_contracted_check, first_variation,
                           lambda_min, operator_A, phi_relation_check,
                           second_variation_matrix, slice_tangent_basis)
@@ -43,11 +43,12 @@ def _rand_fraction(rng, lo=-3, hi=3, dmax=3):
 
 
 def _leading_minors(m):
-    """The leading principal minors of a 3x3 matrix; by Sylvester's criterion
-    a symmetric m is positive definite iff all three are positive."""
-    det = sum(m[0][k] * (m[1][(k + 1) % 3] * m[2][(k + 2) % 3]
-                         - m[1][(k + 2) % 3] * m[2][(k + 1) % 3]) for k in range(3))
-    return m[0][0], m[0][0] * m[1][1] - m[0][1] * m[1][0], det
+    """The leading principal minors of a 3x3 matrix, from its adjugate; by
+    Sylvester's criterion a symmetric m is positive definite iff all three are
+    positive."""
+    m = np.array(m, dtype=object)
+    adj = _adjugate(m)
+    return m[0, 0], adj[2, 2], m[0] @ adj[:, 0]
 
 
 def _rand_metric(rng):

@@ -220,7 +220,7 @@ def jet_second_variation_check(u, w):
     hess_t = geo_t.hessian(geo_t.f)
     dstar_t = geo_t.dstar(geo_t.H)
     igrad_t = geo_t.i_grad(geo_t.f, geo_t.H)
-    rchf_2 = jet_part(geo_t.bakry_emery(soliton_normalization=True), 2)
+    rchf_2 = jet_part(geo_t.bakry_emery(), 2)
 
     # (jet computation, closed formula) per quantity
     formulas = {

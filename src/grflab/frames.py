@@ -49,41 +49,46 @@ def validate_structure(c):
     return out
 
 
-def apply_vector(coeffs, p):
-    """Apply the ambient vector field sum_mu coeffs[mu] d/dx_{mu+1} to p."""
-    out = Polynomial.zero()
-    for mu in range(4):
-        if not coeffs[mu].is_zero:
-            out = out + coeffs[mu] * p.diff(mu + 1)
-    return out
+def _signed_coordinates(row):
+    """A frame row as (mu, d, s): the coefficient of d/dx_{mu+1} is one signed
+    coordinate s * x_{nu+1}, which shifts exponents by d = e_nu - e_mu."""
+    return tuple((mu, tuple(x - (k == mu) for k, x in enumerate(exp)), int(s))
+                 for mu, coeff in enumerate(row) for exp, s in coeff.terms.items())
+
+
+_SIGNED = {"left": tuple(map(_signed_coordinates, LEFT)),
+           "right": tuple(map(_signed_coordinates, RIGHT))}
+
+
+def _derive(table, p):
+    """sum_mu s x_nu d/dx_mu of p, monomial by monomial: x^a goes to
+    s a_mu x^(a + e_nu - e_mu); the sum is reduced once."""
+    raw = {}
+    for e, c in p.terms.items():
+        for mu, d, s in table:
+            a = e[mu]
+            if a:
+                key = (e[0] + d[0], e[1] + d[1], e[2] + d[2], e[3] + d[3])
+                raw[key] = raw.get(key, 0) + s * a * c
+    return Polynomial._from_raw(raw)
 
 
 def frame_derive(p, i, chirality="left"):
     """Directional derivative E_i(p) (or F_i(p)) for i in 1..3."""
     if i not in (1, 2, 3):
         raise BadIndex(f"frame index {i} out of range 1..3")
-    if chirality == "left":
-        coeffs = LEFT[i - 1]
-    elif chirality == "right":
-        coeffs = RIGHT[i - 1]
-    else:
+    if chirality not in ("left", "right"):
         raise ValueError("chirality must be 'left' or 'right'")
+    table = _SIGNED[chirality][i - 1]
     if isinstance(p, JetScalar):
-        return JetScalar(
-            apply_vector(coeffs, p.c0),
-            apply_vector(coeffs, p.c1),
-            apply_vector(coeffs, p.c2),
-        )
-    return apply_vector(coeffs, as_poly(p))
+        return JetScalar(_derive(table, p.c0), _derive(table, p.c1), _derive(table, p.c2))
+    return _derive(table, as_poly(p))
 
 
 def laplacian_scalar(p):
     """Sum_i E_i E_i (p) in the left-invariant orthonormal frame (negative spectrum)."""
-    total = None
-    for i in (1, 2, 3):
-        term = frame_derive(frame_derive(p, i), i)
-        total = term if total is None else total + term
-    return total
+    e11, e22, e33 = (frame_derive(frame_derive(p, i), i) for i in (1, 2, 3))
+    return e11 + e22 + e33
 
 
 def adjoint_matrix():
@@ -93,13 +98,5 @@ def adjoint_matrix():
     frame; both frames are Euclidean-orthonormal on the tangent space, so
     the entry is the ambient dot product of the frame coefficient rows.
     """
-    out = []
-    for j in range(3):
-        row = []
-        for a in range(3):
-            s = Polynomial.zero()
-            for mu in range(4):
-                s = s + RIGHT[j][mu] * LEFT[a][mu]
-            row.append(s)
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(sum((RIGHT[j][mu] * LEFT[a][mu] for mu in range(4)), Polynomial.zero())
+                       for a in range(3)) for j in range(3))

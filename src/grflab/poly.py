@@ -61,11 +61,15 @@ class Polynomial:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None, reduce=True):
-        if terms is None:
-            terms = {}
-        items = {tuple(k): Fraction(v) for k, v in terms.items()}
-        self.terms = _canonicalize(items) if reduce else {k: v for k, v in items.items() if v != 0}
+    def __init__(self, terms=None):
+        self.terms = _canonicalize({tuple(k): Fraction(v) for k, v in (terms or {}).items()})
+
+    @classmethod
+    def _from_raw(cls, raw):
+        """The polynomial of a raw {exponent tuple: coeff} dict, reduced once."""
+        out = cls.__new__(cls)
+        out.terms = _canonicalize(raw)
+        return out
 
     @classmethod
     def zero(cls):
@@ -149,9 +153,7 @@ class Polynomial:
             for e2, c2 in other.terms.items():
                 e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
                 raw[e] = raw.get(e, 0) + c1 * c2
-        out = Polynomial.__new__(Polynomial)
-        out.terms = _canonicalize(raw)
-        return out
+        return Polynomial._from_raw(raw)
 
     __rmul__ = __mul__
 
@@ -163,25 +165,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def diff(self, mu):
-        """Ambient partial derivative d/dx_mu (mu in 1..4) of the canonical representative.
-
-        Well defined as a function on S^3 when contracted against tangent
-        frame coefficients, since tangent fields annihilate |x|^2 - 1.
-        """
-        raw = {}
-        for e, c in self.terms.items():
-            a = e[mu - 1]
-            if a == 0:
-                continue
-            new = list(e)
-            new[mu - 1] = a - 1
-            key = tuple(new)
-            raw[key] = raw.get(key, 0) + a * c
-        out = Polynomial.__new__(Polynomial)
-        out.terms = _canonicalize(raw)
-        return out
 
     def __repr__(self):
         if not self.terms:

@@ -190,10 +190,6 @@ class Geometry:
 
     # -- scalar helpers ---------------------------------------------------
 
-    def E(self, s, m):
-        """Frame derivative E_{m+1}(s) for m in 0..2."""
-        return frame_derive(s, m + 1)
-
     def _frame_gradient(self, arr):
         """out[m, ...] = E_{m+1}(arr[...]), one frame derivative per component;
         None for float64 data, which has no frame derivatives."""
@@ -202,7 +198,7 @@ class Geometry:
         out = np.empty((3,) + arr.shape, dtype=object)
         for m in range(3):
             for idx in np.ndindex(*arr.shape):
-                out[(m,) + idx] = self.E(arr[idx], m)
+                out[(m,) + idx] = frame_derive(arr[idx], m + 1)
         return out
 
     def grad_up(self, s):
@@ -235,7 +231,7 @@ class Geometry:
         return out
 
     def covd_scalar(self, s):
-        return obj_array([self.E(s, m) for m in range(3)])
+        return obj_array([frame_derive(s, i) for i in (1, 2, 3)])
 
     def hessian(self, s, conn=None):
         """Second covariant derivative of a scalar, Levi-Civita unless conn is given."""
@@ -384,11 +380,10 @@ class Geometry:
 
     # -- Bakry-Emery -------------------------------------------------------
 
-    def bakry_emery(self, soliton_normalization=True):
-        """Rc^{H,f}: Rc - H^2/4 + c*hess(f) - (d*H + i_{grad f}H)/2, c = 1 or 1/2."""
-        hess = self.hessian(self.f)
-        c = Fraction(1) if soliton_normalization else Fraction(1, 2)
-        return self.Rc - Fraction(1, 4) * self.H2 + c * hess - Fraction(1, 2) * self.dstar_f(self.H)
+    def bakry_emery(self):
+        """Rc^{H,f}: Rc - H^2/4 + hess(f) - (d*H + i_{grad f}H)/2."""
+        return (self.Rc - Fraction(1, 4) * self.H2 + self.hessian(self.f)
+                - Fraction(1, 2) * self.dstar_f(self.H))
 
     def generalized_scalar(self):
         """R^{H,f} = R - |H|^2/12 + 2 laplacian f - |grad f|^2."""

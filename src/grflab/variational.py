@@ -131,7 +131,7 @@ def first_variation(geo, gamma):
     The weight e^{-f} is exact for constant f and a fourth-order series
     around the constant term of f otherwise.
     """
-    rchf = geo.bakry_emery(soliton_normalization=True)
+    rchf = geo.bakry_emery()
     s = geo.inner(gamma, rchf)
     c = geo.f.terms.get((0, 0, 0, 0), Fraction(0))
     phi = geo.f - Polynomial.constant(c)

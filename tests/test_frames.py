@@ -1,30 +1,31 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from grflab.frames import (LEFT, RIGHT, STRUCTURE, BadIndex, adjoint_matrix, apply_vector,
-                           frame_derive, laplacian_scalar, validate_structure)
+from grflab.frames import (LEFT, RIGHT, STRUCTURE, BadIndex, adjoint_matrix, frame_derive,
+                           laplacian_scalar, validate_structure)
+from grflab.harmonics import harmonic_basis
 from grflab.poly import JetScalar, Polynomial, integrate_s3
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 NORM = sum((x * x for x in X), Polynomial.zero())
+ROWS = {"left": LEFT, "right": RIGHT}
 
 
 def vector_bracket(v, w):
-    """Bracket [v, w] of two ambient polynomial vector fields (4 components each)."""
-    return tuple(apply_vector(v, w[mu]) - apply_vector(w, v[mu]) for mu in range(4))
+    """Bracket [v, w] of two frame fields, each given as (index 1..3, chirality), as
+    ambient coefficients: [v, w]^mu = v(w^mu) - w(v^mu), each coefficient reduced."""
+    (i, a), (j, b) = v, w
+    return tuple(frame_derive(ROWS[b][j - 1][mu], i, a) - frame_derive(ROWS[a][i - 1][mu], j, b)
+                 for mu in range(4))
 
 
 def test_frames_are_tangent():
-    # every frame field annihilates |x|^2, so it is tangent to the sphere
-    raw_norm = Polynomial({(2, 0, 0, 0): 1, (0, 2, 0, 0): 1,
-                           (0, 0, 2, 0): 1}, reduce=False) + Polynomial({(0, 0, 0, 2): 1}, reduce=False)
+    # every frame field annihilates |x|^2 = sum x_mu^2: sum_mu c_mu x_mu = 0 in R[x1..x4]
     for rows in (LEFT, RIGHT):
         for coeffs in rows:
-            val = Polynomial.zero()
-            for mu in range(4):
-                val = val + coeffs[mu] * raw_norm.diff(mu + 1)
-            assert val.is_zero
+            assert sum((coeffs[mu] * X[mu] for mu in range(4)), Polynomial.zero()).is_zero
 
 
 def test_frames_euclidean_orthonormal():
@@ -40,7 +41,7 @@ def test_bracket_structure_constants():
     # oracle: brute-force commutator of the ambient vector fields
     for i in range(3):
         for j in range(3):
-            br = vector_bracket(LEFT[i], LEFT[j])
+            br = vector_bracket((i + 1, "left"), (j + 1, "left"))
             for mu in range(4):
                 want = Polynomial.zero()
                 for k in range(3):
@@ -52,7 +53,7 @@ def test_bracket_structure_constants():
 def test_left_and_right_frames_commute():
     for i in range(3):
         for j in range(3):
-            br = vector_bracket(LEFT[i], RIGHT[j])
+            br = vector_bracket((i + 1, "left"), (j + 1, "right"))
             for mu in range(4):
                 assert (br[mu] * NORM).is_zero or br[mu].is_zero
 
@@ -71,6 +72,45 @@ def test_frame_derive_basics():
         frame_derive(X[0], 1, "middle")
     j = frame_derive(JetScalar(X[0], X[1], 0), 1)
     assert j.c0 == X[3]
+
+
+def test_frame_derive_matches_sympy_on_every_monomial():
+    # oracle: sympy's sum_mu c_mu d/dx_mu of each canonical monomial of degree <= 4,
+    # reduced by division by the sphere relation in x4
+    import sympy
+    xs = sympy.symbols("x1:5")
+    relation = xs[3] ** 2 + xs[0] ** 2 + xs[1] ** 2 + xs[2] ** 2 - 1
+
+    def to_sympy(p):
+        return sum((c * sympy.prod([x ** a for x, a in zip(xs, e)]) for e, c in p.terms.items()),
+                   sympy.Integer(0))
+
+    monomials = [e for e in product(range(5), range(5), range(5), range(2)) if sum(e) <= 4]
+    assert len(monomials) == 55
+    for chirality, rows in ROWS.items():
+        for i, row in enumerate(rows, 1):
+            field = [to_sympy(c) for c in row]
+            for e in monomials:
+                mono = sympy.prod([x ** a for x, a in zip(xs, e)])
+                ambient = sympy.expand(sum(c * sympy.diff(mono, x) for c, x in zip(field, xs)))
+                want = sympy.rem(ambient, relation, xs[3])
+                got = frame_derive(Polynomial({e: 1}), i, chirality)
+                assert sympy.expand(to_sympy(got) - want) == 0, (e, i, chirality)
+
+
+def test_frame_derive_makes_no_polynomial_products_or_sums(monkeypatch):
+    bases = [phi for k in range(5) for phi in harmonic_basis(k)]
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counting(self, other, _original=getattr(Polynomial, name), _name=name):
+            calls.append(_name)
+            return _original(self, other)
+        monkeypatch.setattr(Polynomial, name, counting)
+    for phi in bases:
+        for i in (1, 2, 3):
+            for chirality in ("left", "right"):
+                frame_derive(phi, i, chirality)
+    assert calls == []
 
 
 def test_laplacian_spectrum_on_coordinates():

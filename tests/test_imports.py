@@ -47,3 +47,15 @@ def test_one_tensor_format():
              if "TensorField" in (getattr(node, "id", None), getattr(node, "name", None))
              or (isinstance(node, ast.Attribute) and node.attr == "comps")]
     assert found == []
+
+
+def test_one_frame_derivative():
+    # frame_derive is the one derivative: no ambient diff, no general vector-field
+    # application and no switch to skip the sphere reduction
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name in ("diff", "apply_vector"))
+             or (isinstance(node, ast.arg) and node.arg == "reduce")]
+    assert found == []

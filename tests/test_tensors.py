@@ -144,12 +144,12 @@ def test_round_curvature_suite():
 def test_generalized_scalar_and_soliton_tensor():
     geo = round_geo()
     assert is_zero(geo.bakry_emery())
-    assert is_zero(geo.bakry_emery(soliton_normalization=False))
     assert as_poly(geo.generalized_scalar()) == 4
-    # with potential: hessian coefficient differs between normalizations
+    # with potential: hess f enters with coefficient 1
     geo2 = Geometry(EYE, H=2, f=X[0] * X[1])
-    d = geo2.bakry_emery(True) - geo2.bakry_emery(False)
-    assert is_zero(d - Fraction(1, 2) * geo2.hessian(geo2.f))
+    assert not is_zero(geo2.hessian(geo2.f))
+    d = geo2.bakry_emery() - geo.bakry_emery()
+    assert is_zero(d - geo2.hessian(geo2.f) + Fraction(1, 2) * geo2.i_grad(geo2.f, geo2.H))
 
 
 def test_bismut_curvature_dual_path_randomized():
