@@ -22,12 +22,12 @@ class SingularMetric(ValueError):
 
 
 def _coerce_scalar(x):
+    """A tensor component: a Polynomial or JetScalar as it is, an int or Fraction as a Fraction."""
     if isinstance(x, (Polynomial, JetScalar)):
         return x
-    p = as_poly(x)
-    if p is NotImplemented:
-        raise TypeError(f"cannot use {type(x).__name__} as a tensor component")
-    return p
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"cannot use {type(x).__name__} as a tensor component")
 
 
 def obj_array(nested):
@@ -73,14 +73,6 @@ def jet_part(a, order):
     return out
 
 
-EPS = obj_array(frames.EPS)
-
-
-def volume_form(coeff=1):
-    """The invariant 3-form coeff * e^1 ^ e^2 ^ e^3, components coeff*eps_{ijk}."""
-    return EPS * _coerce_scalar(coeff)
-
-
 # flat indices of m[a + s, b + t] (mod 3) at (a, b), for (s, t) = (1, 1),
 # (2, 2), (1, 2), (2, 1)
 _COFACTOR_INDEX = [np.array([[3 * ((a + s) % 3) + (b + t) % 3 for b in range(3)]
@@ -95,12 +87,12 @@ def _adjugate(m):
 
 
 def _reciprocal(det):
-    """1/det for a jet with a nonzero constant t=0 part, a nonzero constant or
-    a nonzero float."""
-    if isinstance(det, float):
+    """1/det for a nonzero number, a jet with a nonzero constant t=0 part or
+    a nonzero constant polynomial."""
+    if isinstance(det, (float, Fraction)):
         if det == 0:
             raise SingularMetric("metric determinant is zero")
-        return 1.0 / det
+        return 1 / det
     if isinstance(det, JetScalar):
         try:
             return det.inverse()
@@ -146,9 +138,9 @@ def riemann(c, conn, g, dconn=None):
     return np.einsum("ijkp,pl->ijkl", coef, g)
 
 
-_STRUCTURE = {np.dtype(object): obj_array(frames.STRUCTURE),
-              np.dtype(float): np.array(frames.STRUCTURE, dtype=float)}
-_VOLUME = {np.dtype(object): EPS, np.dtype(float): np.array(frames.EPS, dtype=float)}
+# integer tables: against exact data they give Fractions, against float64 data floats
+_STRUCTURE = np.array(frames.STRUCTURE)
+_VOLUME = np.array(frames.EPS)
 
 
 def _as_data(x):
@@ -175,25 +167,25 @@ class Geometry:
         if isinstance(H, int) and self.g.dtype == np.float64:
             H = float(H)
         H = _as_data(H)
-        self.H = _VOLUME[H.dtype] * H[()] if H.ndim == 0 else H
+        self.H = _VOLUME * H[()] if H.ndim == 0 else H
         if self.g.shape != (3, 3) or self.H.shape != (3, 3, 3):
             raise BadRank("g must be 3x3 and H 3x3x3 or a number")
         if self.g.dtype != self.H.dtype:
             kinds = ("float64", "exact") if self.g.dtype == np.float64 else ("exact", "float64")
             raise TypeError("g is %s and H is %s data; both must be float64 or both exact" % kinds)
-        self.f = _coerce_scalar(f)
+        self.f = as_poly(f) if isinstance(f, (int, Fraction)) else _coerce_scalar(f)
         adj = _adjugate(self.g)
         self.det = sum(self.g[0, k] * adj[k, 0] for k in range(3))
         self.ginv = adj * _reciprocal(self.det)
-        self.c = _STRUCTURE[self.g.dtype]
+        self.c = _STRUCTURE
         self.gamma = christoffel(self.c, self.g, self.ginv, self._frame_gradient(self.g))
 
     # -- scalar helpers ---------------------------------------------------
 
     def _frame_gradient(self, arr):
         """out[m, ...] = E_{m+1}(arr[...]), one frame derivative per component;
-        None for float64 data, which has no frame derivatives."""
-        if arr.dtype != object:
+        None for invariant data, exact or float64, which have no frame derivatives."""
+        if set(map(type, arr.flat)).isdisjoint((Polynomial, JetScalar)):
             return None
         out = np.empty((3,) + arr.shape, dtype=object)
         for m in range(3):
@@ -249,9 +241,6 @@ class Geometry:
     def div_f(self, T, conn=None):
         """The f-twisted divergence div(T, conn) - (grad f)^m T_{m...}."""
         return self.div(T, conn) - np.einsum("m,m...->...", self.grad_up(self.f), T)
-
-    def laplacian_f(self, s):
-        return self.div_f(self.covd_scalar(s))
 
     def rough_laplacian_f(self, T, conn=None):
         """Connection f-Laplacian g^{mn} (nabla nabla T)_{mn...} - (grad f)^m (nabla T)_{m...}."""

@@ -60,7 +60,7 @@ def _symmetrized(name, m):
 def _float_det(geo):
     """det g of a constant metric as a float64, which must be finite and positive."""
     try:
-        det = float(geo.det.constant_value())
+        det = float(as_poly(geo.det).constant_value())
     except OverflowError:
         det = math.inf
     if not 0 < det < math.inf:
@@ -140,7 +140,7 @@ def first_variation(geo, gamma):
     for k in range(1, 5):
         term = term * phi * Fraction(-1, k)
         w = w + term
-    scale = math.exp(-float(c)) * math.sqrt(float(geo.det.constant_value()))
+    scale = math.exp(-float(c)) * math.sqrt(_float_det(geo))
     return float(integrate_s3(as_poly(s) * w).coeff) * (-math.pi**2) * scale
 
 
@@ -170,7 +170,7 @@ def _poisson_solve_f(geo, rhs):
 def operator_A(gamma, geo):
     """A(gamma) = B(gamma) - 1/2 div*_f div_f gamma - 1/2 (nabla+)^2 u.
 
-    u is the exact mean-zero solution of laplacian_f u = pair divergence of
+    u is the exact mean-zero solution of div_f(grad u) = pair divergence of
     the twisted divergence of gamma.
     """
     pair = geo.twisted_divergence(gamma)
@@ -226,11 +226,6 @@ def second_variation_form(gamma1, gamma2, geo):
 @dataclass
 class OperatorMatrix:
     blocks: list  # one square matrix per harmonic degree, exact Fractions, coefficients of pi^2
-
-    @property
-    def is_symmetric(self):
-        return all(e[i][j] == e[j][i] for e in self.blocks
-                   for i in range(len(e)) for j in range(len(e)))
 
     def eigenvalues(self):
         return np.sort(np.concatenate([

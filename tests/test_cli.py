@@ -108,6 +108,15 @@ def test_igsd_command(capsys):
     assert out == (REFERENCE / "igsd_degree2.json").read_text()
 
 
+@pytest.mark.parametrize("degree", ["0", "1"])
+def test_igsd_below_degree_2_has_empty_kernel(capsys, degree):
+    # ker B lives at harmonic degree 2 only: an empty kernel below it is a pass
+    code, out = run(capsys, "igsd", "--degree", degree)
+    rep = json.loads(out)
+    assert code == 0 and rep["all_passed"] is True
+    assert rep["kernel_dim"] == 0 and rep["vectors"] == []
+
+
 def test_spectrum_command(capsys):
     code, out = run(capsys, "spectrum", "--degree", "2")
     rep = json.loads(out)
@@ -161,18 +170,20 @@ def test_output_file(tmp_path, capsys):
     (["verify"], {"metric": "full:1"}, "unknown config key 'metric'"),
     (["obstruction"], {"dt": 5.0}, "unknown config key 'dt'"),
     (["obstruction", "--u", "1/0,0,0,0,0,0,0,0,0"], None, "zero denominator"),
+    # raw text: json.dumps cannot write a document nested this deeply
+    (["lambda"], "[" * 100_000, "nested too deeply"),
 ], ids=["config-type", "config-command", "config-unknown-key", "sample-every-zero",
         "metric-indefinite", "output-dir-missing", "lambda-overflow", "flow-h0-overflow",
         "flow-metric-huge", "lambda-det-overflow", "flow-det-overflow",
         "lambda-matrix-overflow", "flow-matrix-overflow", "lambda-ground-state-lost",
         "lambda-ground-state-unresolved", "spectrum-degree",
         "config-igsd-h0", "config-verify-metric", "config-obstruction-dt",
-        "obstruction-zero-denominator"])
+        "obstruction-zero-denominator", "config-deeply-nested"])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, message):
     if config is not None:
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv = argv + ["--config", str(path)]
     if "--output" in argv:
         argv[-1] = str(tmp_path / argv[-1])

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import grflab
 from grflab import linalg
 from grflab.deformations import (MU, Deformation, NotEigenfunction,
                                  PreconditionFailed, canonical_igsd,
@@ -172,3 +177,33 @@ def test_jet_check_builds_curvature_once(monkeypatch):
     res = jet_second_variation_check(X[0] * X[1], X[2] * X[3])
     assert res["all_formulas_match"] and res["residual"].is_zero
     assert len(calls) == 1
+
+
+# Counts Polynomial products in a cold igsd_kernel(2): those of two polynomials,
+# and those of a nonzero constant polynomial with a nonzero polynomial.
+_COUNT_PRODUCTS = """
+from grflab.deformations import igsd_kernel
+from grflab.poly import Polynomial
+mul, counts = Polynomial.__mul__, [0, 0]
+def counted(a, b):
+    if isinstance(b, Polynomial):
+        counts[0] += 1
+        if not (a.is_zero or b.is_zero) and (a.is_constant or b.is_constant):
+            counts[1] += 1
+    return mul(a, b)
+Polynomial.__mul__ = Polynomial.__rmul__ = counted
+igsd_kernel(2)
+print(*counts)
+"""
+
+
+def test_round_point_kernel_multiplies_polynomials_by_numbers():
+    # invariant data are Fractions, so the round point's constant-coefficient
+    # operators scale polynomials by numbers; what is left of polynomial by
+    # polynomial is the f = 0 drift term of div_f, whose grad f is empty
+    env = dict(os.environ, PYTHONPATH=str(Path(grflab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", _COUNT_PRODUCTS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    products, constant_products = map(int, out.split())
+    assert constant_products == 0
+    assert products <= 6000

@@ -4,14 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from grflab.deformations import round_geometry
 from grflab.frames import EPS, adjoint_matrix, frame_derive, laplacian_scalar
 from grflab.poly import JetScalar, Polynomial, as_poly, integrate_s3
 from grflab.tensors import (BadRank, Geometry, SingularMetric, antisym, is_zero,
-                            jet_part, obj_array, sym, volume_form, zeros)
+                            jet_part, obj_array, sym, zeros)
 from grflab.variational import bianchi_contracted_check, curvature_action
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 EYE = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
+
+
+def volume_form(coeff=1):
+    """The invariant 3-form coeff * e^1 ^ e^2 ^ e^3, components coeff*eps_{ijk}."""
+    return obj_array(EPS) * Fraction(coeff)
 
 
 def round_geo():
@@ -237,14 +243,14 @@ def test_mixed_laplacian_self_adjoint():
 def test_scalar_laplacian_with_drift():
     geo = Geometry(EYE, H=2, f=Fraction(3, 4))  # constant drift has no effect
     u = X[0] * X[1]
-    assert as_poly(geo.laplacian_f(u)) == Fraction(-8) * u
+    assert as_poly(geo.div_f(geo.covd_scalar(u))) == Fraction(-8) * u
     f = X[0] * X[1]  # non-constant drift on the round metric
     geo = Geometry(EYE, H=2, f=f)
     u = X[0] * X[2] + X[3]
     want = laplacian_scalar(u)
     for i in (1, 2, 3):
         want = want - frame_derive(f, i) * frame_derive(u, i)
-    assert as_poly(geo.laplacian_f(u)) == want
+    assert as_poly(geo.div_f(geo.covd_scalar(u))) == want
 
 
 # -- jets through the geometry --------------------------------------------------
@@ -333,6 +339,40 @@ def test_geometry_data_kinds():
                  (EYE, 2.0), (EYE, 2.0 * vol)):
         with pytest.raises(TypeError, match="float64 .* exact|exact .* float64"):
             Geometry(g, H)
+
+
+# Every invariant tensor a Geometry holds: its metric data, connections,
+# curvatures and the raised tensors its operators contract with.
+_INVARIANT = ("g", "H", "ginv", "gamma", "gamma_p", "gamma_m", "Rm", "Rm_plus", "Rc",
+              "Rc_plus", "H2", "H_ddu", "H_udu", "H_uud", "H2_du", "HH_up", "Rm_up",
+              "Rm_plus_up")
+
+
+def _non_fractions(geo):
+    return [name for name in _INVARIANT
+            if any(type(x) is not Fraction for x in getattr(geo, name).reshape(-1))]
+
+
+def test_exact_invariant_data_are_fractions():
+    # exact numbers stay numbers, as float64 data stay floats: no constant Polynomials
+    assert _non_fractions(round_geometry()) == []
+    rng = random.Random(13)
+    for _ in range(3):
+        s = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        assert _non_fractions(Geometry(rand_metric(rng), H=s)) == []
+
+
+def test_invariant_data_have_no_frame_gradient():
+    # one rule for exact and float64 data: no Polynomial or JetScalar entry, no derivative
+    geo, fgeo = round_geo(), Geometry(np.eye(3), 2.0)
+    for arr in (geo.g, geo.H, geo.gamma_p, fgeo.g, fgeo.H, fgeo.gamma_p):
+        assert geo._frame_gradient(arr) is None
+    # one function entry among numbers: every entry is differentiated, numbers to 0
+    t = obj_array([[X[0], 1, 0], [0, Fraction(1, 2), 0], [0, 0, 2]])
+    d = geo._frame_gradient(t)
+    assert d.shape == (3, 3, 3)
+    assert [d[m, 0, 0] for m in range(3)] == [frame_derive(X[0], m) for m in (1, 2, 3)]
+    assert is_zero(d[:, 0, 1:]) and is_zero(d[:, 1:, :])
 
 
 def test_default_potential_is_one_shared_zero():
