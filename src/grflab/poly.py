@@ -256,6 +256,26 @@ class NonInvertibleJet(ValueError):
     pass
 
 
+_ZERO = Polynomial.zero()  # one shared zero: a Polynomial is never changed in place
+
+
+def _add(a, b):
+    """a + b of two polynomials; an empty side returns the other side."""
+    if not b.terms:
+        return a
+    if not a.terms:
+        return b
+    return a + b
+
+
+def _mul(a, b):
+    """a * b of a polynomial and a polynomial or number, with no product
+    when either operand is empty or zero."""
+    if not a.terms or not (b.terms if isinstance(b, Polynomial) else b):
+        return _ZERO
+    return a * b
+
+
 class JetScalar:
     """Order-2 jet c0 + c1*t + (1/2)*c2*t^2 with polynomial coefficients.
 
@@ -264,7 +284,7 @@ class JetScalar:
 
     __slots__ = ("c0", "c1", "c2")
 
-    def __init__(self, c0=0, c1=0, c2=0):
+    def __init__(self, c0=_ZERO, c1=_ZERO, c2=_ZERO):
         self.c0 = as_poly(c0)
         self.c1 = as_poly(c1)
         self.c2 = as_poly(c2)
@@ -273,7 +293,8 @@ class JetScalar:
         other = as_jet(other)
         if other is NotImplemented:
             return NotImplemented
-        return JetScalar(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
+        return JetScalar(_add(self.c0, other.c0), _add(self.c1, other.c1),
+                         _add(self.c2, other.c2))
 
     __radd__ = __add__
 
@@ -290,14 +311,17 @@ class JetScalar:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return JetScalar(*(_mul(c, other) for c in (self.c0, self.c1, self.c2)))
         other = as_jet(other)
         if other is NotImplemented:
             return NotImplemented
         # Leibniz at order 2: (fg)'' = f''g + 2f'g' + fg''
+        a0, a1, a2, b0, b1, b2 = self.c0, self.c1, self.c2, other.c0, other.c1, other.c2
         return JetScalar(
-            self.c0 * other.c0,
-            self.c0 * other.c1 + self.c1 * other.c0,
-            self.c0 * other.c2 + 2 * (self.c1 * other.c1) + self.c2 * other.c0,
+            _mul(a0, b0),
+            _add(_mul(a0, b1), _mul(a1, b0)),
+            _add(_add(_mul(a0, b2), _mul(_mul(a1, b1), 2)), _mul(a2, b0)),
         )
 
     __rmul__ = __mul__
@@ -332,4 +356,4 @@ def as_jet(x):
     p = as_poly(x)
     if p is NotImplemented:
         return NotImplemented
-    return JetScalar(p, 0, 0)
+    return JetScalar(p)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import frames
 from .frames import frame_derive
-from .poly import JetScalar, NonInvertibleJet, Polynomial, as_jet, as_poly
+from .poly import _ZERO, JetScalar, NonInvertibleJet, Polynomial, as_jet, as_poly
 
 
 class BadRank(ValueError):
@@ -37,9 +37,6 @@ def obj_array(nested):
     for i, x in enumerate(flat):
         flat[i] = _coerce_scalar(x)
     return flat.reshape(arr.shape)
-
-
-_ZERO = Polynomial.zero()  # one shared zero: a Polynomial is never changed in place
 
 
 def zeros(shape):
@@ -240,6 +237,8 @@ class Geometry:
 
     def div_f(self, T, conn=None):
         """The f-twisted divergence div(T, conn) - (grad f)^m T_{m...}."""
+        if isinstance(self.f, Polynomial) and self.f.is_zero:
+            return self.div(T, conn)
         return self.div(T, conn) - np.einsum("m,m...->...", self.grad_up(self.f), T)
 
     def rough_laplacian_f(self, T, conn=None):

@@ -10,7 +10,7 @@ import pytest
 import grflab
 from grflab import linalg
 from grflab.deformations import (MU, Deformation, NotEigenfunction,
-                                 PreconditionFailed, canonical_igsd,
+                                 PreconditionFailed, _jet_u_part, canonical_igsd,
                                  equivalence_check, igsd_kernel,
                                  integrability_report, integral_identities,
                                  jet_second_variation_check, obstruction,
@@ -164,7 +164,8 @@ def test_jet_pairing_matches_obstruction_sample():
 
 
 def test_jet_check_builds_curvature_once(monkeypatch):
-    # the jet geometry's Riemann tensor serves Rc, R and the Bakry-Emery tensor
+    # the jet geometry's Riemann tensor serves Rc, R and the Bakry-Emery tensor,
+    # and a second w with the same u reuses the whole u part
     round_geometry()
     calls = []
     curvature = Geometry.curvature
@@ -174,9 +175,73 @@ def test_jet_check_builds_curvature_once(monkeypatch):
         return curvature(self, conn)
 
     monkeypatch.setattr(Geometry, "curvature", counting)
-    res = jet_second_variation_check(X[0] * X[1], X[2] * X[3])
+    u = X[0] * X[1]
+    _jet_u_part.cache_clear()
+    res = jet_second_variation_check(u, X[2] * X[3])
     assert res["all_formulas_match"] and res["residual"].is_zero
     assert len(calls) == 1
+    w = X[0] * X[0] - X[2] * X[2]
+    warm = jet_second_variation_check(u, w)
+    assert len(calls) == 1
+    _jet_u_part.cache_clear()
+    cold = jet_second_variation_check(u, w)
+    assert len(calls) == 2
+    assert warm["pairing"] == cold["pairing"] == obstruction(u, w)
+    assert warm == cold
+
+
+def test_jet_cache_keys_u_by_its_terms():
+    # x1 x2 - x3 x4 built in two term orders is one polynomial, one cache entry
+    a = Polynomial({(1, 1, 0, 0): 1, (0, 0, 1, 1): -1})
+    b = Polynomial({(0, 0, 1, 1): -1, (1, 1, 0, 0): 1})
+    assert list(a.terms) != list(b.terms) and a == b and hash(a) == hash(b)
+    w = X[0] * X[0] - X[1] * X[1]
+    _jet_u_part.cache_clear()
+    jet_second_variation_check(a, w)
+    jet_second_variation_check(b, w)
+    info = _jet_u_part.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_jet_report_edits_do_not_reach_the_cache():
+    u, w = X[0] * X[1], X[2] * X[3]
+    first = jet_second_variation_check(u, w)
+    first["checks"]["d2 Rc"] = False
+    first["checks"].clear()
+    second = jet_second_variation_check(u, w)
+    assert len(second["checks"]) == 12 and all(second["checks"].values())
+    assert second["all_formulas_match"]
+
+
+def test_jet_sweep_past_the_cache_size_matches_obstruction():
+    # 10 distinct u evict one entry of the 9-entry cache; every pair still
+    # pairs to the obstruction, the evicted u included
+    basis = harmonic_basis(2)
+    us = list(basis) + [basis[0] + basis[4]]
+    ws = [basis[2], basis[0] - basis[8]]
+    _jet_u_part.cache_clear()
+    for u in us + us[:2]:
+        for w in ws:
+            res = jet_second_variation_check(u, w)
+            assert res["all_formulas_match"]
+            assert res["pairing"] == obstruction(u, w)
+            assert res["residual"].is_zero
+    info = _jet_u_part.cache_info()
+    assert info.currsize == 9 and info.misses == 12
+
+
+def test_jet_check_rejects_a_non_eigenfunction_cold_and_warm():
+    w = X[0] * X[1]
+    for clear in (True, False):
+        if clear:
+            _jet_u_part.cache_clear()
+        else:
+            jet_second_variation_check(w, w)
+        for bad in (X[0], X[0] * X[0]):
+            with pytest.raises(NotEigenfunction):
+                jet_second_variation_check(bad, w)
+            with pytest.raises(NotEigenfunction):
+                jet_second_variation_check(w, bad)
 
 
 # Counts Polynomial products in a cold igsd_kernel(2): those of two polynomials,
@@ -199,11 +264,11 @@ print(*counts)
 
 def test_round_point_kernel_multiplies_polynomials_by_numbers():
     # invariant data are Fractions, so the round point's constant-coefficient
-    # operators scale polynomials by numbers; what is left of polynomial by
-    # polynomial is the f = 0 drift term of div_f, whose grad f is empty
+    # operators scale polynomials by numbers, and div_f drops the drift term
+    # of f = 0: no polynomial is multiplied by a polynomial
     env = dict(os.environ, PYTHONPATH=str(Path(grflab.__file__).resolve().parents[1]))
     out = subprocess.run([sys.executable, "-c", _COUNT_PRODUCTS], env=env, check=True,
                          capture_output=True, text=True).stdout
     products, constant_products = map(int, out.split())
     assert constant_products == 0
-    assert products <= 6000
+    assert products == 0

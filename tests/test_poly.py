@@ -155,6 +155,38 @@ def test_jet_inverse_requires_constant_base():
         JetScalar(0, 1, 0).inverse()
 
 
+maybe_empty = st.one_of(st.just(Polynomial.zero()), polys)
+jets = st.builds(JetScalar, maybe_empty, maybe_empty, maybe_empty)
+numbers = st.one_of(st.integers(-3, 3), coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(jets, jets, numbers)
+def test_jet_arithmetic_skips_empty_parts(a, b, k):
+    # the full order-2 Leibniz formula of the parts, with every product taken
+    full = (a.c0 * b.c0, a.c0 * b.c1 + a.c1 * b.c0,
+            a.c0 * b.c2 + 2 * (a.c1 * b.c1) + a.c2 * b.c0)
+    empty_operands = []
+    mul = Polynomial.__mul__
+
+    def counted(p, q):
+        if p.is_zero or (q.is_zero if isinstance(q, Polynomial) else q == 0):
+            empty_operands.append((p, q))
+        return mul(p, q)
+
+    Polynomial.__mul__ = Polynomial.__rmul__ = counted
+    try:
+        prod, total = a * b, a + b
+        scaled, rscaled = a * Fraction(k), int(k) * a
+    finally:
+        Polynomial.__mul__ = Polynomial.__rmul__ = mul
+    assert empty_operands == []
+    assert (prod.c0, prod.c1, prod.c2) == full
+    assert (total.c0, total.c1, total.c2) == (a.c0 + b.c0, a.c1 + b.c1, a.c2 + b.c2)
+    assert (scaled.c0, scaled.c1, scaled.c2) == (a.c0 * k, a.c1 * k, a.c2 * k)
+    assert (rscaled.c0, rscaled.c1, rscaled.c2) == tuple(int(k) * c for c in (a.c0, a.c1, a.c2))
+
+
 def test_jet_mixed_arithmetic():
     j = JetScalar(1, X[0], 0)
     assert (X[1] * j).c1 == X[1] * X[0]
