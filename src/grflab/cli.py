@@ -17,7 +17,7 @@ from .deformations import (equivalence_check, igsd_kernel, integrability_report,
 from .frames import STRUCTURE, validate_structure
 from .harmonics import canonical_space, harmonic_basis
 from .linalg import rank
-from .poly import IntegralValue, Polynomial, as_poly, integrate_s3
+from .poly import IntegralValue, Polynomial, integrate_s3
 from .tensors import Geometry, _adjugate, is_zero, obj_array, zeros
 from .variational import (SolverError, bianchi_contracted_check, first_variation,
                           lambda_min, operator_A, phi_relation_check,
@@ -142,8 +142,8 @@ def _suite_self_adjoint(rng):
     geo = round_geometry()
     def one():
         a, b = _rand_tensor(rng, 2), _rand_tensor(rng, 2)
-        lhs = integrate_s3(as_poly(geo.inner(operator_A(a, geo), b)))
-        rhs = integrate_s3(as_poly(geo.inner(a, operator_A(b, geo))))
+        lhs = integrate_s3(geo.inner(operator_A(a, geo), b))
+        rhs = integrate_s3(geo.inner(a, operator_A(b, geo)))
         return lhs == rhs
     return [("stability operator is self adjoint", all(one() for _ in range(5)))]
 

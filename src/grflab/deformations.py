@@ -125,7 +125,7 @@ def integral_identities(gamma):
     h, K = sym(gamma), -antisym(gamma)
 
     def pair(a, b):
-        return integrate_s3(as_poly(geo.inner(a, b)))
+        return integrate_s3(geo.inner(a, b))
 
     rh_h = pair(curvature_action(geo, h, bismut=False), h)
     rk_k = pair(curvature_action(geo, K, bismut=False), K)
@@ -135,8 +135,8 @@ def integral_identities(gamma):
     grad_k = geo.covd(K, geo.gamma)
     nh2 = pair(grad_h, grad_h)
     nk2 = pair(grad_k, grad_k)
-    rhh = integrate_s3(as_poly(np.einsum("ij,ja,ib,ab->", geo.Rc, h, h, geo.ginv)))
-    rkk = integrate_s3(as_poly(np.einsum("ij,ja,ib,ab->", geo.Rc, K, K, geo.ginv)))
+    rhh = integrate_s3(np.einsum("ij,ja,ib,ab->", geo.Rc, h, h, geo.ginv))
+    rkk = integrate_s3(np.einsum("ij,ja,ib,ab->", geo.Rc, K, K, geo.ginv))
     report = {
         "ring_h": rh_h,
         "ring_K": rk_k,
@@ -162,7 +162,7 @@ def _check_eigen(u):
 def obstruction(u, w):
     """The second-order integrability pairing -6 mu int u^2 w dV."""
     u, w = _check_eigen(u), _check_eigen(w)
-    return IntegralValue(-6 * MU * integrate_s3(u * u * w).coeff)
+    return IntegralValue(-6 * MU * integrate_s3(u * u, w).coeff)
 
 
 @dataclass
@@ -259,7 +259,7 @@ def jet_second_variation_check(u, w):
     checks, rchf_2 = _jet_u_part(u)
     geo0 = round_geometry()
     gamma_w = w * geo0.g + (Fraction(1, 2) / MU) * geo0.i_grad(w, geo0.H)
-    pairing = integrate_s3(as_poly(geo0.inner(rchf_2, gamma_w)))
+    pairing = integrate_s3(geo0.inner(rchf_2, gamma_w))
     residual = pairing - obstruction(u, w)
     return {
         "checks": dict(checks),

@@ -108,11 +108,22 @@ class Polynomial:
         return max(sum(e) for e in self.terms)
 
     def __add__(self, other):
-        other = as_poly(other)
-        if other is NotImplemented:
+        """self + other; a zero or empty operand returns the other operand, and
+        a number goes to the constant term directly."""
+        if isinstance(other, Polynomial):
+            if not other.terms:
+                return self
+            if not self.terms:
+                return other
+            other = other.terms
+        elif isinstance(other, (int, Fraction)):
+            if not other:
+                return self
+            other = {(0, 0, 0, 0): Fraction(other)}
+        else:
             return NotImplemented
         new = dict(self.terms)
-        for e, c in other.terms.items():
+        for e, c in other.items():
             s = new.get(e, 0) + c
             if s == 0:
                 new.pop(e, None)
@@ -130,8 +141,7 @@ class Polynomial:
         return out
 
     def __sub__(self, other):
-        other = as_poly(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Fraction, Polynomial)):
             return NotImplemented
         return self + (-other)
 
@@ -139,21 +149,23 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        """self * other; a zero number or an empty operand gives the shared _ZERO."""
+        if isinstance(other, Polynomial):
+            if not self.terms or not other.terms:
+                return _ZERO
+            raw = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in other.terms.items():
+                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+                    raw[e] = raw.get(e, 0) + c1 * c2
+            return Polynomial._from_raw(raw)
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Polynomial.zero()
+            if not other or not self.terms:
+                return _ZERO
             out = Polynomial.__new__(Polynomial)
             out.terms = {e: c * other for e, c in self.terms.items()}
             return out
-        other = as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        raw = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                raw[e] = raw.get(e, 0) + c1 * c2
-        return Polynomial._from_raw(raw)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -191,8 +203,13 @@ def as_poly(x):
     return NotImplemented
 
 
+_ZERO = Polynomial.zero()  # one shared zero: a Polynomial is never changed in place
+
+
+@lru_cache(maxsize=None)
 def sphere_moment(exp):
-    """Exact value of int_{S^3} x1^a1 x2^a2 x3^a3 x4^a4 dV as a coefficient of pi^2."""
+    """Exact value of int_{S^3} x1^a1 x2^a2 x3^a3 x4^a4 dV as a coefficient of pi^2,
+    for any exponents: x4^2 need not be reduced."""
     if any(a % 2 for a in exp):
         return Fraction(0)
     m = sum(exp) // 2
@@ -243,12 +260,25 @@ class IntegralValue:
         return f"({self.coeff})*pi^2"
 
 
-def integrate_s3(p):
-    """Exact integral of a polynomial representative over the unit S^3."""
-    p = as_poly(p)
+def _parity(e):
+    return (e[0] & 1, e[1] & 1, e[2] & 1, e[3] & 1)
+
+
+def integrate_s3(p, q=1):
+    """Exact integral of p * q over the unit S^3 for polynomials or exact
+    numbers p and q, from the terms of the two factors: the product is never
+    formed. A monomial of p pairs only with the monomials of q of its exponent
+    parity, the only ones whose product has an all-even exponent and so a
+    nonzero moment."""
+    p, q = as_poly(p), as_poly(q)
+    groups = {}
+    for e, c in q.terms.items():
+        groups.setdefault(_parity(e), []).append((e, c))
     total = Fraction(0)
-    for e, c in p.terms.items():
-        total += c * sphere_moment(e)
+    for e1, c1 in p.terms.items():
+        for e2, c2 in groups.get(_parity(e1), ()):
+            total += c1 * c2 * sphere_moment(
+                (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3]))
     return IntegralValue(total)
 
 
@@ -256,21 +286,9 @@ class NonInvertibleJet(ValueError):
     pass
 
 
-_ZERO = Polynomial.zero()  # one shared zero: a Polynomial is never changed in place
-
-
-def _add(a, b):
-    """a + b of two polynomials; an empty side returns the other side."""
-    if not b.terms:
-        return a
-    if not a.terms:
-        return b
-    return a + b
-
-
 def _mul(a, b):
-    """a * b of a polynomial and a polynomial or number, with no product
-    when either operand is empty or zero."""
+    """a * b of a polynomial and a polynomial or number, with no
+    Polynomial.__mul__ call when either operand is empty or zero."""
     if not a.terms or not (b.terms if isinstance(b, Polynomial) else b):
         return _ZERO
     return a * b
@@ -293,8 +311,7 @@ class JetScalar:
         other = as_jet(other)
         if other is NotImplemented:
             return NotImplemented
-        return JetScalar(_add(self.c0, other.c0), _add(self.c1, other.c1),
-                         _add(self.c2, other.c2))
+        return JetScalar(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
 
     __radd__ = __add__
 
@@ -318,11 +335,8 @@ class JetScalar:
             return NotImplemented
         # Leibniz at order 2: (fg)'' = f''g + 2f'g' + fg''
         a0, a1, a2, b0, b1, b2 = self.c0, self.c1, self.c2, other.c0, other.c1, other.c2
-        return JetScalar(
-            _mul(a0, b0),
-            _add(_mul(a0, b1), _mul(a1, b0)),
-            _add(_add(_mul(a0, b2), _mul(_mul(a1, b1), 2)), _mul(a2, b0)),
-        )
+        return JetScalar(_mul(a0, b0), _mul(a0, b1) + _mul(a1, b0),
+                         _mul(a0, b2) + _mul(_mul(a1, b1), 2) + _mul(a2, b0))
 
     __rmul__ = __mul__
 

@@ -2,7 +2,6 @@
 A and B, the Bianchi and Phi operators, and the second-variation form."""
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,10 +34,18 @@ def schrodinger_potential(geo):
     return as_poly(geo.R) - Fraction(1, 12) * as_poly(geo.H2_norm)
 
 
-def pairing_matrix(xs, ys, pair):
-    """The exact matrix [[int_{S^3} pair(x, y) dV for y in ys] for x in xs],
-    entries as coefficients of pi^2."""
-    return [[integrate_s3(as_poly(pair(x, y))).coeff for y in ys] for x in xs]
+def _entries(x):
+    return x.reshape(-1) if isinstance(x, np.ndarray) else (x,)
+
+
+def pairing_matrix(xs, ys):
+    """The exact matrix [[int_{S^3} sum_e x_e y_e dV for y in ys] for x in xs],
+    entries as coefficients of pi^2. x and y are both polynomials or both
+    arrays of one shape, paired entry by entry, so a column y that is a raised
+    tensor gives the pointwise inner product <x, y>_g."""
+    xs, ys = [_entries(x) for x in xs], [_entries(y) for y in ys]
+    return [[sum(integrate_s3(a, b).coeff for a, b in zip(x, y, strict=True)) for y in ys]
+            for x in xs]
 
 
 def _float_matrix(entries):
@@ -82,8 +89,8 @@ def lambda_min(geo, degree=2):
     V = schrodinger_potential(geo)
     ops = [Fraction(-4) * as_poly(geo.div(geo.covd_scalar(phi))) + V * phi
            for phi in space.basis]
-    A = _float_matrix(pairing_matrix(ops, space.basis, operator.mul))
-    M = _float_matrix(pairing_matrix(space.basis, space.basis, operator.mul))
+    A = _float_matrix(pairing_matrix(ops, space.basis))
+    M = _float_matrix(pairing_matrix(space.basis, space.basis))
     A = _symmetrized("operator", A)
     M = _symmetrized("mass", M)
     try:
@@ -141,7 +148,7 @@ def first_variation(geo, gamma):
         term = term * phi * Fraction(-1, k)
         w = w + term
     scale = math.exp(-float(c)) * math.sqrt(_float_det(geo))
-    return float(integrate_s3(as_poly(s) * w).coeff) * (-math.pi**2) * scale
+    return float(integrate_s3(s, w).coeff) * (-math.pi**2) * scale
 
 
 def curvature_action(geo, gamma, bismut=True):
@@ -220,7 +227,7 @@ def second_variation_form(gamma1, gamma2, geo):
     constant weight rescales the form without changing kernel or sign).
     """
     a2 = operator_A(gamma2, geo)
-    return -integrate_s3(as_poly(geo.inner(gamma1, a2)))
+    return -integrate_s3(geo.inner(gamma1, a2))
 
 
 @dataclass
@@ -266,8 +273,10 @@ def degree_kernels(d, image):
 
 def second_variation_matrix(blocks, geo):
     """Exact Gram matrix of the second-variation form -(x, A y), one block per
-    harmonic degree: A keeps each degree, and distinct degrees are L2-orthogonal."""
-    return OperatorMatrix([pairing_matrix(b, [-operator_A(t, geo) for t in b], geo.inner)
+    harmonic degree: A keeps each degree, and distinct degrees are L2-orthogonal.
+    Each -A y is raised once, so its column pairs with every x entrywise."""
+    return OperatorMatrix([pairing_matrix(b, [geo.raised(-operator_A(t, geo), 0, 1)
+                                              for t in b])
                            for b in blocks])
 
 

@@ -59,3 +59,21 @@ def test_one_frame_derivative():
                  and node.name in ("diff", "apply_vector"))
              or (isinstance(node, ast.arg) and node.arg == "reduce")]
     assert found == []
+
+
+def test_integrals_take_factors():
+    # integrate_s3(p, q) integrates p * q from the factors' terms, so no caller
+    # forms the product first, not even inside as_poly
+    def product(node):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "as_poly":
+            return len(node.args) == 1 and product(node.args[0])
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and "integrate_s3" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))
+             and len(node.args) == 1 and not node.keywords and product(node.args[0])]
+    assert found == []

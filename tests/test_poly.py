@@ -116,6 +116,92 @@ def test_evaluate_matches_float():
     assert val == Fraction(3, 4) - Fraction(1, 4) + Fraction(1, 4)
 
 
+# x1..x3 to odd powers, and at least one x4 term in each factor, so some
+# product of two monomials has x4^2 and integrate_s3 reads the moment of an
+# unreduced exponent sum
+odd_exps = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+nonzero = coeffs.filter(lambda c: c != 0)
+x4_polys = st.builds(lambda raw, e, c: Polynomial({**raw, e + (1,): c}),
+                     st.dictionaries(odd_exps, coeffs, max_size=4),
+                     st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+                     nonzero).filter(lambda p: any(e[3] for e in p.terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(x4_polys, x4_polys)
+def test_integral_of_factors_equals_integral_of_product(p, q):
+    assert integrate_s3(p, q) == integrate_s3(p * q)
+    assert integrate_s3(p) == integrate_s3(p, 1)
+    assert integrate_s3(q, p) == integrate_s3(p, q)
+
+
+def test_integral_of_factors_forms_no_product(monkeypatch):
+    p = 3 * X[0] * X[3] + X[1] * X[1] - Fraction(1, 2)
+    q = X[0] * X[3] - 2 * X[2] * X[2] * X[3] + 1
+    want = integrate_s3(p * q)
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting)
+    got = integrate_s3(p, q)
+    monkeypatch.undo()
+    assert calls == []
+    assert got == want != IntegralValue(0)
+
+
+def test_zero_operands_build_no_polynomial(monkeypatch):
+    p = 3 * X[0] * X[3] + X[1] * X[1] - Fraction(1, 2)
+    zero = Polynomial.zero()
+    # the general path's values: termwise sum and product
+    plus_three = dict(p.terms)
+    plus_three[(0, 0, 0, 0)] += 3
+    built = []
+    init = Polynomial.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "__init__", counting)
+    values = (p + 0, 0 + p, p + zero, zero + p, p * 0, 0 * p, p * zero, zero * Fraction(3),
+              p - 0, p + 3)
+    monkeypatch.undo()
+    assert built == []
+    assert [v.terms for v in values] == [p.terms] * 4 + [{}] * 4 + [p.terms, plus_three]
+    assert all(isinstance(c, Fraction) for c in values[-1].terms.values())
+    assert (X[1] + 2).terms == {(0, 1, 0, 0): 1, (0, 0, 0, 0): 2}
+    assert isinstance((X[1] + 2).terms[(0, 0, 0, 0)], Fraction)
+
+
+raw_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(0, 6)),
+    coeffs, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_terms)
+def test_canonicalisation_agrees_with_sympy(raw):
+    # the sphere reduction is the remainder of division by x4^2 + |x'|^2 - 1 in x4
+    import sympy
+    x = sympy.symbols("x1:5")
+
+    def expr(terms):
+        return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                           * sympy.Mul(*(v ** a for v, a in zip(x, e)))
+                           for e, c in terms.items()))
+
+    sphere = x[3] ** 2 + x[0] ** 2 + x[1] ** 2 + x[2] ** 2 - 1
+    want = sympy.rem(expr(raw), sphere, x[3])
+    got = Polynomial(raw)
+    assert all(e[3] <= 1 for e in got.terms)
+    assert sympy.expand(expr(got.terms) - want) == 0
+
+
 def test_integral_value_arithmetic():
     a, b = IntegralValue(Fraction(1, 2)), IntegralValue(Fraction(1, 3))
     assert (a + b).coeff == Fraction(5, 6)

@@ -329,10 +329,9 @@ def test_degree_kernels_rejects_a_map_that_lowers_degree():
 def test_second_variation_pairs_distinct_degrees_to_zero():
     geo = round_geo()
     deg0, deg1 = slice_tangent_basis(geo, 1)
-    images0 = [-operator_A(y, geo) for y in deg0]
-    images1 = [-operator_A(y, geo) for y in deg1]
-    cross = (pairing_matrix(deg0, images1, geo.inner)
-             + pairing_matrix(deg1, images0, geo.inner))
+    images0 = [geo.raised(-operator_A(y, geo), 0, 1) for y in deg0]
+    images1 = [geo.raised(-operator_A(y, geo), 0, 1) for y in deg1]
+    cross = pairing_matrix(deg0, images1) + pairing_matrix(deg1, images0)
     assert len(cross) == 22 and all(x == 0 for row in cross for x in row)
 
 
@@ -341,13 +340,55 @@ def test_second_variation_matrix_pairs_within_blocks(monkeypatch):
     blocks = slice_tangent_basis(geo, 1)
     calls = []
 
-    def counting(p):
-        calls.append(p)
-        return integrate_s3(p)
+    def counting(p, q=1):
+        calls.append((p, q))
+        return integrate_s3(p, q)
 
     monkeypatch.setattr(variational, "integrate_s3", counting)
     second_variation_matrix(blocks, geo)
-    assert len(calls) == 6 ** 2 + 16 ** 2
+    # one integral per entry pair of a 3x3 x and a 3x3 column, and only
+    # within the 6- and 16-dimensional blocks: the 2 * 6 * 16 cross pairs
+    # would add 9 * 192 more
+    assert len(calls) == 9 * (6 ** 2 + 16 ** 2)
+
+
+def test_second_variation_matrix_raises_each_image_once(monkeypatch):
+    geo = round_geo()
+    blocks = slice_tangent_basis(geo, 1)
+    operator_A(blocks[1][0], geo)  # warm every cached contraction of geo
+    raised = []
+    original = Geometry.raised
+
+    def counting(self, T, *slots):
+        raised.append(slots)
+        return original(self, T, *slots)
+
+    monkeypatch.setattr(Geometry, "raised", counting)
+    second_variation_matrix(blocks, geo)
+    assert raised == [(0, 1)] * (6 + 16)
+
+
+def test_pairing_matrix_forms_no_products(monkeypatch):
+    geo = round_geo()
+    basis = canonical_space(2).basis
+    tensors = [rand_tensor(random.Random(seed)) for seed in range(3)]
+    columns = [geo.raised(t, 0, 1) for t in tensors]
+    mul = Polynomial.__mul__
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return mul(p, q)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    monkeypatch.setattr(Polynomial, "__rmul__", counting)
+    gram = pairing_matrix(basis, basis)
+    inner = pairing_matrix(tensors, columns)
+    monkeypatch.undo()
+    assert calls == []
+    assert gram == [[integrate_s3(p * q).coeff for q in basis] for p in basis]
+    assert inner == [[integrate_s3(as_poly(geo.inner(x, y))).coeff for y in tensors]
+                     for x in tensors]
 
 
 def test_inconsistent_source_cannot_happen_but_raises():
