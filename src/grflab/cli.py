@@ -18,9 +18,9 @@ from .frames import STRUCTURE, validate_structure
 from .harmonics import canonical_space, harmonic_basis
 from .linalg import rank
 from .poly import IntegralValue, Polynomial, integrate_s3
-from .tensors import Geometry, _adjugate, is_zero, obj_array, zeros
-from .variational import (SolverError, bianchi_contracted_check, first_variation,
-                          lambda_min, operator_A, phi_relation_check,
+from .tensors import Geometry, _adjugate, is_zero, obj_array
+from .variational import (SolverError, bianchi_contracted_check, block_eigenvalues,
+                          first_variation, lambda_min, operator_A, phi_relation_check,
                           second_variation_matrix, slice_tangent_basis)
 from . import flow as flow_mod
 
@@ -66,19 +66,13 @@ def _rand_metric(rng):
 
 def _rand_poly(rng, degree):
     space = canonical_space(degree)
-    p = Polynomial.zero()
-    for b in space.basis:
-        if rng.random() < 0.4:
-            p = p + _rand_fraction(rng) * b
-    return p
+    # rng.random() is drawn before each coefficient
+    return space.from_coords([_rand_fraction(rng) if rng.random() < 0.4 else 0
+                              for _ in space.basis])
 
 
 def _rand_tensor(rng, degree):
-    arr = zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            arr[i, j] = _rand_poly(rng, degree)
-    return arr
+    return obj_array([[_rand_poly(rng, degree) for _ in range(3)] for _ in range(3)])
 
 
 # ---------------------------------------------------------------------------
@@ -88,68 +82,59 @@ def _suite_structure():
     return [("lie structure constants valid", not validate_structure(STRUCTURE))]
 
 
-def _suite_bismut_flat():
-    geo = round_geometry()
+def _suite_bismut_flat(geo):
     nh = geo.covd(geo.H, geo.gamma)
-    out = [
+    return [
         ("bismut curvature vanishes on round critical data", is_zero(geo.Rm_plus)),
         ("torsion is parallel on round critical data", is_zero(nh)),
         ("ricci equals quarter torsion square", is_zero(geo.Rc - Fraction(1, 4) * geo.H2)),
         ("torsion is coclosed", is_zero(geo.dstar(geo.H))),
         ("soliton tensor vanishes", is_zero(geo.bakry_emery())),
     ]
-    return out
 
 
-def _suite_curvature_dual_path(rng):
-    def one():
-        g = _rand_metric(rng)
-        s = _rand_fraction(rng, 1, 3, 2)
-        geo = Geometry(g, H=s)
-        want = geo.Rc - Fraction(1, 4) * geo.H2 - Fraction(1, 2) * geo.dstar(geo.H)
-        return is_zero(geo.Rc_plus - want) and is_zero(geo.bismut_curvature_rhs() - geo.Rm_plus)
-    results = [one() for _ in range(20)]
-    return [("bismut curvature identities on randomized invariant data", all(results))]
+def _dual_path(rng, round_geo):
+    geo = Geometry(_rand_metric(rng), H=_rand_fraction(rng, 1, 3, 2))
+    want = geo.Rc - Fraction(1, 4) * geo.H2 - Fraction(1, 2) * geo.dstar(geo.H)
+    return is_zero(geo.Rc_plus - want) and is_zero(geo.bismut_curvature_rhs() - geo.Rm_plus)
 
 
-def _suite_mixed_laplacian(rng):
-    geo = round_geometry()
-    tensors = [_rand_tensor(rng, 2) for _ in range(20)]
-    oks = [is_zero(geo.mixed_laplacian_formula(t) - geo.mixed_laplacian_definition(t))
-           for t in tensors]
-    return [("mixed laplacian formula matches adjoint definition", all(oks))]
+def _mixed_laplacian(rng, round_geo):
+    t = _rand_tensor(rng, 2)
+    return is_zero(round_geo.mixed_laplacian_formula(t) - round_geo.mixed_laplacian_definition(t))
 
 
-def _suite_bianchi(rng):
-    def one():
-        g = _rand_metric(rng)
-        s = _rand_fraction(rng, 1, 3, 2)
-        f = _rand_poly(rng, 2)
-        return is_zero(bianchi_contracted_check(Geometry(g, s, f)))
-    return [("contracted second bianchi identity on randomized data",
-             all(one() for _ in range(10)))]
+def _bianchi(rng, round_geo):
+    geo = Geometry(_rand_metric(rng), _rand_fraction(rng, 1, 3, 2), _rand_poly(rng, 2))
+    return is_zero(bianchi_contracted_check(geo))
 
 
-def _suite_phi(rng):
-    geo = round_geometry()
-    def one():
-        r1, r2 = phi_relation_check(_rand_tensor(rng, 2), geo)
-        return is_zero(r1) and is_zero(r2)
-    return [("bianchi of B factors through the divergence", all(one() for _ in range(8)))]
+def _phi(rng, round_geo):
+    r1, r2 = phi_relation_check(_rand_tensor(rng, 2), round_geo)
+    return is_zero(r1) and is_zero(r2)
 
 
-def _suite_self_adjoint(rng):
-    geo = round_geometry()
-    def one():
-        a, b = _rand_tensor(rng, 2), _rand_tensor(rng, 2)
-        lhs = integrate_s3(geo.inner(operator_A(a, geo), b))
-        rhs = integrate_s3(geo.inner(a, operator_A(b, geo)))
-        return lhs == rhs
-    return [("stability operator is self adjoint", all(one() for _ in range(5)))]
+def _self_adjoint(rng, round_geo):
+    a, b = _rand_tensor(rng, 2), _rand_tensor(rng, 2)
+    lhs = integrate_s3(round_geo.inner(operator_A(a, round_geo), b))
+    rhs = integrate_s3(round_geo.inner(a, operator_A(b, round_geo)))
+    return lhs == rhs
 
 
-def _suite_lambda(degree):
-    geo = round_geometry()
+# (assertion, samples, check): check(rng, round_geo) draws one sample's inputs
+# from rng, left to right, and says whether the identity holds on them. Every
+# sample is drawn and checked, even after a failure, so the inputs of each
+# assertion depend on the seed alone.
+_SAMPLED = (
+    ("bismut curvature identities on randomized invariant data", 20, _dual_path),
+    ("mixed laplacian formula matches adjoint definition", 20, _mixed_laplacian),
+    ("contracted second bianchi identity on randomized data", 10, _bianchi),
+    ("bianchi of B factors through the divergence", 8, _phi),
+    ("stability operator is self adjoint", 5, _self_adjoint),
+)
+
+
+def _suite_lambda(geo, degree):
     r = lambda_min(geo, degree)
     fv_zero = all(
         first_variation(geo, obj_array([[1 if (i, j) == (a, b) else 0 for j in range(3)]
@@ -182,16 +167,11 @@ def _suite_flow():
 
 def cmd_verify(cfg):
     rng = random.Random(cfg.seed)
-    assertions = []
-    assertions += _suite_structure()
-    assertions += _suite_bismut_flat()
-    assertions += _suite_curvature_dual_path(rng)
-    assertions += _suite_mixed_laplacian(rng)
-    assertions += _suite_bianchi(rng)
-    assertions += _suite_phi(rng)
-    assertions += _suite_self_adjoint(rng)
-    assertions += _suite_lambda(cfg.degree)
-    assertions += _suite_flow()
+    geo = round_geometry()
+    assertions = _suite_structure() + _suite_bismut_flat(geo)
+    for name, samples, check in _SAMPLED:
+        assertions.append((name, all([check(rng, geo) for _ in range(samples)])))
+    assertions += _suite_lambda(geo, cfg.degree) + _suite_flow()
     report = {
         "command": "verify",
         "seed": cfg.seed,
@@ -207,16 +187,16 @@ def cmd_spectrum(cfg):
         raise ValueError("spectrum is computed at the round point for degree at most 2")
     geo = round_geometry()
     r = lambda_min(geo, cfg.degree)
-    mat = second_variation_matrix(slice_tangent_basis(geo, cfg.degree), geo)
-    eig = mat.eigenvalues()
+    blocks = second_variation_matrix(slice_tangent_basis(geo, cfg.degree), geo)
+    eig = block_eigenvalues(blocks)
     report = {
         "command": "spectrum",
         "degree": cfg.degree,
         "lambda": _fmt_float(r.value),
         "lambda_residual": _fmt_float(r.residual),
-        "slice_dimension": sum(len(e) for e in mat.blocks),
+        "slice_dimension": sum(len(e) for e in blocks),
         "eigenvalues": [_fmt_float(x) for x in eig],
-        "kernel_dim": sum(len(e) - rank(e) for e in mat.blocks),
+        "kernel_dim": sum(len(e) - rank(e) for e in blocks),
         "max_eigenvalue": _fmt_float(eig.max()),
         "stable": bool(eig.max() <= 1e-9),
     }
@@ -306,11 +286,11 @@ def cmd_flow(cfg):
     state = flow_mod.FlowState(g=g0, b=np.zeros((3, 3)), H0_coeff=cfg.h0)
     blowup = None
     try:
-        traj = flow_mod.run_flow(state, cfg.dt, cfg.steps, cfg.sample_every)
+        samples = flow_mod.run_flow(state, cfg.dt, cfg.steps, cfg.sample_every)
     except flow_mod.FlowBlowup as exc:
-        traj, blowup = exc.trajectory, str(exc)
+        samples, blowup = exc.samples, str(exc)
     rows = []
-    for t, s, lam, res in traj.samples:
+    for t, s, lam, res in samples:
         row = {"t": _fmt_float(t)}
         for i in range(3):
             for j in range(3):
@@ -321,7 +301,7 @@ def cmd_flow(cfg):
         row["lambda"] = _fmt_float(lam)
         row["residual"] = _fmt_float(res)
         rows.append(row)
-    lams = traj.lambdas()
+    lams = [sample[2] for sample in samples]
     report = {
         "command": "flow",
         "samples": rows,

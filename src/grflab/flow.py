@@ -2,7 +2,7 @@
 dg/dt = -2 Rc + (1/2) H^2, db/dt = -d*H, integrated by RK4. Invariant
 2-forms on SU(2) are closed, so H = H0 + db is the constant H0 vol."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +12,9 @@ from .variational import lambda_min
 
 
 class FlowBlowup(RuntimeError):
-    def __init__(self, message, trajectory):
+    def __init__(self, message, samples):
         super().__init__(message)
-        self.trajectory = trajectory
+        self.samples = samples  # the samples taken before the blowup
 
 
 @dataclass
@@ -34,17 +34,6 @@ class FlowState:
 
     def copy_with(self, g, b, t):
         return FlowState(g=g, b=b, H0_coeff=self.H0_coeff, t=t)
-
-
-@dataclass
-class Trajectory:
-    samples: list = field(default_factory=list)  # (t, FlowState, lambda, residual)
-
-    def lambdas(self):
-        return [s[2] for s in self.samples]
-
-    def residuals(self):
-        return [s[3] for s in self.samples]
 
 
 def _rhs(geo):
@@ -98,29 +87,29 @@ def step_rk4(state, dt):
 
 
 def run_flow(initial, dt, steps, sample_every=1):
-    """Integrate the flow, sampling (t, state, lambda, soliton residual)."""
+    """Integrate the flow and return its samples (t, state, lambda, soliton residual)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    traj = Trajectory()
+    samples = []
     state = initial
 
     def sample(s):
-        traj.samples.append((s.t, s, flow_lambda(s), soliton_residual(s)))
+        samples.append((s.t, s, flow_lambda(s), soliton_residual(s)))
 
     # float64 overflow is reported as an error, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         sample(state)
-        if not np.isfinite(traj.residuals()[0]):
+        if not np.isfinite(samples[0][3]):
             raise ValueError("curvature of the initial state does not fit in a float64")
         for n in range(1, steps + 1):
             try:
                 state = step_rk4(state, dt)
             except SingularMetric:
-                raise FlowBlowup(f"metric degenerated at step {n}", traj)
+                raise FlowBlowup(f"metric degenerated at step {n}", samples)
             if not np.isfinite(np.linalg.det(state.g)):
-                raise FlowBlowup(f"metric left float64 range at step {n}", traj)
+                raise FlowBlowup(f"metric left float64 range at step {n}", samples)
             if np.linalg.eigvalsh(state.g).min() < 1e-10:
-                raise FlowBlowup(f"metric degenerated at step {n}", traj)
+                raise FlowBlowup(f"metric degenerated at step {n}", samples)
             if n % sample_every == 0 or n == steps:
                 sample(state)
-    return traj
+    return samples

@@ -26,8 +26,6 @@ def harmonic_basis(k):
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
-    if k == 0:
-        return (Polynomial.constant(1),)
     exps = _homogeneous_exponents(k)
     lower = _homogeneous_exponents(k - 2) if k >= 2 else []
     lower_index = {e: i for i, e in enumerate(lower)}

@@ -92,6 +92,9 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     @property
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
@@ -289,7 +292,7 @@ class NonInvertibleJet(ValueError):
 def _mul(a, b):
     """a * b of a polynomial and a polynomial or number, with no
     Polynomial.__mul__ call when either operand is empty or zero."""
-    if not a.terms or not (b.terms if isinstance(b, Polynomial) else b):
+    if not a or not b:
         return _ZERO
     return a * b
 
@@ -359,6 +362,9 @@ class JetScalar:
     @property
     def is_zero(self):
         return self.c0.is_zero and self.c1.is_zero and self.c2.is_zero
+
+    def __bool__(self):
+        return not self.is_zero
 
     def __repr__(self):
         return f"Jet[{self.c0!r} | {self.c1!r} | {self.c2!r}]"

@@ -46,8 +46,9 @@ def zeros(shape):
 
 
 def is_zero(a):
-    """True when every entry of a (an array or one scalar) is zero."""
-    return all(x == 0 for x in np.ravel(a))
+    """True when every entry of a (an array or one scalar) is zero. Entries
+    are tested by truth value, which builds no Polynomial."""
+    return not any(np.ravel(a))
 
 
 def sym(a):
@@ -106,38 +107,38 @@ def _half(a):
     return a * (Fraction(1, 2) if a.dtype == object else 0.5)
 
 
-def christoffel(c, g, ginv, dg=None):
+# integer tables: against exact data they give Fractions, against float64 data floats
+_STRUCTURE = np.array(frames.STRUCTURE)
+_VOLUME = np.array(frames.EPS)
+
+
+def christoffel(g, ginv, dg=None):
     """Levi-Civita symbols Gamma[m, i, p], nabla_{E_m} E_i = Gamma[m, i, p] E_p.
 
-    c[i, j, k] is the structure constant c^k_{ij}, g the metric and ginv its
-    inverse, as float64 or object ndarrays. dg[m, i, k] = E_m(g_ik); None
-    for invariant data, whose components have no frame derivatives.
+    _STRUCTURE[i, j, k] is the structure constant c^k_{ij}, g the metric and
+    ginv its inverse, as float64 or object ndarrays. dg[m, i, k] = E_m(g_ik);
+    None for invariant data, whose components have no frame derivatives.
     """
-    a = (np.einsum("mip,pk->mik", c, g)
-         - np.einsum("mkp,ip->mik", c, g)
-         - np.einsum("ikp,mp->mik", c, g))
+    a = (np.einsum("mip,pk->mik", _STRUCTURE, g)
+         - np.einsum("mkp,ip->mik", _STRUCTURE, g)
+         - np.einsum("ikp,mp->mik", _STRUCTURE, g))
     if dg is not None:
         a = a + dg + np.einsum("imk->mik", dg) - np.einsum("kmi->mik", dg)
     return np.einsum("mik,pk->mip", _half(a), ginv)
 
 
-def riemann(c, conn, g, dconn=None):
+def riemann(conn, g, dconn=None):
     """Lowered curvature Rm[i, j, k, l] = <R(E_i, E_j) E_k, E_l> of the symbols conn.
 
-    c, conn and g as in ``christoffel``. dconn[i, j, k, l] = E_i(conn[j, k, l]);
+    conn and g as in ``christoffel``. dconn[i, j, k, l] = E_i(conn[j, k, l]);
     None for invariant data.
     """
     coef = (np.einsum("jkm,iml->ijkl", conn, conn)
             - np.einsum("ikm,jml->ijkl", conn, conn)
-            - np.einsum("ijm,mkl->ijkl", c, conn))
+            - np.einsum("ijm,mkl->ijkl", _STRUCTURE, conn))
     if dconn is not None:
         coef = coef + dconn - np.einsum("jikl->ijkl", dconn)
     return np.einsum("ijkp,pl->ijkl", coef, g)
-
-
-# integer tables: against exact data they give Fractions, against float64 data floats
-_STRUCTURE = np.array(frames.STRUCTURE)
-_VOLUME = np.array(frames.EPS)
 
 
 def _as_data(x):
@@ -174,8 +175,7 @@ class Geometry:
         adj = _adjugate(self.g)
         self.det = sum(self.g[0, k] * adj[k, 0] for k in range(3))
         self.ginv = adj * _reciprocal(self.det)
-        self.c = _STRUCTURE
-        self.gamma = christoffel(self.c, self.g, self.ginv, self._frame_gradient(self.g))
+        self.gamma = christoffel(self.g, self.ginv, self._frame_gradient(self.g))
 
     # -- scalar helpers ---------------------------------------------------
 
@@ -193,13 +193,6 @@ class Geometry:
     def grad_up(self, s):
         """Raised gradient (nabla s)^m as a length-3 object array."""
         return np.einsum("mn,n->m", self.ginv, self.covd_scalar(s))
-
-    # -- connections ------------------------------------------------------
-
-    def torsion(self, conn):
-        """Lowered torsion tensor T_{ijk} of a connection symbol array."""
-        t = conn - np.transpose(conn, (1, 0, 2)) - self.c
-        return np.einsum("ijp,pk->ijk", t, self.g)
 
     # -- covariant derivatives --------------------------------------------
 
@@ -249,7 +242,7 @@ class Geometry:
 
     def curvature(self, conn):
         """Lowered curvature Rm_{ijkl} = <R(E_i,E_j)E_k, E_l> of the connection."""
-        return riemann(self.c, conn, self.g, self._frame_gradient(conn))
+        return riemann(conn, self.g, self._frame_gradient(conn))
 
     # Derived connection and curvature data, each computed on first use: a
     # Geometry is never changed after __init__.

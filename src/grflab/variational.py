@@ -10,7 +10,7 @@ import scipy.linalg
 
 from . import linalg
 from .harmonics import canonical_space, harmonic_basis
-from .poly import Polynomial, as_poly, integrate_s3
+from .poly import IntegralValue, Polynomial, as_poly, integrate_s3
 from .tensors import zeros
 
 
@@ -113,18 +113,9 @@ def lambda_min(geo, degree=2):
         c = -c
     # the normalized coefficients scale as det(g)^(-1/4); cut relative to that
     c = np.where(np.abs(c) * detg**0.25 < 1e-12, 0.0, c)
-    psi = Polynomial.zero()
-    for ci, phi in zip(c, space.basis):
-        if ci != 0.0:
-            psi = psi + Fraction(float(ci)) * phi
-    psi2 = psi * psi
-    mean = Fraction(0)
-    rest = {}
-    for e, cf in psi2.terms.items():
-        if sum(e) == 0:
-            mean = cf
-        else:
-            rest[e] = cf
+    psi = space.from_coords([Fraction(float(ci)) for ci in c])
+    rest = dict((psi * psi).terms)
+    mean = rest.pop((0, 0, 0, 0), Fraction(0))
     if mean <= 0:
         raise SolverError("ground state has nonpositive mean square")
     q = Polynomial(rest) * (Fraction(1) / mean)
@@ -226,18 +217,8 @@ def second_variation_form(gamma1, gamma2, geo):
     Computed with the unweighted round measure; geo.f must be constant (the
     constant weight rescales the form without changing kernel or sign).
     """
-    a2 = operator_A(gamma2, geo)
-    return -integrate_s3(geo.inner(gamma1, a2))
-
-
-@dataclass
-class OperatorMatrix:
-    blocks: list  # one square matrix per harmonic degree, exact Fractions, coefficients of pi^2
-
-    def eigenvalues(self):
-        return np.sort(np.concatenate([
-            np.linalg.eigvalsh(_symmetrized("second-variation", _float_matrix(e)))
-            for e in self.blocks]))
+    minus_a2 = geo.raised(-operator_A(gamma2, geo), 0, 1)
+    return IntegralValue(pairing_matrix([gamma1], [minus_a2])[0][0])
 
 
 def degree_kernels(d, image):
@@ -272,12 +253,19 @@ def degree_kernels(d, image):
 
 
 def second_variation_matrix(blocks, geo):
-    """Exact Gram matrix of the second-variation form -(x, A y), one block per
-    harmonic degree: A keeps each degree, and distinct degrees are L2-orthogonal.
-    Each -A y is raised once, so its column pairs with every x entrywise."""
-    return OperatorMatrix([pairing_matrix(b, [geo.raised(-operator_A(t, geo), 0, 1)
-                                              for t in b])
-                           for b in blocks])
+    """Exact Gram matrix of the second-variation form -(x, A y), one square
+    block of coefficients of pi^2 per harmonic degree: A keeps each degree, and
+    distinct degrees are L2-orthogonal. Each -A y is raised once, so its column
+    pairs with every x entrywise."""
+    return [pairing_matrix(b, [geo.raised(-operator_A(t, geo), 0, 1) for t in b])
+            for b in blocks]
+
+
+def block_eigenvalues(blocks):
+    """The sorted float64 eigenvalues of a list of exact symmetric blocks."""
+    return np.sort(np.concatenate([
+        np.linalg.eigvalsh(_symmetrized("second-variation", _float_matrix(e)))
+        for e in blocks]))
 
 
 def slice_tangent_basis(geo, d):

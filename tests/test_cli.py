@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
+from grflab import cli
 from grflab.cli import _rand_metric, build_parser, main, parse_metric, parse_u
 from grflab.poly import Polynomial
 
@@ -98,6 +101,44 @@ def test_verify_deterministic(capsys):
     rep = json.loads(out1)
     assert rep["all_passed"] is True
     assert all(a["passed"] for a in rep["assertions"])
+
+
+def _verify_draws(monkeypatch, capsys, fail_first_bianchi):
+    """The verify exit code and the tensors the Phi and self-adjoint checks
+    receive, in order, with the expensive identities stubbed out."""
+    bianchi_calls, drawn = [], []
+
+    def bianchi(geo):
+        bianchi_calls.append(geo)
+        failing = fail_first_bianchi and len(bianchi_calls) == 1
+        return np.array([1.0 if failing else 0.0, 0.0, 0.0])
+
+    def phi(gamma, geo):
+        drawn.append(gamma.tolist())
+        return np.zeros(3), np.zeros(3)
+
+    def operator_a(gamma, geo):
+        drawn.append(gamma.tolist())
+        return gamma
+
+    monkeypatch.setattr(cli, "bianchi_contracted_check", bianchi)
+    monkeypatch.setattr(cli, "phi_relation_check", phi)
+    monkeypatch.setattr(cli, "operator_A", operator_a)
+    code, out = run(capsys, "verify", "--degree", "0", "--seed", "3")
+    failed = [a["name"] for a in json.loads(out)["assertions"] if not a["passed"]]
+    return code, failed, len(bianchi_calls), drawn
+
+
+def test_verify_failure_does_not_move_later_samples(monkeypatch, capsys):
+    # every sample of an assertion is drawn and checked, so a failing sample
+    # leaves the inputs of the assertions after it as the seed alone sets them
+    code, failed, n_bianchi, drawn = _verify_draws(monkeypatch, capsys, True)
+    assert code == 1 and failed == ["contracted second bianchi identity on randomized data"]
+    pass_code, pass_failed, pass_n_bianchi, pass_drawn = _verify_draws(monkeypatch, capsys,
+                                                                       False)
+    assert pass_code == 0 and pass_failed == []
+    assert drawn == pass_drawn
+    assert len(drawn) == 8 + 2 * 5 and n_bianchi == pass_n_bianchi == 10
 
 
 def test_igsd_command(capsys):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from grflab.flow import (FlowBlowup, FlowState, dual_path_residual, grf_rhs,
                          run_flow, soliton_residual, step_rk4)
 from grflab import tensors
 from grflab.frames import STRUCTURE
-from grflab.tensors import SingularMetric
+from grflab.poly import JetScalar
+from grflab.tensors import Geometry, SingularMetric, jet_part, obj_array
 
 
 def round_state(eps=0.0, h0=2.0):
@@ -38,6 +41,23 @@ def test_torsion_free_reduction():
     # plain Ricci flow of the round sphere: dg = -2 Rc = -4 g
     assert np.allclose(dg, -4.0 * np.eye(3))
     assert np.abs(db).max() == 0.0
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])
+def test_linearisation_at_fixed_point(a, b):
+    # along g = I + tE with H = 2 vol, d/dt (-2 Rc + H^2/2) at t = 0 is -8 E
+    # for each symmetric unit direction E: exactly, and by grf_rhs's central
+    # difference
+    e = np.zeros((3, 3), dtype=int)
+    e[a, b] = e[b, a] = 1
+    g = obj_array([[JetScalar(int(i == j), int(e[i, j])) for j in range(3)] for i in range(3)])
+    geo = Geometry(g, H=2)
+    assert jet_part(-2 * geo.Rc + Fraction(1, 2) * geo.H2, 1).tolist() == (-8 * e).tolist()
+
+    def rhs(h):
+        return grf_rhs(FlowState(g=np.eye(3) + h * e, b=np.zeros((3, 3)), H0_coeff=2.0))[0]
+
+    assert np.abs((rhs(1e-5) - rhs(-1e-5)) / 2e-5 + 8 * e).max() <= 1e-8
 
 
 def test_dual_path_identity_random_states():
@@ -79,14 +99,14 @@ def test_rk4_order_by_step_halving():
 
 
 def test_berger_run_monotone():
-    traj = run_flow(round_state(eps=0.01), 1e-3, 3000, sample_every=300)
-    lams = traj.lambdas()
-    res = traj.residuals()
+    samples = run_flow(round_state(eps=0.01), 1e-3, 3000, sample_every=300)
+    lams = [s[2] for s in samples]
+    res = [s[3] for s in samples]
     assert all(b >= a - 1e-8 for a, b in zip(lams, lams[1:]))
     assert all(b <= a + 1e-12 for a, b in zip(res[1:], res[2:]))
     assert res[-1] < res[0]
     assert abs(lams[-1] - 4.0) < 1e-6
-    times = [s[0] for s in traj.samples]
+    times = [s[0] for s in samples]
     assert times == sorted(times)
 
 
@@ -94,7 +114,7 @@ def test_blowup_detected():
     # torsion-free round sphere collapses in finite time under plain Ricci flow
     with pytest.raises(FlowBlowup) as exc:
         run_flow(round_state(h0=0.0), 1e-3, 400, sample_every=100)
-    assert exc.value.trajectory.samples  # partial trajectory retained
+    assert exc.value.samples  # the samples before the blowup are kept
 
 
 def test_bad_dt():

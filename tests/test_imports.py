@@ -61,6 +61,21 @@ def test_one_frame_derivative():
     assert found == []
 
 
+def test_no_result_wrappers_or_structure_parameter():
+    # second_variation_matrix and run_flow return their lists, torsion is a
+    # test helper, and tensors reads the one set of structure constants itself
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.ClassDef) and node.name in ("OperatorMatrix", "Trajectory"))
+             or (isinstance(node, ast.ClassDef) and node.name == "Geometry"
+                 and any(getattr(f, "name", None) == "torsion" for f in node.body))
+             or (path.name == "tensors.py" and isinstance(node, ast.arg) and node.arg == "c")
+             or (path.name == "tensors.py" and isinstance(node, ast.Attribute)
+                 and node.attr == "c" and getattr(node.value, "id", None) == "self")]
+    assert found == []
+
+
 def test_integrals_take_factors():
     # integrate_s3(p, q) integrates p * q from the factors' terms, so no caller
     # forms the product first, not even inside as_poly
@@ -77,3 +92,4 @@ def test_integrals_take_factors():
                                     getattr(node.func, "attr", None))
              and len(node.args) == 1 and not node.keywords and product(node.args[0])]
     assert found == []
+

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from grflab.deformations import round_geometry
-from grflab.frames import EPS, adjoint_matrix, frame_derive, laplacian_scalar
+from grflab.frames import EPS, STRUCTURE, adjoint_matrix, frame_derive, laplacian_scalar
 from grflab.poly import JetScalar, Polynomial, as_poly, integrate_s3
 from grflab.tensors import (BadRank, Geometry, SingularMetric, antisym, is_zero,
                             jet_part, obj_array, sym, zeros)
@@ -22,6 +22,12 @@ def volume_form(coeff=1):
 
 def round_geo():
     return Geometry(EYE, H=2)
+
+
+def _torsion(geo, conn):
+    """Lowered torsion tensor T_{ijk} of a connection symbol array."""
+    t = conn - np.transpose(conn, (1, 0, 2)) - np.array(STRUCTURE)
+    return np.einsum("ijp,pk->ijk", t, geo.g)
 
 
 def rand_metric(rng):
@@ -101,6 +107,20 @@ def test_volume_form():
     assert v[0, 1, 2] == 2 and v[1, 0, 2] == -2 and v[0, 0, 1] == 0
 
 
+
+def test_is_zero_builds_no_polynomial(monkeypatch):
+    # entries are tested by truth value: none is compared with a Polynomial 0
+    zero = np.array([[Polynomial.zero(), JetScalar(), Fraction(0)], [0, 0.0, X[0] - X[0]]],
+                    dtype=object)
+    nonzero = zeros((3, 3))
+    nonzero[2, 2] = JetScalar(0, 0, X[3])
+    calls = []
+    real = Polynomial.__init__
+    monkeypatch.setattr(Polynomial, "__init__",
+                        lambda self, *a: calls.append(1) or real(self, *a))
+    assert is_zero(zero) is True and is_zero(nonzero) is False
+    assert calls == []
+
 # -- connections ---------------------------------------------------------------
 
 def test_levi_civita_metric_and_torsion_free():
@@ -108,7 +128,7 @@ def test_levi_civita_metric_and_torsion_free():
     for _ in range(5):
         geo = Geometry(rand_metric(rng), H=Fraction(3, 2))
         assert is_zero(geo.covd(geo.g, geo.gamma))
-        assert is_zero(geo.torsion(geo.gamma))
+        assert is_zero(_torsion(geo, geo.gamma))
 
 
 def test_bismut_connections_metric_with_prescribed_torsion():
@@ -117,8 +137,8 @@ def test_bismut_connections_metric_with_prescribed_torsion():
         geo = Geometry(rand_metric(rng), H=2)
         assert is_zero(geo.covd(geo.g, geo.gamma_p))
         assert is_zero(geo.covd(geo.g, geo.gamma_m))
-        assert is_zero(geo.torsion(geo.gamma_p) - geo.H)
-        assert is_zero(geo.torsion(geo.gamma_m) + geo.H)
+        assert is_zero(_torsion(geo, geo.gamma_p) - geo.H)
+        assert is_zero(_torsion(geo, geo.gamma_m) + geo.H)
 
 
 def test_singular_metric_rejected():
