@@ -62,15 +62,16 @@ _SIGNED = {"left": tuple(map(_signed_coordinates, LEFT)),
 
 def _derive(table, p):
     """sum_mu s x_nu d/dx_mu of p, monomial by monomial: x^a goes to
-    s a_mu x^(a + e_nu - e_mu); the sum is reduced once."""
+    s a_mu x^(a + e_nu - e_mu), on p's integer numerators over p's denominator;
+    the sum is reduced once."""
     raw = {}
-    for e, c in p.terms.items():
+    for e, c in p.num.items():
         for mu, d, s in table:
             a = e[mu]
             if a:
                 key = (e[0] + d[0], e[1] + d[1], e[2] + d[2], e[3] + d[3])
                 raw[key] = raw.get(key, 0) + s * a * c
-    return Polynomial._from_raw(raw)
+    return Polynomial._from_raw(raw, p.den)
 
 
 def frame_derive(p, i, chirality="left"):

@@ -84,18 +84,21 @@ class CanonicalSpace:
         for col, p in enumerate(self.basis):
             for e, cf in p.terms.items():
                 mat[self.exp_index[e]][col] = cf
-        self._inv = linalg.mat_inv(mat)
+        self._inv_columns = linalg.sparse_columns(linalg.mat_inv(mat))
 
     def coords(self, p):
-        """Exact coordinate vector of p in the harmonic basis."""
+        """Exact coordinate vector of p in the harmonic basis: the inverse's
+        columns of p's monomials, weighted by p's integer numerators, over p's
+        denominator."""
         p = as_poly(p)
-        vec = [Fraction(0)] * len(self.exps)
-        for e, cf in p.terms.items():
+        vec = []
+        for e, n in p.num.items():
             idx = self.exp_index.get(e)
             if idx is None:
                 raise ValueError(f"polynomial degree exceeds truncation d={self.d}")
-            vec[idx] = cf
-        return linalg.mat_vec(self._inv, vec)
+            vec.append((idx, n))
+        out = linalg.mat_vec(self._inv_columns, vec, len(self.exps))
+        return out if p.den == 1 else [x / p.den if x else x for x in out]
 
     def from_coords(self, vec):
         out = Polynomial.zero()

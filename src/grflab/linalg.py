@@ -73,12 +73,17 @@ def mat_inv(mat):
     return [r[n:] for r in rows]
 
 
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        s = Fraction(0)
-        for x, y in zip(row, v):
-            if x != 0 and y != 0:
-                s += x * y
-        out.append(s)
+def sparse_columns(a):
+    """The columns of a matrix as lists of their nonzero entries (i, a[i][j])."""
+    return [[(i, row[j]) for i, row in enumerate(a) if row[j]]
+            for j in range(len(a[0]) if a else 0)]
+
+
+def mat_vec(cols, v, n):
+    """The product a v of the n-row matrix a given by sparse_columns(a) and the
+    sparse vector v, a list of (j, v_j): only the columns j of v are read."""
+    out = [Fraction(0)] * n
+    for j, y in v:
+        for i, x in cols[j]:
+            out[i] += x * y
     return out

@@ -3,7 +3,9 @@
 Functions on S^3 are represented by polynomial representatives in the
 ambient coordinates x1..x4, reduced to a canonical form modulo the sphere
 relation x4^2 = 1 - x1^2 - x2^2 - x3^2 (so the exponent of x4 is always
-0 or 1). Coefficients are exact rationals. Integrals over S^3 of such
+0 or 1). Coefficients are exact rationals, stored as integer numerators
+over one reduced denominator, so arithmetic builds no Fraction per term;
+``Polynomial.terms`` is the rational view. Integrals over S^3 of such
 representatives are exact rational multiples of pi^2.
 """
 
@@ -32,7 +34,7 @@ def _sphere_power(q):
 
 
 def _canonicalize(raw):
-    """Reduce a raw {exponent: coeff} dict modulo x4^2 -> 1 - x1^2 - x2^2 - x3^2."""
+    """Reduce a raw {exponent: int} dict modulo x4^2 -> 1 - x1^2 - x2^2 - x3^2."""
     out = {}
     stack = list(raw.items())
     while stack:
@@ -49,26 +51,52 @@ def _canonicalize(raw):
         else:
             q, r = divmod(a4, 2)
             for b1, b2, b3, m in _sphere_power(q):
-                # q = 1 (every x4^2, x4^3) has only +-1: negating is cheaper
-                # than a Fraction product
-                c = coeff if m == 1 else -coeff if m == -1 else m * coeff
-                stack.append(((a1 + b1, a2 + b2, a3 + b3, r), c))
+                stack.append(((a1 + b1, a2 + b2, a3 + b3, r), m * coeff))
     return out
 
 
-class Polynomial:
-    """Sparse polynomial in x1..x4 with Fraction coefficients, canonical mod S^3."""
+def _reduce(num, den):
+    """The canonical form of num / den: both divided by gcd(den, *num.values()),
+    with one gcd call, and ({}, 1) for zero."""
+    if not num:
+        return num, 1
+    if den != 1:
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {e: n // g for e, n in num.items()}
+            den //= g
+    return num, den
 
-    __slots__ = ("terms",)
+
+_ONE = (0, 0, 0, 0)  # the exponent of the constant term
+
+
+class Polynomial:
+    """Sparse polynomial in x1..x4 with rational coefficients, canonical mod S^3.
+
+    The coefficients are integer numerators ``num`` {exponent: int} over one
+    denominator ``den``: den > 0, gcd(den, *num.values()) == 1, and the zero
+    polynomial is ({}, 1). ``terms`` is the rational view {exponent: Fraction}.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        self.terms = _canonicalize({tuple(k): Fraction(v) for k, v in (terms or {}).items()})
+        terms = {tuple(k): Fraction(v) for k, v in (terms or {}).items()}
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        self.num, self.den = _reduce(_canonicalize(
+            {e: c.numerator * (den // c.denominator) for e, c in terms.items()}), den)
 
     @classmethod
-    def _from_raw(cls, raw):
-        """The polynomial of a raw {exponent tuple: coeff} dict, reduced once."""
+    def _from_raw(cls, raw, den=1):
+        """The polynomial of a raw {exponent tuple: int} dict over den, reduced once."""
+        return cls._of(_canonicalize(raw), den)
+
+    @classmethod
+    def _of(cls, num, den):
+        """The polynomial of canonical numerators num over den."""
         out = cls.__new__(cls)
-        out.terms = _canonicalize(raw)
+        out.num, out.den = _reduce(num, den)
         return out
 
     @classmethod
@@ -77,7 +105,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c):
-        return cls({(0, 0, 0, 0): Fraction(c)})
+        return cls({_ONE: Fraction(c)})
 
     @classmethod
     def variable(cls, i):
@@ -89,58 +117,72 @@ class Polynomial:
         return cls({tuple(exp): Fraction(1)})
 
     @property
+    def terms(self):
+        """The coefficients as a new {exponent: Fraction} dict."""
+        den = self.den
+        return {e: Fraction(n, den) for e, n in self.num.items()}
+
+    @property
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.num)
 
     @property
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return all(sum(e) == 0 for e in self.num)
 
     def constant_value(self):
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0, 0, 0, 0), Fraction(0))
+        return Fraction(self.num.get(_ONE, 0), self.den)
 
     def degree(self):
         """Total degree of the canonical representative (zero polynomial -> 0)."""
-        if not self.terms:
+        if not self.num:
             return 0
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self.num)
 
     def __add__(self, other):
         """self + other; a zero or empty operand returns the other operand, and
-        a number goes to the constant term directly."""
+        a number goes to the constant term directly. The numerators are
+        rescaled only when the denominators differ."""
         if isinstance(other, Polynomial):
-            if not other.terms:
+            if not other.num:
                 return self
-            if not self.terms:
+            if not self.num:
                 return other
-            other = other.terms
+            onum, oden = other.num, other.den
         elif isinstance(other, (int, Fraction)):
             if not other:
                 return self
-            other = {(0, 0, 0, 0): Fraction(other)}
+            onum, oden = {_ONE: other.numerator}, other.denominator
         else:
             return NotImplemented
-        new = dict(self.terms)
-        for e, c in other.items():
-            s = new.get(e, 0) + c
-            if s == 0:
-                new.pop(e, None)
-            else:
+        den = self.den
+        if den == oden:
+            new = dict(self.num)
+            scale = 1
+        else:
+            g = math.gcd(den, oden)
+            scale, factor = oden // g, den // g  # den * scale == oden * factor
+            new = {e: n * scale for e, n in self.num.items()}
+            onum = {e: n * factor for e, n in onum.items()}
+        for e, n in onum.items():
+            s = new.get(e, 0) + n
+            if s:
                 new[e] = s
-        out = Polynomial.__new__(Polynomial)
-        out.terms = new
-        return out
+            else:
+                del new[e]
+        return Polynomial._of(new, den * scale)
 
     __radd__ = __add__
 
     def __neg__(self):
         out = Polynomial.__new__(Polynomial)
-        out.terms = {e: -c for e, c in self.terms.items()}
+        out.num = {e: -n for e, n in self.num.items()}
+        out.den = self.den
         return out
 
     def __sub__(self, other):
@@ -154,40 +196,45 @@ class Polynomial:
     def __mul__(self, other):
         """self * other; a zero number or an empty operand gives the shared _ZERO."""
         if isinstance(other, Polynomial):
-            if not self.terms or not other.terms:
+            if not self.num or not other.num:
                 return _ZERO
             raw = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
+            for e1, n1 in self.num.items():
+                for e2, n2 in other.num.items():
                     e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                    raw[e] = raw.get(e, 0) + c1 * c2
-            return Polynomial._from_raw(raw)
+                    raw[e] = raw.get(e, 0) + n1 * n2
+            return Polynomial._from_raw(raw, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            if not other or not self.terms:
+            if not other or not self.num:
                 return _ZERO
-            out = Polynomial.__new__(Polynomial)
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            m = other.numerator
+            return Polynomial._of({e: n * m for e, n in self.num.items()},
+                                  self.den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
+        if isinstance(other, Polynomial):
+            return self.den == other.den and self.num == other.num
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return not self.num
+            return (self.den == other.denominator and len(self.num) == 1
+                    and self.num.get(_ONE) == other.numerator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.num.items()), self.den))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         names = ("x1", "x2", "x3", "x4")
+        terms = self.terms
         parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
+        for e in sorted(terms):
+            c = terms[e]
             mono = "*".join(
                 n if a == 1 else f"{n}^{a}" for n, a in zip(names, e) if a > 0
             )
@@ -272,17 +319,19 @@ def integrate_s3(p, q=1):
     numbers p and q, from the terms of the two factors: the product is never
     formed. A monomial of p pairs only with the monomials of q of its exponent
     parity, the only ones whose product has an all-even exponent and so a
-    nonzero moment."""
+    nonzero moment. The integer products are summed per exponent sum, and
+    each sum meets its moment once."""
     p, q = as_poly(p), as_poly(q)
     groups = {}
-    for e, c in q.terms.items():
-        groups.setdefault(_parity(e), []).append((e, c))
-    total = Fraction(0)
-    for e1, c1 in p.terms.items():
-        for e2, c2 in groups.get(_parity(e1), ()):
-            total += c1 * c2 * sphere_moment(
-                (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3]))
-    return IntegralValue(total)
+    for e, n in q.num.items():
+        groups.setdefault(_parity(e), []).append((e, n))
+    sums = {}
+    for e1, n1 in p.num.items():
+        for e2, n2 in groups.get(_parity(e1), ()):
+            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+            sums[e] = sums.get(e, 0) + n1 * n2
+    total = sum((n * sphere_moment(e) for e, n in sums.items() if n), Fraction(0))
+    return IntegralValue(total / (p.den * q.den))
 
 
 class NonInvertibleJet(ValueError):

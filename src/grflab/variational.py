@@ -114,7 +114,7 @@ def lambda_min(geo, degree=2):
     # the normalized coefficients scale as det(g)^(-1/4); cut relative to that
     c = np.where(np.abs(c) * detg**0.25 < 1e-12, 0.0, c)
     psi = space.from_coords([Fraction(float(ci)) for ci in c])
-    rest = dict((psi * psi).terms)
+    rest = (psi * psi).terms
     mean = rest.pop((0, 0, 0, 0), Fraction(0))
     if mean <= 0:
         raise SolverError("ground state has nonpositive mean square")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,16 @@ def test_linearisation_at_fixed_point(a, b):
         return grf_rhs(FlowState(g=np.eye(3) + h * e, b=np.zeros((3, 3)), H0_coeff=2.0))[0]
 
     assert np.abs((rhs(1e-5) - rhs(-1e-5)) / 2e-5 + 8 * e).max() <= 1e-8
+
+
+def test_residual_decays_like_exp_minus_8t():
+    # criterion 12's run: the linearisation at (I, 2 vol) is -8 I, so between
+    # consecutive samples of t in [0.5, 2] the residual falls like e^(-8t)
+    samples = run_flow(round_state(eps=0.01), 1e-3, 2000, sample_every=500)
+    late = [(t, r) for t, _, _, r in samples if t >= 0.5 - 1e-9 and r > 1e-9]
+    slopes = [math.log(r2 / r1) / (t2 - t1) for (t1, r1), (t2, r2) in zip(late, late[1:])]
+    assert len(slopes) == 3
+    assert all(abs(s + 8) < 1e-2 for s in slopes), slopes
 
 
 def test_dual_path_identity_random_states():

@@ -48,3 +48,15 @@ def test_mat_inv_exact():
         assert prod == eye
     with pytest.raises(ValueError):
         linalg.mat_inv([[1, 2], [2, 4]])
+
+
+def test_sparse_mat_vec_against_dense():
+    rng = random.Random(13)
+    for _ in range(25):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        mat = [[x if rng.random() < 0.4 else Fraction(0) for x in r]
+               for r in rand_matrix(rng, n, m)]
+        v = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
+        got = linalg.mat_vec(linalg.sparse_columns(mat), [(j, y) for j, y in enumerate(v) if y],
+                             n)
+        assert got == [sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in mat]

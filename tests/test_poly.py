@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grflab.frames import frame_derive
 from grflab.poly import (IntegralValue, JetScalar, NonInvertibleJet, Polynomial,
                          as_poly, integrate_s3, sphere_moment)
 
@@ -89,7 +90,6 @@ def test_ring_axioms(p, q, r):
 def test_tangential_derivative_is_a_derivation(p, q):
     # the ambient partials are not derivations modulo the sphere relation,
     # but every tangential frame derivative is
-    from grflab.frames import frame_derive
     for i in (1, 2, 3):
         lhs = frame_derive(p * q, i)
         rhs = frame_derive(p, i) * q + p * frame_derive(q, i)
@@ -278,3 +278,95 @@ def test_jet_mixed_arithmetic():
     assert (X[1] * j).c1 == X[1] * X[0]
     assert (j + X[1]).c0 == 1 + X[1]
     assert (2 * j).c1 == 2 * X[0]
+
+
+# -- integer numerators over one denominator ----------------------------------
+
+def _ref_canonical(raw):
+    """Reference {exponent: Fraction} reduction modulo x4^2 = 1 - x1^2 - x2^2 - x3^2,
+    one x4^2 at a time."""
+    out = {}
+    stack = [(e, Fraction(c)) for e, c in raw.items()]
+    while stack:
+        (a1, a2, a3, a4), c = stack.pop()
+        if a4 >= 2:
+            for d, s in (((0, 0, 0), 1), ((2, 0, 0), -1), ((0, 2, 0), -1), ((0, 0, 2), -1)):
+                stack.append(((a1 + d[0], a2 + d[1], a3 + d[2], a4 - 2), s * c))
+        else:
+            out[(a1, a2, a3, a4)] = out.get((a1, a2, a3, a4), 0) + c
+    return {e: c for e, c in out.items() if c != 0}
+
+
+def _ref_add(a, b):
+    return _ref_canonical({e: a.get(e, 0) + b.get(e, 0) for e in {*a, *b}})
+
+
+def _ref_mul(a, b):
+    raw = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            raw[e] = raw.get(e, 0) + c1 * c2
+    return _ref_canonical(raw)
+
+
+def _ref_frame_derive(a, i):
+    """E_i = sum_mu LEFT[i][mu] d/dx_mu on reference terms."""
+    from grflab.frames import LEFT
+    out = {}
+    for mu in range(4):
+        partial = {}
+        for e, c in a.items():
+            if e[mu]:
+                shifted = tuple(x - (k == mu) for k, x in enumerate(e))
+                partial[shifted] = partial.get(shifted, 0) + e[mu] * c
+        out = _ref_add(out, _ref_mul(LEFT[i - 1][mu].terms, partial))
+    return out
+
+
+def _assert_canonical(p):
+    assert p.den > 0 and math.gcd(p.den, *p.num.values()) == 1
+    assert all(isinstance(n, int) and n != 0 and e[3] <= 1 for e, n in p.num.items())
+    assert p.num or p.den == 1
+
+
+fractional = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+frac_polys = st.dictionaries(exps, fractional, max_size=5).map(Polynomial)
+
+
+@settings(max_examples=80, deadline=None)
+@given(frac_polys, frac_polys, fractional)
+def test_integer_numerators_agree_with_a_fraction_reference(p, q, c):
+    a, b = p.terms, q.terms
+    cases = [(p + q, _ref_add(a, b)), (p - q, _ref_add(a, {e: -x for e, x in b.items()})),
+             (-p, {e: -x for e, x in a.items()}), (p * q, _ref_mul(a, b)),
+             (p * c, _ref_mul(a, {(0, 0, 0, 0): c} if c else {})),
+             (p + c, _ref_add(a, {(0, 0, 0, 0): c}))]
+    cases += [(frame_derive(p, i), _ref_frame_derive(a, i)) for i in (1, 2, 3)]
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got.terms == want
+    want = sum((x * sphere_moment(e) for e, x in _ref_mul(a, b).items()), Fraction(0))
+    assert integrate_s3(p, q).coeff == want
+    for other in (p * 3 * Fraction(1, 3), p + q - q, Polynomial(a)):
+        assert other == p and hash(other) == hash(p)
+    assert (p == c) == (a == ({(0, 0, 0, 0): c} if c else {}))
+
+
+def test_arithmetic_builds_no_fraction(monkeypatch):
+    import fractions
+    p = Fraction(3, 4) * X[0] * X[3] + X[1] * X[1] - Fraction(1, 6)
+    q = Fraction(2, 5) * X[3] - Fraction(7, 3) * X[2] * X[3] * X[3] + 1
+    c = Fraction(3, 7)
+    built = []
+    new = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+    values = (p + q, -p, p * q, p * c, frame_derive(p, 1), p == c, p == 0)
+    monkeypatch.undo()
+    assert built == []
+    assert values[0] - q == p and -values[1] == p and values[3] * Fraction(7, 3) == p
