@@ -12,7 +12,7 @@ import numpy as np
 from .frames import BadIndex, adjoint_matrix
 from .harmonics import canonical_space, harmonic_basis, is_eigenfunction
 from .poly import IntegralValue, JetScalar, Polynomial, as_poly, integrate_s3
-from .tensors import Geometry, antisym, is_zero, jet_part, obj_array, sym, zeros
+from .tensors import Geometry, antisym, contract, is_zero, jet_part, obj_array, sym, zeros
 from .variational import (curvature_action, degree_kernels, operator_B,
                           second_variation_form)
 
@@ -93,8 +93,8 @@ def first_order_system_check(gamma):
     dh = geo.covd(h, geo.gamma)
     dK = geo.covd(K, geo.gamma)
     hu = geo.H_ddu
-    rhs_h = -Fraction(1, 2) * (np.einsum("mib,jb->mij", hu, K) + np.einsum("mjb,ib->mij", hu, K))
-    rhs_K = -Fraction(1, 2) * (np.einsum("mjb,ib->mij", hu, h) - np.einsum("mib,jb->mij", hu, h))
+    rhs_h = -Fraction(1, 2) * (contract("mib,jb->mij", hu, K) + contract("mjb,ib->mij", hu, K))
+    rhs_K = -Fraction(1, 2) * (contract("mjb,ib->mij", hu, h) - contract("mib,jb->mij", hu, h))
     return is_zero(dh - rhs_h) and is_zero(dK - rhs_K)
 
 
@@ -135,8 +135,8 @@ def integral_identities(gamma):
     grad_k = geo.covd(K, geo.gamma)
     nh2 = pair(grad_h, grad_h)
     nk2 = pair(grad_k, grad_k)
-    rhh = integrate_s3(np.einsum("ij,ja,ib,ab->", geo.Rc, h, h, geo.ginv))
-    rkk = integrate_s3(np.einsum("ij,ja,ib,ab->", geo.Rc, K, K, geo.ginv))
+    rhh = integrate_s3(contract("ij,ja,ib,ab->", geo.Rc, h, h, geo.ginv))
+    rkk = integrate_s3(contract("ij,ja,ib,ab->", geo.Rc, K, K, geo.ginv))
     report = {
         "ring_h": rh_h,
         "ring_K": rk_k,
@@ -191,7 +191,7 @@ def _jet_u_part(u):
 
     # minimizer jet: f' = u/2 and lap f'' = 7 mu u^2 - (7/4)|grad u|^2, mean zero
     du = geo0.covd_scalar(u)
-    grad_u2 = as_poly(np.einsum("m,m->", du, du))
+    grad_u2 = as_poly(contract("m,m->", du, du))
     rhs = 7 * MU * (u * u) - Fraction(7, 4) * grad_u2
     f2 = canonical_space(4).poisson_solve(rhs)
 
@@ -206,7 +206,7 @@ def _jet_u_part(u):
     g0 = geo0.g
     lap_u = as_poly(-8 * u)
     hess_u = geo0.hessian(u)
-    du_du = np.einsum("i,j->ij", du, du)
+    du_du = contract("i,j->ij", du, du)
     iuH = geo0.i_grad(u, geo0.H)
     hess_f2 = geo0.hessian(f2)
     if2H = geo0.i_grad(f2, geo0.H)

@@ -3,6 +3,7 @@ their curvature, the mixed connection on 2-tensors, twisted divergences,
 the mixed Laplacian, and the twisted Bakry-Emery curvature. A tensor is an
 object ndarray of scalars with one size-3 axis per frame index."""
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -49,6 +50,47 @@ def is_zero(a):
     """True when every entry of a (an array or one scalar) is zero. Entries
     are tested by truth value, which builds no Polynomial."""
     return not any(np.ravel(a))
+
+
+def _lift(a):
+    """(numerators, D) of an exact constant operand: an integer array as it
+    is over D = 1, an object array of ints and Fractions as Python-int
+    numerators over the lcm D of their denominators; None for any other
+    operand, such as one with Polynomial or JetScalar entries."""
+    if a.dtype != object:
+        return (a, 1) if a.dtype.kind in "iu" else None
+    flat = a.reshape(-1)
+    if not set(map(type, flat)) <= {int, Fraction}:
+        return None
+    den = math.lcm(*(x.denominator for x in flat))
+    num = np.empty(a.shape, dtype=object)
+    num.reshape(-1)[:] = [x.numerator * (den // x.denominator) for x in flat]
+    return num, den
+
+
+def contract(spec, *operands):
+    """np.einsum(spec, *operands), the one contraction of the package.
+
+    float64 and integer operands go to np.einsum as they are. Exact constant
+    operands are contracted as integer numerators, so no product or sum
+    builds a Fraction, and the result is divided by the product D of their
+    denominators once: an all-constant result becomes Fraction(n, D) per
+    entry, one with Polynomial or JetScalar entries is scaled by 1/D when
+    D != 1. Values, entry types and a 0-d result's scalar kind are those of
+    np.einsum on the operands themselves.
+    """
+    if all(a.dtype != object for a in operands):
+        return np.einsum(spec, *operands)
+    lifted = [_lift(a) for a in operands]
+    den = math.prod(ld[1] for ld in lifted if ld is not None)
+    out = np.einsum(spec, *(a if ld is None else ld[0] for a, ld in zip(operands, lifted)))
+    if any(ld is None for ld in lifted):
+        return out if den == 1 else out * Fraction(1, den)
+    if not isinstance(out, np.ndarray):
+        return Fraction(out, den)
+    res = np.empty(out.shape, dtype=object)
+    res.reshape(-1)[:] = [Fraction(n, den) for n in out.reshape(-1)]
+    return res
 
 
 def sym(a):
@@ -119,12 +161,12 @@ def christoffel(g, ginv, dg=None):
     ginv its inverse, as float64 or object ndarrays. dg[m, i, k] = E_m(g_ik);
     None for invariant data, whose components have no frame derivatives.
     """
-    a = (np.einsum("mip,pk->mik", _STRUCTURE, g)
-         - np.einsum("mkp,ip->mik", _STRUCTURE, g)
-         - np.einsum("ikp,mp->mik", _STRUCTURE, g))
+    a = (contract("mip,pk->mik", _STRUCTURE, g)
+         - contract("mkp,ip->mik", _STRUCTURE, g)
+         - contract("ikp,mp->mik", _STRUCTURE, g))
     if dg is not None:
-        a = a + dg + np.einsum("imk->mik", dg) - np.einsum("kmi->mik", dg)
-    return np.einsum("mik,pk->mip", _half(a), ginv)
+        a = a + dg + contract("imk->mik", dg) - contract("kmi->mik", dg)
+    return contract("mik,pk->mip", _half(a), ginv)
 
 
 def riemann(conn, g, dconn=None):
@@ -133,12 +175,12 @@ def riemann(conn, g, dconn=None):
     conn and g as in ``christoffel``. dconn[i, j, k, l] = E_i(conn[j, k, l]);
     None for invariant data.
     """
-    coef = (np.einsum("jkm,iml->ijkl", conn, conn)
-            - np.einsum("ikm,jml->ijkl", conn, conn)
-            - np.einsum("ijm,mkl->ijkl", _STRUCTURE, conn))
+    coef = (contract("jkm,iml->ijkl", conn, conn)
+            - contract("ikm,jml->ijkl", conn, conn)
+            - contract("ijm,mkl->ijkl", _STRUCTURE, conn))
     if dconn is not None:
-        coef = coef + dconn - np.einsum("jikl->ijkl", dconn)
-    return np.einsum("ijkp,pl->ijkl", coef, g)
+        coef = coef + dconn - contract("jikl->ijkl", dconn)
+    return contract("ijkp,pl->ijkl", coef, g)
 
 
 def _as_data(x):
@@ -192,7 +234,7 @@ class Geometry:
 
     def grad_up(self, s):
         """Raised gradient (nabla s)^m as a length-3 object array."""
-        return np.einsum("mn,n->m", self.ginv, self.covd_scalar(s))
+        return contract("mn,n->m", self.ginv, self.covd_scalar(s))
 
     # -- covariant derivatives --------------------------------------------
 
@@ -208,7 +250,7 @@ class Geometry:
         out = self._frame_gradient(T)
         for s, cs in enumerate(conn):
             # conn_s[m, i, p] T[..., p, ...] with p in slot s
-            term = np.einsum(f"m{idx[s]}p,{idx[:s]}p{idx[s + 1:]}->m{idx}", cs, T)
+            term = contract(f"m{idx[s]}p,{idx[:s]}p{idx[s + 1:]}->m{idx}", cs, T)
             out = -term if out is None else out - term
         return out
 
@@ -226,13 +268,13 @@ class Geometry:
 
         Returns the contracted component array, a scalar for a 1-form.
         """
-        return np.einsum("mn...,mn->...", self.covd(T, conn), self.ginv)
+        return contract("mn...,mn->...", self.covd(T, conn), self.ginv)
 
     def div_f(self, T, conn=None):
         """The f-twisted divergence div(T, conn) - (grad f)^m T_{m...}."""
         if isinstance(self.f, Polynomial) and self.f.is_zero:
             return self.div(T, conn)
-        return self.div(T, conn) - np.einsum("m,m...->...", self.grad_up(self.f), T)
+        return self.div(T, conn) - contract("m,m...->...", self.grad_up(self.f), T)
 
     def rough_laplacian_f(self, T, conn=None):
         """Connection f-Laplacian g^{mn} (nabla nabla T)_{mn...} - (grad f)^m (nabla T)_{m...}."""
@@ -270,36 +312,37 @@ class Geometry:
     @cached_property
     def Rc(self):
         """Ricci tensor Rc_{jk} = g^{il} Rm_{ijkl}."""
-        return np.einsum("ijkl,il->jk", self.Rm, self.ginv)
+        return contract("ijkl,il->jk", self.Rm, self.ginv)
 
     @cached_property
     def Rc_plus(self):
         """Bismut Ricci tensor g^{il} Rm+_{ijkl}."""
-        return np.einsum("ijkl,il->jk", self.Rm_plus, self.ginv)
+        return contract("ijkl,il->jk", self.Rm_plus, self.ginv)
 
     @cached_property
     def R(self):
         """Scalar curvature g^{jk} Rc_{jk}."""
-        return np.einsum("jk,jk->", self.Rc, self.ginv)
+        return contract("jk,jk->", self.Rc, self.ginv)
 
     @cached_property
     def H2(self):
         """H^2_{ij} = H_{ipq} H_{jrs} g^{pr} g^{qs}."""
-        return np.einsum("ipq,jrs,pr,qs->ij", self.H, self.H, self.ginv, self.ginv)
+        return contract("ipq,jrs,pr,qs->ij", self.H, self.H, self.ginv, self.ginv)
 
     @cached_property
     def H2_norm(self):
         """|H|^2, full contraction without combinatorial factor."""
-        return np.einsum("ij,ij->", self.H2, self.ginv)
+        return contract("ij,ij->", self.H2, self.ginv)
 
     # Raised tensors, each built once: the operators below contract them with
-    # their argument in one two-operand einsum. g is symmetric, so g^-1 is
+    # their argument in one two-operand contraction. g is symmetric, so g^-1 is
     # too, and raising a slot by g^{pq} or by g^{qp} is the same.
 
     def raised(self, T, *slots):
         """T with each listed slot raised: g^{pq} T_{..q..}, p in the slot of q."""
+        idx = "abcd"[:T.ndim]
         for s in slots:
-            T = np.moveaxis(np.tensordot(self.ginv, T, axes=(1, s)), 0, s)
+            T = contract(f"p{idx[s]},{idx}->{idx[:s]}p{idx[s + 1:]}", self.ginv, T)
         return T
 
     @cached_property
@@ -326,7 +369,7 @@ class Geometry:
     def HH_up(self):
         """HH[i, j, e, f] = H_abj H_cdi g^ac g^bf g^de: the mixed Laplacian's
         H*H term without its gamma_ef, built as H^cf_j H_c^e_i."""
-        return np.einsum("cfj,cei->ijef", self.H_uud, self.raised(self.H, 1))
+        return contract("cfj,cei->ijef", self.H_uud, self.raised(self.H, 1))
 
     @cached_property
     def Rm_up(self):
@@ -344,7 +387,7 @@ class Geometry:
 
     def i_grad(self, s, T):
         """Interior product i_{grad s} T for a form T (contracts the first slot)."""
-        return np.einsum("m,m...->...", self.grad_up(s), T)
+        return contract("m,m...->...", self.grad_up(s), T)
 
     def dstar_f(self, T):
         return -self.div_f(T)
@@ -353,8 +396,8 @@ class Geometry:
         """Rm+ from the Riemannian data: Rm + (1/2)(nabla H terms) - (1/4)(H o H terms)."""
         dh = self.covd(self.H, self.gamma)
         q = Fraction(1, 4)
-        hh1 = np.einsum("ila,jkb,ab->ijkl", self.H, self.H, self.ginv)
-        hh2 = np.einsum("jla,ikb,ab->ijkl", self.H, self.H, self.ginv)
+        hh1 = contract("ila,jkb,ab->ijkl", self.H, self.H, self.ginv)
+        hh2 = contract("jla,ikb,ab->ijkl", self.H, self.H, self.ginv)
         half = Fraction(1, 2)
         return (self.Rm + dh * half - np.transpose(dh, (1, 0, 2, 3)) * half
                 - hh1 * q + hh2 * q)
@@ -369,7 +412,7 @@ class Geometry:
     def generalized_scalar(self):
         """R^{H,f} = R - |H|^2/12 + 2 laplacian f - |grad f|^2."""
         df = self.covd_scalar(self.f)
-        norm2 = np.einsum("m,m->", self.grad_up(self.f), df)
+        norm2 = contract("m,m->", self.grad_up(self.f), df)
         return self.R - Fraction(1, 12) * self.H2_norm + 2 * self.div(df) - norm2
 
     # -- mixed connection suite ---------------------------------------------
@@ -401,19 +444,19 @@ class Geometry:
             raise BadRank("mixed Laplacian acts on rank-2 tensors")
         d = self.covd(gamma)
         base = self.div_f(d)
-        t2 = -np.einsum("mjk,mik->ij", self.H_udu, d)
-        t3 = np.einsum("mik,mkj->ij", self.H_udu, d)
-        t4 = -(np.einsum("ja,ia->ij", self.H2_du, gamma)
-               + np.einsum("ia,aj->ij", self.H2_du, gamma)) * Fraction(1, 4)
-        t5 = -Fraction(1, 2) * np.einsum("ijef,ef->ij", self.HH_up, gamma)
+        t2 = -contract("mjk,mik->ij", self.H_udu, d)
+        t3 = contract("mik,mkj->ij", self.H_udu, d)
+        t4 = -(contract("ja,ia->ij", self.H2_du, gamma)
+               + contract("ia,aj->ij", self.H2_du, gamma)) * Fraction(1, 4)
+        t5 = -Fraction(1, 2) * contract("ijef,ef->ij", self.HH_up, gamma)
         return base + t2 + t3 + t4 + t5
 
     def mixed_laplacian_definition(self, gamma):
         """-(adjoint of nabla-bar) applied to nabla-bar gamma."""
         T = self.mixed_covd(gamma)
         out = -self.div_f(T)
-        out = out + Fraction(1, 2) * np.einsum("cdi,cdj->ij", self.H_uud, T)
-        out = out - Fraction(1, 2) * np.einsum("cdj,cid->ij", self.H_uud, T)
+        out = out + Fraction(1, 2) * contract("cdi,cdj->ij", self.H_uud, T)
+        out = out - Fraction(1, 2) * contract("cdj,cid->ij", self.H_uud, T)
         return -out
 
     # -- inner products ------------------------------------------------------

@@ -11,7 +11,7 @@ import scipy.linalg
 from . import linalg
 from .harmonics import canonical_space, harmonic_basis
 from .poly import IntegralValue, Polynomial, as_poly, integrate_s3
-from .tensors import zeros
+from .tensors import contract, zeros
 
 
 class SolverError(RuntimeError):
@@ -145,7 +145,7 @@ def first_variation(geo, gamma):
 def curvature_action(geo, gamma, bismut=True):
     """R-ring action: (R(gamma))_{jk} = R_{ijkl} gamma^{il} with Rm or Rm+."""
     rm_up = geo.Rm_plus_up if bismut else geo.Rm_up
-    return np.einsum("ijkl,il->jk", rm_up, gamma)
+    return contract("ijkl,il->jk", rm_up, gamma)
 
 
 def operator_B(gamma, geo):
@@ -189,7 +189,7 @@ def bianchi_contracted_check(geo):
     lhs = geo.div_f(s)
     grad_r = geo.covd_scalar(geo.generalized_scalar())
     dsf = geo.dstar_f(geo.H)
-    hterm = np.einsum("lcd,cd->l", geo.H, geo.raised(dsf, 0, 1))
+    hterm = contract("lcd,cd->l", geo.H, geo.raised(dsf, 0, 1))
     return lhs - grad_r * Fraction(1, 2) - hterm * Fraction(1, 4)
 
 

@@ -61,6 +61,21 @@ def test_one_frame_derivative():
     assert found == []
 
 
+def test_one_contraction():
+    # tensors.contract is the one contraction: no other einsum or tensordot call
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for fn in tree.body
+                  if path.name == "tensors.py" and getattr(fn, "name", None) == "contract"
+                  for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and {getattr(node.func, "attr", None), getattr(node.func, "id", None)}
+                  & {"einsum", "tensordot"}]
+    assert found == []
+
+
 def test_no_result_wrappers_or_structure_parameter():
     # second_variation_matrix and run_flow return their lists, torsion is a
     # test helper, and tensors reads the one set of structure constants itself

@@ -1,13 +1,18 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import grflab
 from grflab.deformations import round_geometry
 from grflab.frames import EPS, STRUCTURE, adjoint_matrix, frame_derive, laplacian_scalar
 from grflab.poly import JetScalar, Polynomial, as_poly, integrate_s3
-from grflab.tensors import (BadRank, Geometry, SingularMetric, antisym, is_zero,
+from grflab.tensors import (BadRank, Geometry, SingularMetric, antisym, contract, is_zero,
                             jet_part, obj_array, sym, zeros)
 from grflab.variational import bianchi_contracted_check, curvature_action
 
@@ -496,3 +501,114 @@ def test_inner_matches_many_operand_einsum():
             got = fgeo.inner(fa, fb)
             assert isinstance(got, float)
             assert abs(got - _old_inner(fgeo, fa, fb)) <= 1e-12
+
+
+# Every spec that src/ hands to contract: the literal ones, then covd's for T
+# of rank 1 to 3 and raised's for T of rank 1 to 4.
+CONTRACT_SPECS = (
+    "mip,pk->mik", "mkp,ip->mik", "ikp,mp->mik", "imk->mik", "kmi->mik", "mik,pk->mip",
+    "jkm,iml->ijkl", "ikm,jml->ijkl", "ijm,mkl->ijkl", "jikl->ijkl", "ijkp,pl->ijkl",
+    "mn,n->m", "mn...,mn->...", "m,m...->...", "ijkl,il->jk", "jk,jk->",
+    "ipq,jrs,pr,qs->ij", "ij,ij->", "cfj,cei->ijef", "ila,jkb,ab->ijkl",
+    "jla,ikb,ab->ijkl", "m,m->", "mjk,mik->ij", "mik,mkj->ij", "ja,ia->ij", "ia,aj->ij",
+    "ijef,ef->ij", "cdi,cdj->ij", "cdj,cid->ij", "lcd,cd->l", "mib,jb->mij",
+    "mjb,ib->mij", "ij,ja,ib,ab->", "i,j->ij",
+    "map,p->ma", "map,pb->mab", "mbp,ap->mab", "map,pbc->mabc", "mbp,apc->mabc",
+    "mcp,abp->mabc",
+    "pa,a->p", "pa,ab->pb", "pb,ab->ap", "pa,abc->pbc", "pb,abc->apc", "pc,abc->abp",
+    "pa,abcd->pbcd", "pb,abcd->apcd", "pc,abcd->abpd", "pd,abcd->abcp",
+)
+
+
+def test_contract_specs_cover_src():
+    src = Path(grflab.__file__).parent
+    literal = {node.args[0].value
+               for path in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "contract"
+               and isinstance(node.args[0], ast.Constant)}
+    assert literal and literal <= set(CONTRACT_SPECS)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), _small, max_size=3).map(Polynomial)
+_ENTRIES = {
+    "fraction": st.one_of(st.just(Fraction(0)), _small),
+    # Fraction(float) has a power-of-two denominator up to 2^1074, as flow_lambda's data
+    "float_fraction": st.one_of(st.just(0.0), st.floats(-4, 4)).map(Fraction),
+    "polynomial": _polys,
+    "mixed": st.one_of(st.just(Fraction(0)), _small, _polys),
+    "jet": st.builds(JetScalar, _polys, _polys, _polys),
+    "int64": st.integers(-2, 2),
+    "float64": st.floats(-4, 4),
+}
+_DTYPES = {"int64": np.int64, "float64": np.float64}
+
+
+def _assert_same_result(got, want):
+    """Equal values, equal entry types and the same scalar or array kind."""
+    assert isinstance(got, np.ndarray) == isinstance(want, np.ndarray)
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        pairs = zip(got.reshape(-1), want.reshape(-1))
+    else:
+        pairs = [(got, want)]
+    for a, b in pairs:
+        assert type(a) is type(b) and a == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CONTRACT_SPECS), st.data())
+def test_contract_matches_einsum(spec, data):
+    inputs = spec.split("->")[0].split(",")
+    extra = data.draw(st.integers(0, 2)) if "..." in spec else 0
+    floats = data.draw(st.booleans(), label="float64 data")
+    operands = []
+    for sub in inputs:
+        shape = (3,) * (len(sub.replace("...", "")) + extra * ("..." in sub))
+        kind = "float64" if floats else data.draw(
+            st.sampled_from(["fraction", "float_fraction", "polynomial", "mixed", "jet", "int64"]))
+        entries = data.draw(st.lists(_ENTRIES[kind], min_size=3 ** len(shape),
+                                     max_size=3 ** len(shape)), label=kind)
+        arr = np.empty(len(entries), dtype=_DTYPES.get(kind, object))
+        arr[:] = entries
+        operands.append(arr.reshape(shape))
+    _assert_same_result(contract(spec, *operands), np.einsum(spec, *operands))
+
+
+def test_contract_lifts_float_fractions_against_int64_structure():
+    # the flow's exact lambda sample: 2^52 denominators against the int64
+    # structure constants, contracted as Python ints with no int64 overflow
+    rng = np.random.default_rng(7)
+    g = obj_array([[Fraction(float(x)) for x in row] for row in rng.uniform(0.5, 2.0, (3, 3))])
+    structure = np.array(STRUCTURE)
+    assert max(x.denominator for x in g.flat) >= 2**50
+    for spec in ("mip,pk->mik", "mkp,ip->mik", "ikp,mp->mik"):
+        _assert_same_result(contract(spec, structure, g), np.einsum(spec, structure, g))
+    assert contract("ij,ij->", g, g) == np.einsum("ij,ij->", g, g)
+
+
+def test_dense_geometry_curvature_builds_few_fractions(monkeypatch):
+    import fractions
+    g = [[Fraction(7, 2), Fraction(1, 3), Fraction(-2, 5)],
+         [Fraction(1, 3), Fraction(9, 4), Fraction(3, 7)],
+         [Fraction(-2, 5), Fraction(3, 7), Fraction(11, 3)]]
+    built = []
+    new = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+    geo = Geometry(g, H=Fraction(5, 3))
+    values = (geo.Rc_plus, geo.Rc, geo.H2, geo.bismut_curvature_rhs())
+    monkeypatch.undo()
+    # contracting the Fractions themselves, a Fraction per product and per
+    # sum, builds 15,178 here; integer numerators build 2,650
+    assert len(built) <= 2700
+    assert not is_zero(geo.ginv - obj_array(EYE))
+    assert is_zero(values[0] - (values[1] - Fraction(1, 4) * values[2]
+                                - Fraction(1, 2) * geo.dstar(geo.H)))
+    assert is_zero(values[3] - geo.Rm_plus)
