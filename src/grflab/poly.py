@@ -360,6 +360,8 @@ class JetScalar:
         self.c2 = as_poly(c2)
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)) and not other:
+            return self  # jets are never mutated; einsum starts every sum from int 0
         other = as_jet(other)
         if other is NotImplemented:
             return NotImplemented

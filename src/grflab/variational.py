@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg
 from .harmonics import canonical_space, harmonic_basis
@@ -48,15 +47,12 @@ def pairing_matrix(xs, ys):
             for x in xs]
 
 
-def _float_matrix(entries):
+def _float_matrix(name, entries):
+    """(m + m^T) / 2 of the exact matrix m, rejected unless every entry is a finite float64."""
     try:
-        return np.array([[float(x) for x in row] for row in entries])
+        m = np.array([[float(x) for x in row] for row in entries])
     except OverflowError as exc:
         raise SolverError("matrix entry does not fit in a float64") from exc
-
-
-def _symmetrized(name, m):
-    """(m + m^T) / 2, rejected unless every entry is a finite float64."""
     with np.errstate(over="ignore", invalid="ignore"):
         m = (m + m.T) / 2
     if not np.isfinite(m).all():
@@ -89,22 +85,22 @@ def lambda_min(geo, degree=2):
     V = schrodinger_potential(geo)
     ops = [Fraction(-4) * as_poly(geo.div(geo.covd_scalar(phi))) + V * phi
            for phi in space.basis]
-    A = _float_matrix(pairing_matrix(ops, space.basis))
-    M = _float_matrix(pairing_matrix(space.basis, space.basis))
-    A = _symmetrized("operator", A)
-    M = _symmetrized("mass", M)
+    A = _float_matrix("operator", pairing_matrix(ops, space.basis))
+    M = _float_matrix("mass", pairing_matrix(space.basis, space.basis))
+    # A c = lam M c with M = L L^T is the standard problem of L^-1 A L^-T in y = L^T c
     try:
-        w, vecs = scipy.linalg.eigh(A, M)
-    except scipy.linalg.LinAlgError as exc:
+        L = np.linalg.cholesky(M)
+        w, y = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, A).T))
+    except np.linalg.LinAlgError as exc:
         raise SolverError(str(exc)) from exc
     # eigh returns an arbitrary vector of an eigenspace that float64 cannot split
     if len(w) > 1 and w[1] - w[0] <= 16 * np.finfo(float).eps * max(abs(w[0]), abs(w[1])):
         raise SolverError(f"ground state is not resolved in float64: the two lowest "
                           f"eigenvalues {w[0]:.17g} and {w[1]:.17g} are within 16 eps")
     lam = float(w[0])
-    c = vecs[:, 0]
+    c = np.linalg.solve(L.T, y[:, 0])
     # scaled norms: the squares of a large residual's entries overflow
-    residual = float(scipy.linalg.norm(A @ c - lam * (M @ c)) / scipy.linalg.norm(c))
+    residual = math.hypot(*(A @ c - lam * (M @ c))) / math.hypot(*c)
     # normalize int psi^2 dV_g = 1 and fix the overall sign
     vol_factor = math.sqrt(detg) * math.pi**2
     norm2 = float(c @ (M @ c)) * vol_factor
@@ -264,7 +260,7 @@ def second_variation_matrix(blocks, geo):
 def block_eigenvalues(blocks):
     """The sorted float64 eigenvalues of a list of exact symmetric blocks."""
     return np.sort(np.concatenate([
-        np.linalg.eigvalsh(_symmetrized("second-variation", _float_matrix(e)))
+        np.linalg.eigvalsh(_float_matrix("second-variation", e))
         for e in blocks]))
 
 

@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import grflab
@@ -20,6 +22,27 @@ def test_no_unused_module_imports():
                     if bound not in names:
                         unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
+
+
+def test_no_scipy_import():
+    # numpy is the one float linear-algebra library of src/
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "scipy" for a in node.names))
+             or (isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "scipy")]
+    assert found == []
+
+
+def test_cli_loads_no_scipy():
+    # a fresh interpreter, run from the directory that holds the package
+    code = ("import sys, grflab.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=SRC.parent)
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_assert_statements():

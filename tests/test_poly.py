@@ -273,6 +273,18 @@ def test_jet_arithmetic_skips_empty_parts(a, b, k):
     assert (rscaled.c0, rscaled.c1, rscaled.c2) == tuple(int(k) * c for c in (a.c0, a.c1, a.c2))
 
 
+def test_jet_plus_zero_number_is_self(monkeypatch):
+    # einsum starts every sum from int 0: adding a zero number builds nothing
+    j = JetScalar(1, X[0], X[1] * X[2])
+    calls = []
+    for cls in (Polynomial, JetScalar):
+        real = cls.__init__
+        monkeypatch.setattr(cls, "__init__",
+                            lambda self, *a, real=real: calls.append(1) or real(self, *a))
+    assert j + 0 is j and 0 + j is j and j + Fraction(0) is j
+    assert calls == []
+
+
 def test_jet_mixed_arithmetic():
     j = JetScalar(1, X[0], 0)
     assert (X[1] * j).c1 == X[1] * X[0]

@@ -67,6 +67,30 @@ def test_lambda_degree_zero_is_constant_potential():
     assert abs(r.value - 4.0) < 1e-12
 
 
+def test_lambda_is_the_constant_potential_on_invariant_data():
+    # invariant data have a constant potential, so the ground state is constant and
+    # lambda is exactly that potential, whatever the metric and the degree; at
+    # degree >= 2 the mass matrix of the solve is not diagonal
+    rng = random.Random(19)
+    metrics = []
+    for _ in range(2):
+        metrics.append([[Fraction(rng.randint(1, 9), rng.randint(1, 5)) if i == j else 0
+                         for j in range(3)] for i in range(3)])
+        b = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3)]
+             for _ in range(3)]
+        metrics.append([[sum(b[i][k] * b[j][k] for k in range(3)) + (i == j) for j in range(3)]
+                        for i in range(3)])
+    for g in metrics:
+        for h0 in (0, Fraction(1, 3), Fraction(7, 2)):
+            geo = Geometry(g, H=h0)
+            exact = float(variational.schrodinger_potential(geo).constant_value())
+            for d in (0, 2, 4):
+                r = lambda_min(geo, d)
+                assert r.value == pytest.approx(exact, rel=1e-12, abs=0)
+                assert r.residual < 1e-12
+                assert r.f.is_constant
+
+
 # -- first variation ------------------------------------------------------------
 
 def test_first_variation_zero_at_critical_point():
