@@ -240,13 +240,26 @@ _PRESETS = {
 }
 
 
+MAX_EXPONENT = 4300  # Python's default limit on the digits of a printed int
+
+
+def _coefficient(c):
+    """Fraction(c), refusing a decimal exponent beyond MAX_EXPONENT in magnitude:
+    Fraction("1e<n>") takes time exponential in the length of n."""
+    digits = c.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    if digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT))
+                               or int(digits) > MAX_EXPONENT):
+        raise ValueError(f"coefficient {c!r} has an exponent beyond +-{MAX_EXPONENT}")
+    return Fraction(c)
+
+
 def parse_u(spec):
     """An eigenfunction from a named preset or a comma list of 9 coefficients."""
     x = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
     if spec in _PRESETS:
         return _PRESETS[spec](x)
     try:
-        coeffs = [Fraction(c) for c in spec.split(",")]
+        coeffs = [_coefficient(c) for c in spec.split(",")]
     except ZeroDivisionError:
         raise ValueError(f"coefficient with a zero denominator in {spec!r}") from None
     basis = harmonic_basis(2)

@@ -80,11 +80,9 @@ class CanonicalSpace:
         if len(self.exps) != len(self.basis):
             raise RuntimeError(f"{len(self.exps)} canonical monomials but {len(self.basis)} "
                                f"harmonics of degree <= {d}")
-        mat = [[Fraction(0)] * len(self.basis) for _ in self.exps]
-        for col, p in enumerate(self.basis):
-            for e, cf in p.terms.items():
-                mat[self.exp_index[e]][col] = cf
-        self._inv_columns = linalg.sparse_columns(linalg.mat_inv(mat))
+        # M^T: the basis over self.exps; the rows of (M^T)^-1 are the columns of M^-1
+        rows = [[t.get(e, 0) for e in self.exps] for t in (p.terms for p in self.basis)]
+        self._inv_columns = linalg.mat_inv(rows)
 
     def coords(self, p):
         """Exact coordinate vector of p in the harmonic basis: the inverse's

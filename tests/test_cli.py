@@ -211,6 +211,10 @@ def test_output_file(tmp_path, capsys):
     (["verify"], {"metric": "full:1"}, "unknown config key 'metric'"),
     (["obstruction"], {"dt": 5.0}, "unknown config key 'dt'"),
     (["obstruction", "--u", "1/0,0,0,0,0,0,0,0,0"], None, "zero denominator"),
+    # Fraction would spend hours building 10**100000000
+    (["obstruction", "--u", "1e100000000,0,0,0,0,0,0,0,0"], None,
+     "coefficient '1e100000000' has an exponent beyond"),
+    (["obstruction"], {"u_spec": "0,0,0,0,0,0,0,0,2E-0_4301"}, "exponent beyond +-4300"),
     # raw text: json.dumps cannot write a document nested this deeply
     (["lambda"], "[" * 100_000, "nested too deeply"),
 ], ids=["config-type", "config-command", "config-unknown-key", "sample-every-zero",
@@ -219,7 +223,8 @@ def test_output_file(tmp_path, capsys):
         "lambda-matrix-overflow", "flow-matrix-overflow", "lambda-ground-state-lost",
         "lambda-ground-state-unresolved", "spectrum-degree",
         "config-igsd-h0", "config-verify-metric", "config-obstruction-dt",
-        "obstruction-zero-denominator", "config-deeply-nested"])
+        "obstruction-zero-denominator", "obstruction-huge-exponent",
+        "config-obstruction-huge-exponent", "config-deeply-nested"])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, message):
     if config is not None:

@@ -91,6 +91,12 @@ def test_igsd_kernel_equations_in_degree_k_coordinates(monkeypatch):
     assert shapes == [(15, 9), (60, 36), (135, 81)]
 
 
+def test_igsd_kernel_is_nine_dimensional_through_degree_4():
+    kernel = igsd_kernel(4)
+    assert len(kernel) == 9
+    assert all(d.provenance.startswith("kernel(k=2,") for d in kernel)
+
+
 def test_equivalence_four_ways():
     geo = round_geometry()
     rep = equivalence_check(parallel_from_invariant_forms(2, 3).gamma)

@@ -36,6 +36,15 @@ def test_canonical_space_roundtrip():
         space.coords(X[0] * X[0] * X[0] * X[0])
 
 
+def test_canonical_space_roundtrip_every_monomial_degree_8():
+    # coords reads the columns of the inverse: a transposed inverse fails here
+    space = canonical_space(8)
+    assert len(space.exps) == 285
+    for e in space.exps:
+        monomial = Polynomial({e: 1})
+        assert space.from_coords(space.coords(monomial)) == monomial
+
+
 def test_poisson_solve():
     space = canonical_space(4)
     x1_4 = X[0] * X[0] * X[0] * X[0]

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grflab import linalg
 
@@ -43,7 +45,7 @@ def test_mat_inv_exact():
         except ValueError:
             continue
         found += 1
-        prod = [[sum(mat[i][t] * inv[t][j] for t in range(4)) for j in range(4)]
+        prod = [[sum(mat[i][t] * inv[t].get(j, 0) for t in range(4)) for j in range(4)]
                 for i in range(4)]
         assert prod == eye
     with pytest.raises(ValueError):
@@ -57,6 +59,84 @@ def test_sparse_mat_vec_against_dense():
         mat = [[x if rng.random() < 0.4 else Fraction(0) for x in r]
                for r in rand_matrix(rng, n, m)]
         v = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(m)]
-        got = linalg.mat_vec(linalg.sparse_columns(mat), [(j, y) for j, y in enumerate(v) if y],
-                             n)
+        cols = [{i: r[j] for i, r in enumerate(mat) if r[j]} for j in range(m)]
+        got = linalg.mat_vec(cols, [(j, y) for j, y in enumerate(v) if y], n)
         assert got == [sum((a * b for a, b in zip(r, v)), Fraction(0)) for r in mat]
+
+
+def dense_rref(mat):
+    """Dense Gauss-Jordan with the same pivot rule: the reference for rref."""
+    rows = [[Fraction(x) for x in r] for r in mat]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        if pv != 1:
+            rows[r] = [x / pv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """Rational matrices up to 8 x 8 at density 0-60 %, with some rows and
+    columns forced to zero."""
+    n = draw(st.integers(0, 8))
+    m = n if square else draw(st.integers(0, 8))
+    density = draw(st.integers(0, 60))
+    entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    mat = [[draw(entry) if draw(st.integers(0, 99)) < density else Fraction(0)
+            for _ in range(m)] for _ in range(n)]
+    zero_rows = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    zero_cols = draw(st.sets(st.integers(0, m - 1))) if m else set()
+    return [[Fraction(0) if i in zero_rows or j in zero_cols else x
+             for j, x in enumerate(r)] for i, r in enumerate(mat)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_sparse_elimination_against_dense_reference(mat):
+    ncols = len(mat[0]) if mat else 0
+    want_rows, want_pivots = dense_rref(mat)
+    before = [list(r) for r in mat]
+    rows, pivots = linalg.rref(mat)
+    assert mat == before
+    assert [[r.get(c, 0) for c in range(ncols)] for r in rows] == want_rows
+    assert all(all(r.values()) for r in rows)
+    assert pivots == want_pivots
+    assert linalg.rank(mat) == len(want_pivots)
+    kernel = linalg.kernel_basis(mat)
+    assert len(kernel) == ncols - len(want_pivots)
+    for v in kernel:
+        assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in mat)
+
+
+@settings(max_examples=120, deadline=None)
+@given(sparse_matrices(square=True))
+def test_sparse_inverse_against_dense_reference(mat):
+    n = len(mat)
+    if len(dense_rref(mat)[1]) < n:
+        with pytest.raises(ValueError):
+            linalg.mat_inv(mat)
+        return
+    inv = linalg.mat_inv(mat)
+    prod = [[sum(mat[i][t] * inv[t].get(j, 0) for t in range(n)) for j in range(n)]
+            for i in range(n)]
+    assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
