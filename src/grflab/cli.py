@@ -8,6 +8,7 @@ import json
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from .frames import STRUCTURE, validate_structure
 from .harmonics import canonical_space, harmonic_basis
 from .linalg import rank
 from .poly import IntegralValue, Polynomial, integrate_s3
-from .tensors import Geometry, _adjugate, is_zero, obj_array
+from .tensors import Geometry, is_zero, leading_minors, obj_array
 from .variational import (SolverError, bianchi_contracted_check, block_eigenvalues,
                           first_variation, lambda_min, operator_A, phi_relation_check,
                           second_variation_matrix, slice_tangent_basis)
@@ -30,8 +31,10 @@ def _fmt_float(x):
 
 
 def _fmt_rational(x):
+    """"n/d", printed by Decimal: str refuses the ints of over 4300 digits
+    that the quadratic obstruction pairings reach."""
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def _fmt_integral(v):
@@ -40,15 +43,6 @@ def _fmt_integral(v):
 
 def _rand_fraction(rng, lo=-3, hi=3, dmax=3):
     return Fraction(rng.randint(lo, hi), rng.randint(1, dmax))
-
-
-def _leading_minors(m):
-    """The leading principal minors of a 3x3 matrix, from its adjugate; by
-    Sylvester's criterion a symmetric m is positive definite iff all three are
-    positive."""
-    m = np.array(m, dtype=object)
-    adj = _adjugate(m)
-    return m[0, 0], adj[2, 2], m[0] @ adj[:, 0]
 
 
 def _rand_metric(rng):
@@ -60,7 +54,7 @@ def _rand_metric(rng):
                 v = _rand_fraction(rng, -1, 1, 4)
                 m[i][j] = m[j][i] = v
             m[i][i] = m[i][i] + Fraction(rng.randint(2, 4))
-        if all(d > 0 for d in _leading_minors(m)):
+        if all(d > 0 for d in leading_minors(np.array(m, dtype=object))):
             return m
 
 
@@ -240,7 +234,7 @@ _PRESETS = {
 }
 
 
-MAX_EXPONENT = 4300  # Python's default limit on the digits of a printed int
+MAX_EXPONENT = 4300  # largest decimal exponent of a --u coefficient, in magnitude
 
 
 def _coefficient(c):

@@ -126,6 +126,15 @@ def _adjugate(m):
     return (m11 * m22 - m12 * m21).T
 
 
+def leading_minors(m, adj=None):
+    """The leading principal minors of a 3x3 array m, read off its adjugate adj
+    (computed if None): by Sylvester's criterion a symmetric m is positive
+    definite iff m[0, 0], adj[2, 2] and det m are all positive."""
+    if adj is None:
+        adj = _adjugate(m)
+    return m[0, 0], adj[2, 2], sum(m[0, k] * adj[k, 0] for k in range(3))
+
+
 def _reciprocal(det):
     """1/det for a nonzero number, a jet with a nonzero constant t=0 part or
     a nonzero constant polynomial."""
@@ -160,10 +169,12 @@ def christoffel(g, ginv, dg=None):
     _STRUCTURE[i, j, k] is the structure constant c^k_{ij}, g the metric and
     ginv its inverse, as float64 or object ndarrays. dg[m, i, k] = E_m(g_ik);
     None for invariant data, whose components have no frame derivatives.
+    g must be symmetric, as ``Geometry`` requires: the three structure terms
+    c^p_mi g_pk - c^p_mk g_ip - c^p_ik g_mp are read off the one contraction
+    X[m, i, k] = c^p_mi g_pk.
     """
-    a = (contract("mip,pk->mik", _STRUCTURE, g)
-         - contract("mkp,ip->mik", _STRUCTURE, g)
-         - contract("ikp,mp->mik", _STRUCTURE, g))
+    x = contract("mip,pk->mik", _STRUCTURE, g)
+    a = x - x.transpose(0, 2, 1) - x.transpose(2, 0, 1)
     if dg is not None:
         a = a + dg + contract("imk->mik", dg) - contract("kmi->mik", dg)
     return contract("mik,pk->mip", _half(a), ginv)
@@ -175,9 +186,9 @@ def riemann(conn, g, dconn=None):
     conn and g as in ``christoffel``. dconn[i, j, k, l] = E_i(conn[j, k, l]);
     None for invariant data.
     """
-    coef = (contract("jkm,iml->ijkl", conn, conn)
-            - contract("ikm,jml->ijkl", conn, conn)
-            - contract("ijm,mkl->ijkl", _STRUCTURE, conn))
+    # conn[j, k, m] conn[i, m, l] - conn[i, k, m] conn[j, m, l]: Y - Y with i, j swapped
+    y = contract("jkm,iml->ijkl", conn, conn)
+    coef = y - y.transpose(1, 0, 2, 3) - contract("ijm,mkl->ijkl", _STRUCTURE, conn)
     if dconn is not None:
         coef = coef + dconn - contract("jikl->ijkl", dconn)
     return contract("ijkp,pl->ijkl", coef, g)
@@ -197,7 +208,8 @@ class Geometry:
     number s standing for s * e^1^e^2^e^3, f a scalar potential (default 0).
     g^-1 = adj(g) / det g for constant, jet and float metrics alike, so det g
     must be a nonzero constant, a jet with a nonzero constant t=0 part or a
-    nonzero float. Tensors go in and come out as object ndarrays indexed by
+    nonzero float; ``minors`` holds the leading principal minors of g, the
+    last one det g. Tensors go in and come out as object ndarrays indexed by
     the frame. g and H are both exact or both float64 (an int H goes with
     either); float64 data are invariant, and all computed from them stays float64.
     """
@@ -215,7 +227,8 @@ class Geometry:
             raise TypeError("g is %s and H is %s data; both must be float64 or both exact" % kinds)
         self.f = as_poly(f) if isinstance(f, (int, Fraction)) else _coerce_scalar(f)
         adj = _adjugate(self.g)
-        self.det = sum(self.g[0, k] * adj[k, 0] for k in range(3))
+        self.minors = leading_minors(self.g, adj)
+        self.det = self.minors[2]
         self.ginv = adj * _reciprocal(self.det)
         self.gamma = christoffel(self.g, self.ginv, self._frame_gradient(self.g))
 
@@ -223,8 +236,9 @@ class Geometry:
 
     def _frame_gradient(self, arr):
         """out[m, ...] = E_{m+1}(arr[...]), one frame derivative per component;
-        None for invariant data, exact or float64, which have no frame derivatives."""
-        if set(map(type, arr.flat)).isdisjoint((Polynomial, JetScalar)):
+        None for invariant data, exact or float64, which have no frame derivatives.
+        A float64 array is invariant by contract, so its entries are not scanned."""
+        if arr.dtype != object or set(map(type, arr.flat)).isdisjoint((Polynomial, JetScalar)):
             return None
         out = np.empty((3,) + arr.shape, dtype=object)
         for m in range(3):

@@ -2,6 +2,7 @@ import argparse
 import json
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,6 +54,30 @@ def test_obstruction_presets(capsys):
     code, out = run(capsys, "obstruction", "--u", "x1^2-x2^2")
     rep = json.loads(out)
     assert rep["integrable_order2"] is False
+
+
+def _pairings(capsys, u):
+    code, out = run(capsys, "obstruction", "--u", u)
+    assert code == 0
+    values = {}
+    for key, text in json.loads(out)["pairings"].items():
+        num, den = text.removesuffix(" * pi^2").split("/")
+        values[key] = Fraction(Decimal(num)) / Fraction(Decimal(den))
+    return values
+
+
+@pytest.mark.parametrize("u, base, scale", [
+    ("1e2200,0,0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0,0", 10**2200),
+    ("1e4300,0,0,0,0,0,0,0,5e4300", "1,0,0,0,0,0,0,0,5", 10**4300),
+    ("1e-4300,0,0,0,0,0,0,0,5e-4300", "1,0,0,0,0,0,0,0,5", Fraction(1, 10**4300)),
+], ids=["exponent-2200", "exponent-4300", "exponent-minus-4300"])
+def test_obstruction_prints_pairings_past_the_int_digit_limit(capsys, u, base, scale):
+    # u = scale * base: the pairings are quadratic in u, so their numerators or
+    # denominators have twice the exponent's digits, past Python's 4300-digit
+    # limit on printing an int
+    base = _pairings(capsys, base)
+    assert any(base.values())
+    assert _pairings(capsys, u) == {k: v * scale**2 for k, v in base.items()}
 
 
 def test_parse_u_coefficients():

@@ -131,3 +131,94 @@ def test_blowup_detected():
 def test_bad_dt():
     with pytest.raises(ValueError):
         run_flow(round_state(), -1.0, 10)
+
+
+def full_states(seed, count=6):
+    """Seeded states with dense symmetric positive definite g and nonzero b."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        a = rng.normal(size=(3, 3)) * 0.25
+        g = np.eye(3) + a + a.T
+        if np.linalg.eigvalsh(g).min() < 0.3:
+            continue
+        b = rng.normal(size=(3, 3)) * 0.3
+        out.append(FlowState(g=g, b=b - b.T, H0_coeff=rng.uniform(0.5, 2.5)))
+    return out
+
+
+def reference_rk4(state, dt):
+    """Classical RK4 on the pair (g, b), both rates from grf_rhs."""
+    def rhs(g, b):
+        return grf_rhs(state.copy_with(g, b, state.t))
+
+    g0, b0 = state.g, state.b
+    k1g, k1b = rhs(g0, b0)
+    k2g, k2b = rhs(g0 + dt / 2 * k1g, b0 + dt / 2 * k1b)
+    k3g, k3b = rhs(g0 + dt / 2 * k2g, b0 + dt / 2 * k2b)
+    k4g, k4b = rhs(g0 + dt * k3g, b0 + dt * k3b)
+    return (g0 + dt / 6 * (k1g + 2 * k2g + 2 * k3g + k4g),
+            b0 + dt / 6 * (k1b + 2 * k2b + 2 * k3b + k4b))
+
+
+def test_invariant_torsion_is_coclosed_on_full_metrics():
+    # d*H = -div H vanishes for every invariant H, so RK4 may carry b as it is
+    for s in full_states(3):
+        assert not np.array_equal(s.g, np.diag(np.diag(s.g)))
+        dg, db = grf_rhs(s)
+        assert np.abs(dg).max() > 1e-3
+        assert np.abs(db).max() <= 1e-13
+
+
+def test_step_rk4_integrates_g_and_carries_b():
+    for dt in (1e-3, 0.02):
+        for s in full_states(4):
+            b = s.b.copy()
+            nxt = step_rk4(s, dt)
+            g_ref, b_ref = reference_rk4(s, dt)
+            assert np.abs(nxt.g - g_ref).max() <= 1e-12
+            assert np.abs(nxt.b - b_ref).max() <= 1e-12
+            assert np.array_equal(nxt.b, b) and np.array_equal(s.b, b)
+            assert nxt.t == s.t + dt and nxt.H0_coeff == s.H0_coeff
+
+
+@pytest.mark.parametrize("g", [np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, -1.0, 1.0]),
+                               np.diag([1.0, 1.0, -1.0]),
+                               np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])],
+                         ids=["minor2", "g00", "det", "dense"])
+def test_each_leading_minor_rejects_an_indefinite_stage(g):
+    # diag(1, -1, -1) has det 1 and diag(-1, -1, 1) a positive 2x2 minor:
+    # each leading minor alone decides one of these metrics
+    s = FlowState(g=g, b=np.zeros((3, 3)), H0_coeff=2.0)
+    for call in (grf_rhs, dual_path_residual, lambda st: step_rk4(st, 1e-3)):
+        with pytest.raises(SingularMetric, match="not positive definite"):
+            call(s)
+
+
+# symmetric, as a fault in Rc; antisymmetric, as a fault in the 2-form d*H
+PLANTED = np.array([[0.0, 3e-3, 0.0], [3e-3, 0.0, 0.0], [0.0, 0.0, -1e-3]])
+PLANTED_FORM = np.array([[0.0, 2e-3, -1e-3], [-2e-3, 0.0, 4e-3], [1e-3, -4e-3, 0.0]])
+
+
+def test_residuals_see_a_planted_curvature_fault(monkeypatch):
+    # Rc feeds dg and the soliton tensor, but not Rc+: the dual path is off
+    # by -2 dRc, the soliton residual by |dRc|
+    states = [round_state()] + full_states(5, count=3)
+    assert all(dual_path_residual(s) <= 1e-12 for s in states)
+    assert soliton_residual(states[0]) == 0.0
+    real = tensors.Geometry.Rc.func
+    monkeypatch.setattr(tensors.Geometry, "Rc", property(lambda self: real(self) + PLANTED))
+    for s in states:
+        assert dual_path_residual(s) == pytest.approx(2 * 3e-3, rel=1e-6)
+    assert soliton_residual(states[0]) == pytest.approx(np.linalg.norm(PLANTED), rel=1e-9)
+
+
+def test_residuals_see_a_planted_torsion_divergence(monkeypatch):
+    # a nonzero d*H = -div H enters db, so both residuals must report it
+    state = round_state()
+    real = tensors.Geometry.div
+    monkeypatch.setattr(tensors.Geometry, "div", lambda self, T, conn=None: (
+        real(self, T, conn) + (PLANTED_FORM if T.ndim == 3 else 0)))
+    assert np.array_equal(grf_rhs(state)[1], PLANTED_FORM)
+    assert dual_path_residual(state) == pytest.approx(4e-3, rel=1e-9)
+    assert soliton_residual(state) == pytest.approx(np.linalg.norm(PLANTED_FORM), rel=1e-9)

@@ -12,8 +12,9 @@ import grflab
 from grflab.deformations import round_geometry
 from grflab.frames import EPS, STRUCTURE, adjoint_matrix, frame_derive, laplacian_scalar
 from grflab.poly import JetScalar, Polynomial, as_poly, integrate_s3
-from grflab.tensors import (BadRank, Geometry, SingularMetric, antisym, contract, is_zero,
-                            jet_part, obj_array, sym, zeros)
+from grflab.tensors import (BadRank, Geometry, SingularMetric, antisym, christoffel, contract,
+                            is_zero, jet_part, leading_minors, obj_array, riemann, sym,
+                            zeros)
 from grflab.variational import bianchi_contracted_check, curvature_action
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
@@ -194,6 +195,15 @@ def test_bismut_curvature_dual_path_randomized():
         assert as_poly(rplus) == as_poly(geo.R) - Fraction(1, 4) * as_poly(geo.H2_norm)
 
 
+def test_bismut_curvature_dual_path_with_non_parallel_torsion():
+    # H = (2 + x1 x2 - x3/3) vol is not parallel, so the nabla H terms of
+    # bismut_curvature_rhs enter with their index order
+    H = volume_form() * (2 + X[0] * X[1] - Fraction(1, 3) * X[2])
+    geo = Geometry(EYE, H=H)
+    assert not is_zero(geo.covd(geo.H))
+    assert is_zero(geo.bismut_curvature_rhs() - geo.Rm_plus)
+
+
 def test_covd_matches_index_loop():
     # reference: the component formula E_m(T_idx) - sum_s conn_s[m, i_s, p] T_{idx with p at s}
     def loop_covd(T, conns):
@@ -329,6 +339,66 @@ def test_jet_curvature_first_order_matches_finite_difference():
     r = as_poly(0) + geo.R
     assert r.c0 == 6
     assert r.c1 == Fraction(16) * u - 6 * u  # -2 lap u - u R = 16u - 6u
+
+
+def _three_term_christoffel(g, ginv, dg=None):
+    # the structure terms as three contractions, valid for any g
+    c = np.array(STRUCTURE)
+    a = (np.einsum("mip,pk->mik", c, g) - np.einsum("mkp,ip->mik", c, g)
+         - np.einsum("ikp,mp->mik", c, g))
+    if dg is not None:
+        a = a + dg + np.einsum("imk->mik", dg) - np.einsum("kmi->mik", dg)
+    return np.einsum("mik,pk->mip", a * Fraction(1, 2), ginv)
+
+
+def _three_term_riemann(conn, g, dconn=None):
+    coef = (np.einsum("jkm,iml->ijkl", conn, conn) - np.einsum("ikm,jml->ijkl", conn, conn)
+            - np.einsum("ijm,mkl->ijkl", np.array(STRUCTURE), conn))
+    if dconn is not None:
+        coef = coef + dconn - np.einsum("jikl->ijkl", dconn)
+    return np.einsum("ijkp,pl->ijkl", coef, g)
+
+
+def _dense_jet_metric():
+    g0 = [[3, 1, Fraction(1, 2)], [1, 2, 0], [Fraction(1, 2), 0, 4]]
+    c1 = [[X[0], X[1] * X[2], 1 - X[3]], [X[1] * X[2], X[2], X[0] * X[3]],
+          [1 - X[3], X[0] * X[3], X[1] - X[0]]]
+    return obj_array([[JetScalar(g0[i][j], c1[i][j], 0) for j in range(3)] for i in range(3)])
+
+
+def test_fused_structure_contractions_match_three_term_formulas():
+    # one structure contraction in christoffel (g symmetric) and one conn.conn
+    # contraction in riemann give the three-term values exactly
+    rng = random.Random(17)
+    geos = [Geometry(rand_metric(rng), H=Fraction(rng.randint(1, 3))) for _ in range(4)]
+    geos.append(Geometry(_dense_jet_metric(), H=2))
+    for geo in geos:
+        dg = geo._frame_gradient(geo.g)
+        assert (dg is None) == (geo is not geos[-1])
+        want = _three_term_christoffel(geo.g, geo.ginv, dg)
+        for got in (geo.gamma, christoffel(geo.g, geo.ginv, dg)):
+            assert got.shape == want.shape and is_zero(got - want)
+        for conn, got in ((geo.gamma, geo.Rm), (geo.gamma_p, geo.Rm_plus)):
+            dconn = geo._frame_gradient(conn)
+            want = _three_term_riemann(conn, geo.g, dconn)
+            assert is_zero(got - want) and is_zero(riemann(conn, geo.g, dconn) - want)
+        assert not is_zero(geo.Rm)
+
+
+def test_leading_minors_decide_positive_definiteness():
+    m = obj_array([[2, 1, 0], [1, 3, Fraction(1, 2)], [0, Fraction(1, 2), 1]])
+    assert leading_minors(m) == (2, 5, Fraction(9, 2))
+    assert Geometry(m).minors == (2, 5, Fraction(9, 2)) and Geometry(m).det == Fraction(9, 2)
+    # Sylvester's criterion against the eigenvalues of random symmetric matrices
+    rng = np.random.default_rng(9)
+    verdicts = set()
+    for _ in range(300):
+        a = rng.normal(size=(3, 3))
+        m = a + a.T + rng.uniform(-1, 4) * np.eye(3)
+        verdict = all(d > 0 for d in leading_minors(m))
+        assert verdict == (np.linalg.eigvalsh(m).min() > 0)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_curvature_kernel_agrees_in_float_and_exact_dtypes():

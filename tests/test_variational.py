@@ -166,6 +166,22 @@ def test_operator_a_self_adjoint():
         assert lhs == rhs
 
 
+def test_operator_a_vanishes_on_gauge_directions():
+    # the second variation is blind to the gauge directions div*(u, v): A div* = 0
+    # pointwise, so <A div*(u, v), gamma> = 0 for every gamma
+    geo = round_geo()
+    rng = random.Random(6)
+    for _ in range(3):
+        u, v = rand_tensor(rng)[:2]  # two 1-forms of degree 2
+        gauge = geo.divergence_adjoint((u, v))
+        assert not is_zero(gauge)
+        a = operator_A(gauge, geo)
+        assert is_zero(a)
+        gamma = rand_tensor(rng)
+        assert integrate_s3(as_poly(geo.inner(a, gamma))).coeff == 0
+        assert second_variation_form(gamma, gauge, geo).coeff == 0
+
+
 def test_operator_a_equals_b_on_slice():
     geo = round_geo()
     for block in slice_tangent_basis(geo, 1):
