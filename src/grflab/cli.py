@@ -238,12 +238,20 @@ MAX_EXPONENT = 4300  # largest decimal exponent of a --u coefficient, in magnitu
 
 
 def _coefficient(c):
-    """Fraction(c), refusing a decimal exponent beyond MAX_EXPONENT in magnitude:
-    Fraction("1e<n>") takes time exponential in the length of n."""
-    digits = c.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+    """Fraction(c), refusing a decimal exponent beyond MAX_EXPONENT in magnitude,
+    as Fraction("1e<n>") takes time exponential in the length of n, and a run of
+    digits beyond Python's int-parsing limit, which Fraction would refuse with
+    advice to raise the limit."""
+    mantissa, _, exponent = c.lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT))
                                or int(digits) > MAX_EXPONENT):
         raise ValueError(f"coefficient {c!r} has an exponent beyond +-{MAX_EXPONENT}")
+    # Fraction parses the integer part, the decimals and the denominator each with int
+    longest = max(sum(map(str.isdecimal, run)) for run in mantissa.replace("/", ".").split("."))
+    limit = sys.get_int_max_str_digits()
+    if limit and longest > limit:
+        raise ValueError(f"coefficient with a run of {longest} digits: at most {limit} are read")
     return Fraction(c)
 
 

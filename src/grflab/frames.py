@@ -1,6 +1,8 @@
-"""The SU(2) frame data: the epsilon symbol, the structure constants and the
-explicit invariant polynomial frame fields on S^3 = SU(2)."""
+"""The SU(2) frame data: the epsilon symbol, the structure constants, the
+explicit invariant polynomial frame fields on S^3 = SU(2), and the formal
+scalar ``Op`` of constant-coefficient frame operators."""
 
+from fractions import Fraction
 from itertools import product
 
 from .poly import JetScalar, Polynomial, as_poly
@@ -49,6 +51,70 @@ def validate_structure(c):
     return out
 
 
+# The letter of the inverse Laplacian (sum_i E_i E_i)^-1 on mean-zero functions
+# in an Op word. It commutes with every E_i, as the Casimir does.
+INV_LAPLACIAN = 0
+
+
+class Op:
+    """A formal scalar: the constant-coefficient frame operator
+    sum_w c_w E_{w_1} E_{w_2} ... E_{w_n}, stored as ``words`` {word: Fraction}
+    without zero coefficients. Op(word) is one word with coefficient 1, Op(())
+    the identity and Op() zero. Letters 1..3 are the frame fields E_i, and
+    INV_LAPLACIAN is the inverse Laplacian.
+
+    Run through the tensor calculus in place of functions, Ops read off the
+    symbol of a linear operator with constant coefficients in the frame. So Ops
+    add and subtract, scale by numbers (a constant Polynomial by its value) and
+    never multiply each other; a zero number or polynomial adds as zero.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, word=None):
+        self.words = {} if word is None else {tuple(word): Fraction(1)}
+
+    @classmethod
+    def _of(cls, words):
+        out = cls.__new__(cls)
+        out.words = words
+        return out
+
+    def prepend(self, letter):
+        """The operator letter o self: each word with letter in front."""
+        return Op._of({(letter,) + w: c for w, c in self.words.items()})
+
+    def __bool__(self):
+        return bool(self.words)
+
+    def __add__(self, other):
+        if not isinstance(other, Op):
+            # the int 0 that einsum starts each sum from, or a zero polynomial
+            zero = isinstance(other, (int, Fraction, Polynomial)) and not other
+            return self if zero else NotImplemented
+        new = dict(self.words)
+        for w, c in other.words.items():
+            new[w] = new.get(w, 0) + c
+        return Op._of({w: c for w, c in new.items() if c})
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Op._of({w: -c for w, c in self.words.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, Polynomial) and other.is_constant:
+            other = other.constant_value()
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return Op._of({w: c * other for w, c in self.words.items()} if other else {})
+
+    __rmul__ = __mul__
+
+
 def _signed_coordinates(row):
     """A frame row as (mu, d, s): the coefficient of d/dx_{mu+1} is one signed
     coordinate s * x_{nu+1}, which shifts exponents by d = e_nu - e_mu."""
@@ -75,11 +141,16 @@ def _derive(table, p):
 
 
 def frame_derive(p, i, chirality="left"):
-    """Directional derivative E_i(p) (or F_i(p)) for i in 1..3."""
+    """Directional derivative E_i(p) (or F_i(p)) for i in 1..3; of an Op, the
+    operator E_i o p."""
     if i not in (1, 2, 3):
         raise BadIndex(f"frame index {i} out of range 1..3")
     if chirality not in ("left", "right"):
         raise ValueError("chirality must be 'left' or 'right'")
+    if isinstance(p, Op):
+        if chirality != "left":
+            raise ValueError("an Op is a word in the left-invariant frame fields")
+        return p.prepend(i)
     table = _SIGNED[chirality][i - 1]
     if isinstance(p, JetScalar):
         return JetScalar(_derive(table, p.c0), _derive(table, p.c1), _derive(table, p.c2))

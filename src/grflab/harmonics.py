@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .frames import laplacian_scalar
+from .frames import INV_LAPLACIAN, frame_derive, laplacian_scalar
 from .poly import Polynomial, as_poly
 
 
@@ -124,6 +124,37 @@ class CanonicalSpace:
 @lru_cache(maxsize=None)
 def canonical_space(d):
     return CanonicalSpace(d)
+
+
+@lru_cache(maxsize=None)
+def word_matrix(k, word):
+    """The exact matrix of the Op word E_{w_1} ... E_{w_n} on harmonic_basis(k),
+    as its columns {row: Fraction}, one per basis element.
+
+    A frame field E_m keeps each harmonic degree, so its matrix D_m holds the
+    degree-k coordinates of E_m phi; a longer word is D_{w_1} times the matrix
+    of the rest. INV_LAPLACIAN acts on degree k as -1/(k(k+2)); at k = 0 it
+    must meet a zero source, or ValueError is raised.
+    """
+    n = (k + 1) ** 2
+    if not word:
+        return tuple({j: Fraction(1)} for j in range(n))
+    letter, rest = word[0], word[1:]
+    if letter == INV_LAPLACIAN:
+        tail = word_matrix(k, rest)
+        if k == 0:
+            if any(tail):
+                raise ValueError("right side has a nonzero mean component")
+            return tail
+        s = Fraction(-1, k * (k + 2))
+        return tuple({i: s * x for i, x in col.items()} for col in tail)
+    if rest:
+        head, tail = word_matrix(k, (letter,)), word_matrix(k, rest)
+        return tuple({i: x for i, x in enumerate(linalg.mat_vec(head, col.items(), n)) if x}
+                     for col in tail)
+    space = canonical_space(k)
+    return tuple({i: x for i, x in enumerate(space.coords(frame_derive(phi, letter))[-n:]) if x}
+                 for phi in harmonic_basis(k))
 
 
 def is_eigenfunction(u, k):

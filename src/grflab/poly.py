@@ -246,11 +246,12 @@ class Polynomial:
 
 
 def as_poly(x):
+    """x as a Polynomial; TypeError for anything but a Polynomial or an exact number."""
     if isinstance(x, Polynomial):
         return x
     if isinstance(x, (int, Fraction)):
         return Polynomial.constant(x)
-    return NotImplemented
+    raise TypeError(f"cannot use {type(x).__name__} as a polynomial")
 
 
 _ZERO = Polynomial.zero()  # one shared zero: a Polynomial is never changed in place
@@ -424,7 +425,6 @@ class JetScalar:
 def as_jet(x):
     if isinstance(x, JetScalar):
         return x
-    p = as_poly(x)
-    if p is NotImplemented:
+    if not isinstance(x, (Polynomial, int, Fraction)):
         return NotImplemented
-    return JetScalar(p)
+    return JetScalar(x)

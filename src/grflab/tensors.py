@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from . import frames
-from .frames import frame_derive
+from .frames import Op, frame_derive
 from .poly import _ZERO, JetScalar, NonInvertibleJet, Polynomial, as_jet, as_poly
 
 
@@ -23,8 +23,9 @@ class SingularMetric(ValueError):
 
 
 def _coerce_scalar(x):
-    """A tensor component: a Polynomial or JetScalar as it is, an int or Fraction as a Fraction."""
-    if isinstance(x, (Polynomial, JetScalar)):
+    """A tensor component: a Polynomial, JetScalar or Op as it is, an int or
+    Fraction as a Fraction."""
+    if isinstance(x, (Polynomial, JetScalar, Op)):
         return x
     if isinstance(x, (int, Fraction)):
         return Fraction(x)
@@ -79,7 +80,7 @@ def contract(spec, *operands):
     D != 1. Values, entry types and a 0-d result's scalar kind are those of
     np.einsum on the operands themselves.
     """
-    if all(a.dtype != object for a in operands):
+    if np.result_type(*operands) != object:  # no operand has object dtype
         return np.einsum(spec, *operands)
     lifted = [_lift(a) for a in operands]
     den = math.prod(ld[1] for ld in lifted if ld is not None)
@@ -238,7 +239,7 @@ class Geometry:
         """out[m, ...] = E_{m+1}(arr[...]), one frame derivative per component;
         None for invariant data, exact or float64, which have no frame derivatives.
         A float64 array is invariant by contract, so its entries are not scanned."""
-        if arr.dtype != object or set(map(type, arr.flat)).isdisjoint((Polynomial, JetScalar)):
+        if arr.dtype != object or set(map(type, arr.flat)).isdisjoint((Polynomial, JetScalar, Op)):
             return None
         out = np.empty((3,) + arr.shape, dtype=object)
         for m in range(3):

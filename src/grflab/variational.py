@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .harmonics import canonical_space, harmonic_basis
+from .frames import INV_LAPLACIAN, Op
+from .harmonics import canonical_space, harmonic_basis, word_matrix
 from .poly import IntegralValue, Polynomial, as_poly, integrate_s3
 from .tensors import contract, zeros
 
@@ -151,9 +152,12 @@ def operator_B(gamma, geo):
 
 
 def _poisson_solve_f(geo, rhs):
-    """Mean-zero u with laplacian u = rhs; constant f only (drift term vanishes)."""
+    """Mean-zero u with laplacian u = rhs; constant f only (drift term vanishes).
+    An Op source gives the Op INV_LAPLACIAN o rhs."""
     if not geo.f.is_constant:
         raise ValueError("the u-solve is implemented for constant f")
+    if isinstance(rhs, Op):
+        return rhs.prepend(INV_LAPLACIAN)
     rhs = as_poly(rhs)
     try:
         return canonical_space(rhs.degree()).poisson_solve(rhs)
@@ -217,44 +221,113 @@ def second_variation_form(gamma1, gamma2, geo):
     return IntegralValue(pairing_matrix([gamma1], [minus_a2])[0][0])
 
 
+def _symbol(image):
+    """The symbol of a linear map on rank-2 tensors with constant coefficients
+    in the frame, as ({word w: [(r, s, c)]}, number of image components): the
+    map sends e_ab (x) phi, (a, b) the s-th slot in frame order, to the sum of
+    c E_w phi in its r-th image component. image(t) is the tuple of tensors the
+    map sends t to. It runs once on each formal unit tensor e_ab (x) Op(()), so
+    it must be built from frame derivatives, contractions and numbers.
+    """
+    words = {}
+    for s, (a, b) in enumerate(np.ndindex(3, 3)):
+        unit = np.full((3, 3), Op(), dtype=object)
+        unit[a, b] = Op(())
+        try:
+            comps = np.concatenate([x.reshape(-1) for x in image(unit)])
+            if not all(isinstance(x, Op) for x in comps):
+                raise TypeError("an image component is not an Op")
+        except TypeError as exc:
+            raise ValueError("map is not a constant-coefficient frame operator, so it need "
+                             f"not keep harmonic degree: {exc}") from exc
+        for r, x in enumerate(comps):
+            for w, c in x.words.items():
+                words.setdefault(w, []).append((r, s, c))
+    return words, len(comps)
+
+
+def _block(symbol, k):
+    """The degree-k block sum_w C^w (x) D_w of a symbol, as its 9 n columns
+    {row: Fraction}, n = (k+1)^2: column s n + j is e_ab (x) phi_j, (a, b) the
+    s-th slot and phi_j the j-th element of harmonic_basis(k), and row r n + i
+    coordinate i of image component r."""
+    n = (k + 1) ** 2
+    cols = [{} for _ in range(9 * n)]
+    for w, entries in symbol[0].items():
+        try:
+            d = word_matrix(k, w)
+        except ValueError as exc:  # the inverse Laplacian met a nonzero mean
+            raise InconsistentSource(str(exc)) from exc
+        for r, s, c in entries:
+            for j, dcol in enumerate(d):
+                col = cols[s * n + j]
+                for i, x in dcol.items():
+                    col[r * n + i] = col.get(r * n + i, 0) + c * x
+    return cols
+
+
 def degree_kernels(d, image):
     """Exact kernel of a linear map on rank-2 tensors, one list per harmonic
     degree k = 0..d, solved on the 9 (k+1)^2 tensors with one entry in
-    harmonic_basis(k). image(t) is the tuple of tensors the map sends t to; the
-    map must keep each degree, as every constant-coefficient frame operator
-    does, so each image component is written in harmonic_basis(k) alone, and a
-    component with a lower-degree part raises ValueError.
+    harmonic_basis(k). image(t) is the tuple of tensors the map sends t to.
+    The map must have constant coefficients in the frame, as every operator
+    at the round point has: it keeps each degree, and its degree-k matrix is
+    read off its symbol (see ``_symbol``), so image runs 9 times in all.
     """
+    symbol = _symbol(image)
     out = []
     for k in range(d + 1):
-        space, n = canonical_space(k), (k + 1) ** 2
-        basis = []
-        for a, b in np.ndindex(3, 3):
-            for phi in harmonic_basis(k):
-                t = zeros((3, 3))
-                t[a, b] = phi
-                basis.append(t)
-        columns = []
-        for t in basis:
-            col = []
-            for p in np.concatenate([s.reshape(-1) for s in image(t)]):
-                c = space.coords(p)
-                if any(c[:-n]):
-                    raise ValueError(f"map does not keep harmonic degree {k}")
-                col.extend(c[-n:])
-            columns.append(col)
-        out.append([sum((t * c for c, t in zip(vec, basis) if c != 0), zeros((3, 3)))
-                    for vec in linalg.kernel_basis(list(zip(*columns)))])
+        cols = _block(symbol, k)
+        mat = [[col.get(i, 0) for col in cols] for i in range(symbol[1] * (k + 1) ** 2)]
+        out.append([_tensor(vec, k) for vec in linalg.kernel_basis(mat)])
+    return out
+
+
+def _tensor(vec, k):
+    """The tensor with coordinates vec in ``_block``'s columns of degree k."""
+    n = (k + 1) ** 2
+    out = zeros((3, 3))
+    for s, (a, b) in enumerate(np.ndindex(3, 3)):
+        for c, phi in zip(vec[s * n:(s + 1) * n], harmonic_basis(k)):
+            if c != 0:
+                out[a, b] = out[a, b] + phi * c
+    return out
+
+
+def _coordinates(t, k):
+    """The coordinates {column: Fraction} of a tensor of harmonic degree k in
+    ``_block``'s columns of degree k; ValueError for any other tensor."""
+    space, n = canonical_space(k), (k + 1) ** 2
+    out = {}
+    for s, p in enumerate(t.reshape(-1)):
+        c = space.coords(p)
+        if any(c[:-n]):
+            raise ValueError(f"tensor is not of harmonic degree {k}")
+        out.update((s * n + j, x) for j, x in enumerate(c[-n:]) if x)
     return out
 
 
 def second_variation_matrix(blocks, geo):
     """Exact Gram matrix of the second-variation form -(x, A y), one square
-    block of coefficients of pi^2 per harmonic degree: A keeps each degree, and
-    distinct degrees are L2-orthogonal. Each -A y is raised once, so its column
-    pairs with every x entrywise."""
-    return [pairing_matrix(b, [geo.raised(-operator_A(t, geo), 0, 1) for t in b])
-            for b in blocks]
+    block of coefficients of pi^2 per harmonic degree k = 0, 1, ...: A keeps
+    each degree, and distinct degrees are L2-orthogonal. The block is
+    Z^T (I_9 (x) G_k) R_k Z: R_k is the degree-k block of the symbol of
+    y -> -A y with both slots raised, G_k the Gram matrix of harmonic_basis(k)
+    and Z the coordinates of the block's tensors."""
+    symbol = _symbol(lambda t: (geo.raised(-operator_A(t, geo), 0, 1),))
+    out = []
+    for k, b in enumerate(blocks):
+        n = (k + 1) ** 2
+        r, gram = _block(symbol, k), pairing_matrix(harmonic_basis(k), harmonic_basis(k))
+        z = [_coordinates(t, k) for t in b]
+        gy = []  # (I_9 (x) G_k) R_k z per column z of Z
+        for col in z:
+            y = linalg.mat_vec(r, col.items(), 9 * n)
+            gy.append([sum(g * y[s + q] for q, g in enumerate(row) if g and y[s + q])
+                       for s in range(0, 9 * n, n) for row in gram])
+        out.append([[sum((x * v[i] for i, x in zx.items()), Fraction(0)) for v in gy]
+                    for zx in z])
+    return out
 
 
 def block_eigenvalues(blocks):

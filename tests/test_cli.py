@@ -13,6 +13,7 @@ import numpy as np
 from grflab import cli
 from grflab.cli import _rand_metric, build_parser, main, parse_metric, parse_u
 from grflab.poly import Polynomial
+from grflab.tensors import Geometry, is_zero
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 ROOT = Path(__file__).resolve().parent.parent
@@ -240,6 +241,11 @@ def test_output_file(tmp_path, capsys):
     (["obstruction", "--u", "1e100000000,0,0,0,0,0,0,0,0"], None,
      "coefficient '1e100000000' has an exponent beyond"),
     (["obstruction"], {"u_spec": "0,0,0,0,0,0,0,0,2E-0_4301"}, "exponent beyond +-4300"),
+    # int() refuses a run of over 4300 digits, with advice a CLI user cannot follow
+    (["obstruction", "--u", "1" * 4400 + ",0,0,0,0,0,0,0,0"], None,
+     "run of 4400 digits: at most 4300"),
+    (["obstruction", "--u", "1/" + "3" * 4301 + ",0,0,0,0,0,0,0,0"], None,
+     "run of 4301 digits: at most 4300"),
     # raw text: json.dumps cannot write a document nested this deeply
     (["lambda"], "[" * 100_000, "nested too deeply"),
 ], ids=["config-type", "config-command", "config-unknown-key", "sample-every-zero",
@@ -249,7 +255,8 @@ def test_output_file(tmp_path, capsys):
         "lambda-ground-state-unresolved", "spectrum-degree",
         "config-igsd-h0", "config-verify-metric", "config-obstruction-dt",
         "obstruction-zero-denominator", "obstruction-huge-exponent",
-        "config-obstruction-huge-exponent", "config-deeply-nested"])
+        "config-obstruction-huge-exponent", "obstruction-long-mantissa",
+        "obstruction-long-denominator", "config-deeply-nested"])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, message):
     if config is not None:
@@ -335,3 +342,14 @@ def test_flow_blowup_emits_partial_trajectory(capsys, argv, message):
     rep = json.loads(out)
     assert rep["blowup"].startswith(message)
     assert rep["samples"][0]["t"] == 0.0
+
+
+def test_coclosed_torsion_check_sees_a_planted_divergence():
+    # H = (1 + x1) vol is not coclosed: d*H = -i_{grad x1} vol
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    round_geo = Geometry(eye, H=2)
+    planted = Geometry(eye, H=(1 + X[0]) * round_geo.H)
+    assert not is_zero(planted.dstar(planted.H))
+    for geo, coclosed in ((round_geo, True), (planted, False)):
+        passed = dict(cli._suite_bismut_flat(geo))
+        assert passed["torsion is coclosed"] is coclosed

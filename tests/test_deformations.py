@@ -18,7 +18,7 @@ from grflab.deformations import (MU, Deformation, NotEigenfunction,
 from grflab.frames import BadIndex
 from grflab.harmonics import canonical_space, harmonic_basis
 from grflab.poly import IntegralValue, Polynomial, integrate_s3
-from grflab.tensors import Geometry, is_zero, obj_array
+from grflab.tensors import Geometry, antisym, is_zero, obj_array
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 
@@ -278,3 +278,26 @@ def test_round_point_kernel_multiplies_polynomials_by_numbers():
     products, constant_products = map(int, out.split())
     assert constant_products == 0
     assert products == 0
+
+
+def test_igsd_kernel_is_nine_dimensional_at_degree_6():
+    kernel = igsd_kernel(6)
+    assert len(kernel) == 9
+    assert all(d.provenance.startswith("kernel(k=2,") for d in kernel)
+
+
+def test_gradient_norms_check_sees_a_perturbed_grad_k(monkeypatch):
+    gamma = parallel_from_invariant_forms(1, 2).gamma
+    K = -antisym(gamma)
+    assert not is_zero(K) and integral_identities(gamma)["gradient_norms_equal"]
+    covd = Geometry.covd
+
+    def perturbed(self, T, conn=None):
+        out = covd(self, T, conn)
+        if T.shape == K.shape and is_zero(T - K):
+            out = out.copy()
+            out[0, 0, 1] = out[0, 0, 1] + 1
+        return out
+
+    monkeypatch.setattr(Geometry, "covd", perturbed)
+    assert integral_identities(gamma)["gradient_norms_equal"] is False

@@ -3,9 +3,9 @@ from itertools import product
 
 import pytest
 
-from grflab.frames import (LEFT, RIGHT, STRUCTURE, BadIndex, adjoint_matrix, frame_derive,
-                           laplacian_scalar, validate_structure)
-from grflab.harmonics import harmonic_basis
+from grflab.frames import (INV_LAPLACIAN, LEFT, RIGHT, STRUCTURE, BadIndex, Op, adjoint_matrix,
+                           frame_derive, laplacian_scalar, validate_structure)
+from grflab.harmonics import canonical_space, harmonic_basis, word_matrix
 from grflab.poly import JetScalar, Polynomial, integrate_s3
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
@@ -142,3 +142,43 @@ def test_adjoint_matrix_is_orthogonal():
             dot = sum((A[i][a] * A[j][a] for a in range(3)), Polynomial.zero())
             assert dot == (Polynomial.constant(1) if i == j else Polynomial.zero())
 
+
+
+def test_op_words_compose_as_frame_derivatives():
+    # E_1 (E_2 - 3 E_3) as words, and its matrix on harmonic_basis(2) is that of
+    # the frame derivatives applied to each basis element
+    op = frame_derive(frame_derive(Op(()), 2) - 3 * frame_derive(Op(()), 3), 1)
+    assert op.words == {(1, 2): 1, (1, 3): -3}
+    space, n = canonical_space(2), 9
+    for j, phi in enumerate(harmonic_basis(2)):
+        want = space.coords(frame_derive(frame_derive(phi, 2) - 3 * frame_derive(phi, 3), 1))
+        got = [sum(c * word_matrix(2, w)[j].get(i, 0) for w, c in op.words.items())
+               for i in range(n)]
+        assert want[-n:] == got and not any(want[:-n])
+
+
+def test_op_arithmetic():
+    e1, e2 = Op((1,)), Op((2,))
+    assert not Op() and not (e1 - e1)
+    assert (e1 + 0).words == (0 + e1).words == (e1 + Polynomial.zero()).words == e1.words
+    assert (e1 * Polynomial.constant(3) - e2 * Fraction(1, 2)).words == {(1,): 3, (2,): Fraction(-1, 2)}
+    assert not (e1 * 0) and not (Polynomial.zero() * e1)
+    for bad in (lambda: e1 * e2, lambda: e1 * X[0], lambda: e1 + 1):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(ValueError):
+        frame_derive(e1, 1, "right")
+
+
+def test_inverse_laplacian_letter_scales_each_degree():
+    for k in (1, 2, 3):
+        n, ev = (k + 1) ** 2, -k * (k + 2)
+        eye = [int(i == j) for j in range(n) for i in range(n)]
+        lap = [sum(word_matrix(k, (m, m))[j].get(i, 0) for m in (1, 2, 3))
+               for j in range(n) for i in range(n)]
+        inv = [word_matrix(k, (INV_LAPLACIAN,))[j].get(i, 0) for j in range(n) for i in range(n)]
+        assert lap == [ev * x for x in eye] and inv == [Fraction(x, ev) for x in eye]
+    # at degree 0 the inverse Laplacian meets the constants
+    assert word_matrix(0, (INV_LAPLACIAN, 1)) == ({},)
+    with pytest.raises(ValueError, match="nonzero mean"):
+        word_matrix(0, (INV_LAPLACIAN,))

@@ -362,7 +362,9 @@ def test_degree_kernels_rejects_a_map_that_lowers_degree():
     def ambient_d1(t):
         return (obj_array([[d1(as_poly(x)) for x in row] for row in t]),)
 
-    with pytest.raises(ValueError, match="harmonic degree 1"):
+    # the map reads polynomial terms, so the formal unit tensors of the symbol
+    # do not run through it
+    with pytest.raises(ValueError, match="need not keep harmonic degree"):
         variational.degree_kernels(1, ambient_d1)
 
 
@@ -386,10 +388,11 @@ def test_second_variation_matrix_pairs_within_blocks(monkeypatch):
 
     monkeypatch.setattr(variational, "integrate_s3", counting)
     second_variation_matrix(blocks, geo)
-    # one integral per entry pair of a 3x3 x and a 3x3 column, and only
-    # within the 6- and 16-dimensional blocks: the 2 * 6 * 16 cross pairs
-    # would add 9 * 192 more
-    assert len(calls) == 9 * (6 ** 2 + 16 ** 2)
+    # the only integrals are the Gram matrices of harmonic_basis(0) and
+    # harmonic_basis(1), one per pair of basis elements of one degree: no
+    # element of degree 0 meets one of degree 1
+    assert len(calls) == 1 ** 2 + 4 ** 2
+    assert {(p.degree(), q.degree()) for p, q in calls} == {(0, 0), (1, 1)}
 
 
 def test_second_variation_matrix_raises_each_image_once(monkeypatch):
@@ -405,7 +408,9 @@ def test_second_variation_matrix_raises_each_image_once(monkeypatch):
 
     monkeypatch.setattr(Geometry, "raised", counting)
     second_variation_matrix(blocks, geo)
-    assert raised == [(0, 1)] * (6 + 16)
+    # the symbol of A is read off its image of the 9 unit tensors, each
+    # raised once, whatever the number of block tensors
+    assert raised == [(0, 1)] * 9
 
 
 def test_pairing_matrix_forms_no_products(monkeypatch):
@@ -436,3 +441,83 @@ def test_inconsistent_source_cannot_happen_but_raises():
     from grflab.variational import _poisson_solve_f
     with pytest.raises(InconsistentSource):
         _poisson_solve_f(geo, Polynomial.constant(1))
+    # a formal source meets the inverse Laplacian at degree 0: the source
+    # t_11 is constant there, so it has a nonzero mean
+    def solve(t):
+        return (np.array([_poisson_solve_f(geo, t[0, 0])]),)
+
+    with pytest.raises(InconsistentSource):
+        variational.degree_kernels(1, solve)
+
+
+# -- operator symbols ----------------------------------------------------------------
+
+def per_tensor_columns(image, k):
+    """Reference: the degree-k matrix of a map as one column per basis tensor
+    e_ab (x) phi, each the degree-k coordinates of its image, the assembly that
+    the operator symbols replace."""
+    space, n = canonical_space(k), (k + 1) ** 2
+    columns = []
+    for a, b in np.ndindex(3, 3):
+        for phi in harmonic_basis(k):
+            t = zeros((3, 3))
+            t[a, b] = phi
+            col = []
+            for p in np.concatenate([s.reshape(-1) for s in image(t)]):
+                c = space.coords(p)
+                assert not any(c[:-n])
+                col.extend(c[-n:])
+            columns.append(col)
+    return columns
+
+
+def per_tensor_second_variation(blocks, geo):
+    """Reference: the second-variation blocks with one raised -A(t) per block tensor t."""
+    return [pairing_matrix(b, [geo.raised(-operator_A(t, geo), 0, 1) for t in b])
+            for b in blocks]
+
+
+def symbol_columns(image, k):
+    symbol = variational._symbol(image)
+    rows = symbol[1] * (k + 1) ** 2
+    return [[col.get(i, 0) for i in range(rows)] for col in variational._block(symbol, k)]
+
+
+SKEWED = Geometry([[Fraction(11, 10), 0, 0], [0, Fraction(9, 10), 0], [0, 0, Fraction(21, 20)]],
+                  H=Fraction(5, 2))
+
+
+@pytest.mark.parametrize("geo", [round_geometry(), SKEWED], ids=["round", "skewed"])
+def test_symbol_blocks_equal_the_per_tensor_assembly(geo):
+    def b_and_divergence(t):
+        return (operator_B(t, geo), *geo.twisted_divergence(t))
+
+    for image in (b_and_divergence, geo.twisted_divergence):
+        for k in range(4):
+            assert symbol_columns(image, k) == per_tensor_columns(image, k)
+    blocks = slice_tangent_basis(geo, 3)
+    assert second_variation_matrix(blocks, geo) == per_tensor_second_variation(blocks, geo)
+
+
+def test_symbol_blocks_see_words_composed_in_reverse(monkeypatch):
+    # E_1 E_2 != E_2 E_1: composing each word's matrices in reverse letter
+    # order changes the div* div part of A
+    geo = round_geometry()
+    blocks = slice_tangent_basis(geo, 2)
+    want = per_tensor_second_variation(blocks, geo)
+    word_matrix = variational.word_matrix
+    monkeypatch.setattr(variational, "word_matrix", lambda k, w: word_matrix(k, w[::-1]))
+    assert second_variation_matrix(blocks, geo) != want
+
+
+def test_degree_kernels_runs_the_map_nine_times():
+    geo = round_geo()
+    calls = []
+
+    def image(t):
+        calls.append(t)
+        return geo.twisted_divergence(t)
+
+    blocks = variational.degree_kernels(3, image)
+    assert [len(b) for b in blocks] == [6, 16, 39, 64]
+    assert len(calls) == 9
