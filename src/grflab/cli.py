@@ -82,14 +82,14 @@ def _suite_bismut_flat(geo):
         ("bismut curvature vanishes on round critical data", is_zero(geo.Rm_plus)),
         ("torsion is parallel on round critical data", is_zero(nh)),
         ("ricci equals quarter torsion square", is_zero(geo.Rc - Fraction(1, 4) * geo.H2)),
-        ("torsion is coclosed", is_zero(geo.dstar(geo.H))),
+        ("torsion is coclosed", is_zero(geo.dstar_H)),
         ("soliton tensor vanishes", is_zero(geo.bakry_emery())),
     ]
 
 
 def _dual_path(rng, round_geo):
     geo = Geometry(_rand_metric(rng), H=_rand_fraction(rng, 1, 3, 2))
-    want = geo.Rc - Fraction(1, 4) * geo.H2 - Fraction(1, 2) * geo.dstar(geo.H)
+    want = geo.Rc - Fraction(1, 4) * geo.H2 - Fraction(1, 2) * geo.dstar_H
     return is_zero(geo.Rc_plus - want) and is_zero(geo.bismut_curvature_rhs() - geo.Rm_plus)
 
 

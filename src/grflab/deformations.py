@@ -211,8 +211,7 @@ def _jet_u_part(u):
     hess_f2 = geo0.hessian(f2)
     if2H = geo0.i_grad(f2, geo0.H)
 
-    hess_t = geo_t.hessian(geo_t.f)
-    dstar_t = geo_t.dstar(geo_t.H)
+    hess_t, dstar_t = geo_t.hess_f, geo_t.dstar_H
     igrad_t = geo_t.i_grad(geo_t.f, geo_t.H)
     rchf_2 = jet_part(geo_t.bakry_emery(), 2)
 

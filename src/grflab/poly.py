@@ -361,11 +361,17 @@ class JetScalar:
         self.c2 = as_poly(c2)
 
     def __add__(self, other):
+        """self + other; a zero operand returns the other one as a jet (jets
+        are never mutated, and einsum starts every sum from int 0)."""
         if isinstance(other, (int, Fraction)) and not other:
-            return self  # jets are never mutated; einsum starts every sum from int 0
+            return self
         other = as_jet(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other:
+            return self
+        if not self:
+            return other
         return JetScalar(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
 
     __radd__ = __add__
@@ -383,11 +389,17 @@ class JetScalar:
         return (-self) + other
 
     def __mul__(self, other):
+        """self * other; a zero number or a zero jet on either side gives the
+        shared _ZERO_JET."""
         if isinstance(other, (int, Fraction)):
+            if not other or not self:
+                return _ZERO_JET
             return JetScalar(*(_mul(c, other) for c in (self.c0, self.c1, self.c2)))
         other = as_jet(other)
         if other is NotImplemented:
             return NotImplemented
+        if not self or not other:
+            return _ZERO_JET
         # Leibniz at order 2: (fg)'' = f''g + 2f'g' + fg''
         a0, a1, a2, b0, b1, b2 = self.c0, self.c1, self.c2, other.c0, other.c1, other.c2
         return JetScalar(_mul(a0, b0), _mul(a0, b1) + _mul(a1, b0),
@@ -416,10 +428,13 @@ class JetScalar:
         return self.c0.is_zero and self.c1.is_zero and self.c2.is_zero
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.c0.num or self.c1.num or self.c2.num)
 
     def __repr__(self):
         return f"Jet[{self.c0!r} | {self.c1!r} | {self.c2!r}]"
+
+
+_ZERO_JET = JetScalar()  # one shared zero jet, like _ZERO
 
 
 def as_jet(x):

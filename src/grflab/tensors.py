@@ -5,7 +5,7 @@ object ndarray of scalars with one size-3 axis per frame index."""
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,6 +69,33 @@ def _lift(a):
     return num, den
 
 
+@lru_cache(maxsize=None)
+def _pairwise_plan(spec):
+    """The steps (i, j, step spec) that contract a spec of 3 or more operands
+    two at a time: each step replaces operands i < j by their contraction,
+    appended last, which keeps only the letters that a later operand or the
+    output needs. The pair chosen is the one with the smallest result, then
+    the fewest products; all axes have one size, so letters count both."""
+    inputs, output = spec.split("->")
+    subs = inputs.split(",")
+    steps = []
+    while len(subs) > 2:
+        best = None
+        for i in range(len(subs)):
+            for j in range(i + 1, len(subs)):
+                rest = "".join(s for k, s in enumerate(subs) if k not in (i, j)) + output
+                joined = dict.fromkeys(subs[i] + subs[j])
+                kept = "".join(c for c in joined if c in rest)
+                cost = (len(kept), len(joined))
+                if best is None or cost < best[0]:
+                    best = (cost, i, j, kept)
+        _, i, j, kept = best
+        steps.append((i, j, f"{subs[i]},{subs[j]}->{kept}"))
+        subs = [s for k, s in enumerate(subs) if k not in (i, j)] + [kept]
+    steps.append((0, 1, f"{subs[0]},{subs[1]}->{output}"))
+    return steps
+
+
 def contract(spec, *operands):
     """np.einsum(spec, *operands), the one contraction of the package.
 
@@ -77,16 +104,28 @@ def contract(spec, *operands):
     builds a Fraction, and the result is divided by the product D of their
     denominators once: an all-constant result becomes Fraction(n, D) per
     entry, one with Polynomial or JetScalar entries is scaled by 1/D when
-    D != 1. Values, entry types and a 0-d result's scalar kind are those of
-    np.einsum on the operands themselves.
+    D != 1. A spec of 3 or more operands with such an entry is contracted
+    two operands at a time (``_pairwise_plan``), as object arrays, so no
+    product of more than two entries is formed. Values, entry types and a
+    0-d result's scalar kind are those of np.einsum on the operands
+    themselves.
     """
     if np.result_type(*operands) != object:  # no operand has object dtype
         return np.einsum(spec, *operands)
     lifted = [_lift(a) for a in operands]
     den = math.prod(ld[1] for ld in lifted if ld is not None)
-    out = np.einsum(spec, *(a if ld is None else ld[0] for a, ld in zip(operands, lifted)))
     if any(ld is None for ld in lifted):
+        terms = [a if ld is None else ld[0] for a, ld in zip(operands, lifted)]
+        if len(terms) > 2 and "..." not in spec and any(
+                ld is None and a.dtype == object for a, ld in zip(operands, lifted)):
+            terms = [np.asarray(a, dtype=object) for a in terms]
+            for i, j, step in _pairwise_plan(spec):
+                out = np.einsum(step, terms[i], terms[j])
+                terms = [a for k, a in enumerate(terms) if k not in (i, j)] + [out]
+        else:
+            out = np.einsum(spec, *terms)
         return out if den == 1 else out * Fraction(1, den)
+    out = np.einsum(spec, *(ld[0] for ld in lifted))
     if not isinstance(out, np.ndarray):
         return Fraction(out, den)
     res = np.empty(out.shape, dtype=object)
@@ -181,18 +220,19 @@ def christoffel(g, ginv, dg=None):
     return contract("mik,pk->mip", _half(a), ginv)
 
 
-def riemann(conn, g, dconn=None):
-    """Lowered curvature Rm[i, j, k, l] = <R(E_i, E_j) E_k, E_l> of the symbols conn.
+def riemann(conn, dconn=None):
+    """Curvature endomorphism R[i, j, k, l] of the symbols conn, R(E_i, E_j) E_k
+    = R[i, j, k, l] E_l.
 
-    conn and g as in ``christoffel``. dconn[i, j, k, l] = E_i(conn[j, k, l]);
-    None for invariant data.
+    conn as in ``christoffel``. dconn[i, j, k, l] = E_i(conn[j, k, l]); None
+    for invariant data.
     """
     # conn[j, k, m] conn[i, m, l] - conn[i, k, m] conn[j, m, l]: Y - Y with i, j swapped
     y = contract("jkm,iml->ijkl", conn, conn)
     coef = y - y.transpose(1, 0, 2, 3) - contract("ijm,mkl->ijkl", _STRUCTURE, conn)
     if dconn is not None:
         coef = coef + dconn - contract("jikl->ijkl", dconn)
-    return contract("ijkp,pl->ijkl", coef, g)
+    return coef
 
 
 def _as_data(x):
@@ -298,8 +338,8 @@ class Geometry:
     # -- curvature ---------------------------------------------------------
 
     def curvature(self, conn):
-        """Lowered curvature Rm_{ijkl} = <R(E_i,E_j)E_k, E_l> of the connection."""
-        return riemann(conn, self.g, self._frame_gradient(conn))
+        """Curvature endomorphism R_ijk^l, R(E_i,E_j)E_k = R_ijk^l E_l, of the connection."""
+        return riemann(conn, self._frame_gradient(conn))
 
     # Derived connection and curvature data, each computed on first use: a
     # Geometry is never changed after __init__.
@@ -315,24 +355,37 @@ class Geometry:
         return self.gamma - _half(self.H_ddu)
 
     @cached_property
-    def Rm(self):
-        """Riemann tensor of the Levi-Civita connection."""
+    def Rm_dddu(self):
+        """R_ijk^l: the curvature endomorphism of the Levi-Civita connection."""
         return self.curvature(self.gamma)
+
+    @cached_property
+    def Rm_plus_dddu(self):
+        """R+_ijk^l: the curvature endomorphism of nabla+ = nabla + H/2."""
+        return self.curvature(self.gamma_p)
+
+    @cached_property
+    def Rm(self):
+        """Riemann tensor Rm_{ijkl} = R_ijk^p g_pl of the Levi-Civita connection."""
+        return contract("ijkp,pl->ijkl", self.Rm_dddu, self.g)
 
     @cached_property
     def Rm_plus(self):
         """Riemann tensor of the Bismut connection nabla+ = nabla + H/2."""
-        return self.curvature(self.gamma_p)
+        return contract("ijkp,pl->ijkl", self.Rm_plus_dddu, self.g)
+
+    # g^{il} Rm_{ijkl} = R_ijk^i, since g^{il} g_{pl} = delta_ip holds exactly
+    # for exact and jet data alike
 
     @cached_property
     def Rc(self):
-        """Ricci tensor Rc_{jk} = g^{il} Rm_{ijkl}."""
-        return contract("ijkl,il->jk", self.Rm, self.ginv)
+        """Ricci tensor Rc_{jk} = g^{il} Rm_{ijkl}, the trace R_ijk^i."""
+        return contract("ijki->jk", self.Rm_dddu)
 
     @cached_property
     def Rc_plus(self):
-        """Bismut Ricci tensor g^{il} Rm+_{ijkl}."""
-        return contract("ijkl,il->jk", self.Rm_plus, self.ginv)
+        """Bismut Ricci tensor g^{il} Rm+_{ijkl} = R+_ijk^i."""
+        return contract("ijki->jk", self.Rm_plus_dddu)
 
     @cached_property
     def R(self):
@@ -388,13 +441,14 @@ class Geometry:
 
     @cached_property
     def Rm_up(self):
-        """Rm^i_jk^l: Rm with its first and last slots raised."""
-        return self.raised(self.Rm, 0, 3)
+        """Rm^i_jk^l: Rm with its first and last slots raised, the endomorphism
+        with its first slot raised."""
+        return self.raised(self.Rm_dddu, 0)
 
     @cached_property
     def Rm_plus_up(self):
         """Rm+^i_jk^l: Rm+ with its first and last slots raised."""
-        return self.raised(self.Rm_plus, 0, 3)
+        return self.raised(self.Rm_plus_dddu, 0)
 
     def dstar(self, T):
         """Codifferential of a 2- or 3-form: (d*T)_... = -g^{mn} (nabla T)_{mn...}."""
@@ -419,10 +473,22 @@ class Geometry:
 
     # -- Bakry-Emery -------------------------------------------------------
 
+    @cached_property
+    def hess_f(self):
+        """Hess f, the Levi-Civita Hessian of the potential."""
+        return self.hessian(self.f)
+
+    @cached_property
+    def dstar_H(self):
+        """d*H, the codifferential of the torsion 3-form."""
+        return self.dstar(self.H)
+
     def bakry_emery(self):
-        """Rc^{H,f}: Rc - H^2/4 + hess(f) - (d*H + i_{grad f}H)/2."""
-        return (self.Rc - Fraction(1, 4) * self.H2 + self.hessian(self.f)
-                - Fraction(1, 2) * self.dstar_f(self.H))
+        """Rc^{H,f}: Rc - H^2/4 + hess(f) - d*_f H/2, d*_f H = d*H + i_{grad f}H."""
+        dstar_f_H = self.dstar_H
+        if not (isinstance(self.f, Polynomial) and self.f.is_zero):
+            dstar_f_H = dstar_f_H + self.i_grad(self.f, self.H)
+        return self.Rc - Fraction(1, 4) * self.H2 + self.hess_f - Fraction(1, 2) * dstar_f_H
 
     def generalized_scalar(self):
         """R^{H,f} = R - |H|^2/12 + 2 laplacian f - |grad f|^2."""

@@ -185,7 +185,7 @@ def bianchi_contracted_check(geo):
 
     Must vanish identically for every (g, H, f); returned as a rank-1 array.
     """
-    s = geo.Rc - Fraction(1, 4) * geo.H2 + geo.hessian(geo.f)
+    s = geo.Rc - Fraction(1, 4) * geo.H2 + geo.hess_f
     lhs = geo.div_f(s)
     grad_r = geo.covd_scalar(geo.generalized_scalar())
     dsf = geo.dstar_f(geo.H)

@@ -17,7 +17,7 @@ from grflab.deformations import (MU, Deformation, NotEigenfunction,
                                  parallel_from_invariant_forms, round_geometry)
 from grflab.frames import BadIndex
 from grflab.harmonics import canonical_space, harmonic_basis
-from grflab.poly import IntegralValue, Polynomial, integrate_s3
+from grflab.poly import IntegralValue, JetScalar, Polynomial, integrate_s3
 from grflab.tensors import Geometry, antisym, is_zero, obj_array
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
@@ -194,6 +194,35 @@ def test_jet_check_builds_curvature_once(monkeypatch):
     assert len(calls) == 2
     assert warm["pairing"] == cold["pairing"] == obstruction(u, w)
     assert warm == cold
+
+
+def test_cold_jet_u_part_makes_few_sums_and_jet_products(monkeypatch):
+    # counts are deterministic, so this guard cannot flake as a timing gate
+    # would. Before Rc was the trace of the curvature endomorphism, object
+    # contractions went pairwise, d*H and Hess f were cached per Geometry and
+    # zero jets returned at once, this made 25,084 Polynomial sums and 4,998
+    # jet products; now 3,598 and 1,893
+    u = X[0] * X[1]
+    _jet_u_part(u)  # warms round_geometry and canonical_space(4)
+    _jet_u_part.cache_clear()
+    counts = {"add": 0, "jet_mul": 0}
+    add, jet_mul = Polynomial.__add__, JetScalar.__mul__
+
+    def counting_add(self, other):
+        counts["add"] += 1
+        return add(self, other)
+
+    def counting_jet_mul(self, other):
+        counts["jet_mul"] += 1
+        return jet_mul(self, other)
+
+    for name in ("__add__", "__radd__"):
+        monkeypatch.setattr(Polynomial, name, counting_add)
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(JetScalar, name, counting_jet_mul)
+    checks, _ = _jet_u_part(u)
+    assert all(checks.values())
+    assert counts["add"] <= 4497 and counts["jet_mul"] <= 2366  # 1.25 x today's counts
 
 
 def test_jet_cache_keys_u_by_its_terms():

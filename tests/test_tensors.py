@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import grflab
 from grflab.deformations import round_geometry
+from grflab.flow import FlowState, run_flow
 from grflab.frames import EPS, STRUCTURE, adjoint_matrix, frame_derive, laplacian_scalar
-from grflab.poly import JetScalar, Polynomial, as_poly, integrate_s3
+from grflab.poly import JetScalar, Polynomial, as_jet, as_poly, integrate_s3
 from grflab.tensors import (BadRank, Geometry, SingularMetric, antisym, christoffel, contract,
                             is_zero, jet_part, leading_minors, obj_array, riemann, sym,
                             zeros)
@@ -368,7 +369,8 @@ def _dense_jet_metric():
 
 def test_fused_structure_contractions_match_three_term_formulas():
     # one structure contraction in christoffel (g symmetric) and one conn.conn
-    # contraction in riemann give the three-term values exactly
+    # contraction in riemann give the three-term values exactly; riemann is
+    # the curvature endomorphism, compared lowered by g
     rng = random.Random(17)
     geos = [Geometry(rand_metric(rng), H=Fraction(rng.randint(1, 3))) for _ in range(4)]
     geos.append(Geometry(_dense_jet_metric(), H=2))
@@ -381,8 +383,31 @@ def test_fused_structure_contractions_match_three_term_formulas():
         for conn, got in ((geo.gamma, geo.Rm), (geo.gamma_p, geo.Rm_plus)):
             dconn = geo._frame_gradient(conn)
             want = _three_term_riemann(conn, geo.g, dconn)
-            assert is_zero(got - want) and is_zero(riemann(conn, geo.g, dconn) - want)
+            lowered = contract("ijkp,pl->ijkl", riemann(conn, dconn), geo.g)
+            assert is_zero(got - want) and is_zero(lowered - want)
         assert not is_zero(geo.Rm)
+
+
+def test_ricci_is_the_trace_of_the_curvature_endomorphism():
+    # Rc = R_ijk^i equals g^il Rm_ijkl: exactly for exact and jet data, to
+    # rounding for float64 flow states
+    rng = random.Random(23)
+    geos = [Geometry(rand_metric(rng), H=Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+            for _ in range(4)]
+    geos += [Geometry(_dense_jet_metric(), H=2), round_geometry()]
+    for geo in geos:
+        for rc, rm in ((geo.Rc, geo.Rm), (geo.Rc_plus, geo.Rm_plus)):
+            assert is_zero(rc - contract("ijkl,il->jk", rm, geo.ginv))
+        assert not is_zero(geo.Rc)
+    g0 = np.array([[1.2, 0.1, -0.2], [0.1, 0.9, 0.05], [-0.2, 0.05, 1.1]])
+    samples = run_flow(FlowState(g=g0, b=np.zeros((3, 3)), H0_coeff=1.7), 1e-2, 30,
+                       sample_every=10)
+    assert len(samples) == 4
+    for _, state, _, _ in samples:
+        geo = state.geometry()
+        for rc, rm in ((geo.Rc, geo.Rm), (geo.Rc_plus, geo.Rm_plus)):
+            assert rc.dtype == np.float64
+            assert np.abs(rc - contract("ijkl,il->jk", rm, geo.ginv)).max() <= 1e-13
 
 
 def test_leading_minors_decide_positive_definiteness():
@@ -574,11 +599,12 @@ def test_inner_matches_many_operand_einsum():
 
 
 # Every spec that src/ hands to contract: the literal ones, then covd's for T
-# of rank 1 to 3 and raised's for T of rank 1 to 4.
+# of rank 1 to 3 and raised's for T of rank 1 to 4; "ijkl,il->jk" is
+# g^il Rm_ijkl, which the tests check Rc against.
 CONTRACT_SPECS = (
     "mip,pk->mik", "mkp,ip->mik", "ikp,mp->mik", "imk->mik", "kmi->mik", "mik,pk->mip",
     "jkm,iml->ijkl", "ikm,jml->ijkl", "ijm,mkl->ijkl", "jikl->ijkl", "ijkp,pl->ijkl",
-    "mn,n->m", "mn...,mn->...", "m,m...->...", "ijkl,il->jk", "jk,jk->",
+    "mn,n->m", "mn...,mn->...", "m,m...->...", "ijkl,il->jk", "ijki->jk", "jk,jk->",
     "ipq,jrs,pr,qs->ij", "ij,ij->", "cfj,cei->ijef", "ila,jkb,ab->ijkl",
     "jla,ikb,ab->ijkl", "m,m->", "mjk,mik->ij", "mik,mkj->ij", "ja,ia->ij", "ia,aj->ij",
     "ijef,ef->ij", "cdi,cdj->ij", "cdj,cid->ij", "lcd,cd->l", "mib,jb->mij",
@@ -645,6 +671,34 @@ def test_contract_matches_einsum(spec, data):
         arr[:] = entries
         operands.append(arr.reshape(shape))
     _assert_same_result(contract(spec, *operands), np.einsum(spec, *operands))
+
+
+_ZERO_JETS = st.sampled_from([JetScalar(), JetScalar(0, 0, 0), JetScalar(Polynomial.zero())])
+
+
+def _leibniz(a, b):
+    """a * b of two jets by the order-2 Leibniz rule, every product formed."""
+    return JetScalar(a.c0 * b.c0, a.c0 * b.c1 + a.c1 * b.c0,
+                     a.c0 * b.c2 + 2 * (a.c1 * b.c1) + a.c2 * b.c0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_ENTRIES["jet"], _ZERO_JETS),
+       st.one_of(_ENTRIES["jet"], _ZERO_JETS, _ENTRIES["polynomial"], _ENTRIES["fraction"],
+                 st.sampled_from([0, 2, -1])))
+def test_jet_products_and_sums_match_leibniz(a, b):
+    # zero operands return at once, with the same values and types as the Leibniz path
+    jb = as_jet(b)
+    sum_want = JetScalar(a.c0 + jb.c0, a.c1 + jb.c1, a.c2 + jb.c2)
+    for got, want in ((a * b, _leibniz(a, jb)), (b * a, _leibniz(jb, a)),
+                      (a + b, sum_want), (b + a, sum_want)):
+        assert type(got) is JetScalar and got == want
+    if not a or not b:
+        assert a * b is b * a is JetScalar() * 0
+    if not b:
+        assert a + b is a
+    elif not a and isinstance(b, JetScalar):
+        assert a + b is b
 
 
 def test_contract_lifts_float_fractions_against_int64_structure():
