@@ -4,9 +4,10 @@ dg/dt = -2 Rc + (1/2) H^2, db/dt = -d*H, integrated by RK4. Invariant
 
 *H of an invariant 3-form is a constant function, so d*H = 0 and b never
 moves: ``step_rk4`` integrates g alone and carries b as it is. d*H is still
-evaluated where it is checked: ``grf_rhs`` returns it as db/dt, the
-dual-path check ``dual_path_residual`` adds it in, and ``soliton_residual``
-adds its norm once per sample."""
+evaluated where it is checked, each time read from the one cached
+``Geometry.dstar_H``: ``grf_rhs`` returns -d*H as db/dt, the dual-path check
+``dual_path_residual`` adds it in, and ``soliton_residual`` adds its norm once
+per sample."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,21 +53,21 @@ def _g_rate(g, h0):
 
 
 def grf_rhs(state):
-    """Right side (dg/dt, db/dt) of the flow, with db/dt = -d*H = div H computed."""
+    """Right side (dg/dt, db/dt) of the flow, with db/dt = -d*H computed."""
     geo, dg = _g_rate(state.g, state.H0_coeff)
-    return dg, geo.div(geo.H)
+    return dg, -geo.dstar_H
 
 
 def dual_path_residual(state):
     """Max-norm of (dg - db) + 2 Rc+, which must vanish identically."""
     geo, dg = _g_rate(state.g, state.H0_coeff)
-    return float(np.abs((dg - geo.div(geo.H)) + 2.0 * geo.Rc_plus).max())
+    return float(np.abs((dg + geo.dstar_H) + 2.0 * geo.Rc_plus).max())
 
 
 def soliton_residual(state):
     """Frobenius norm of Rc - H^2/4 plus the norm of d*H (constant f)."""
     geo = state.geometry()
-    return float(np.linalg.norm(geo.Rc - geo.H2 / 4.0) + np.linalg.norm(geo.dstar(geo.H)))
+    return float(np.linalg.norm(geo.Rc - geo.H2 / 4.0) + np.linalg.norm(geo.dstar_H))
 
 
 def flow_lambda(state):

@@ -235,6 +235,13 @@ def riemann(conn, dconn=None):
     return coef
 
 
+def _is_invariant(arr):
+    """True for an array with no Polynomial, JetScalar or Op entry, which has
+    no frame derivatives. A float64 array is invariant by contract, so its
+    entries are not scanned."""
+    return arr.dtype != object or set(map(type, arr.flat)).isdisjoint((Polynomial, JetScalar, Op))
+
+
 def _as_data(x):
     """A float64 array or a float as float64, anything else through obj_array."""
     if isinstance(x, float) or (isinstance(x, np.ndarray) and x.dtype == np.float64):
@@ -277,9 +284,8 @@ class Geometry:
 
     def _frame_gradient(self, arr):
         """out[m, ...] = E_{m+1}(arr[...]), one frame derivative per component;
-        None for invariant data, exact or float64, which have no frame derivatives.
-        A float64 array is invariant by contract, so its entries are not scanned."""
-        if arr.dtype != object or set(map(type, arr.flat)).isdisjoint((Polynomial, JetScalar, Op)):
+        None for invariant data, exact or float64, which have no frame derivatives."""
+        if _is_invariant(arr):
             return None
         out = np.empty((3,) + arr.shape, dtype=object)
         for m in range(3):
@@ -319,11 +325,27 @@ class Geometry:
     # -- divergences -------------------------------------------------------
 
     def div(self, T, conn=None):
-        """g^{mn} (nabla^conn T)_{mn...}: the derivative index against T's first slot.
+        """g^{mn} (nabla^conn T)_{mn...}: the derivative index against T's first
+        slot, for T of rank 1 to 4 and one symbol array conn (Levi-Civita if None).
 
+        g^-1 meets the connection before T does, so nabla T is never formed:
+        with conn^m_ap = g^{mn} conn[n, a, p] (``gamma_up`` for Levi-Civita) and
+        its trace v^p = conn^m_mp, the result is g^{mn} E_m T_{n...} - v^p T_{p...}
+        - the sum over the slots s >= 1 of conn^m_{a_s p} T_{m...p...}, p in slot s.
         Returns the contracted component array, a scalar for a 1-form.
         """
-        return contract("mn...,mn->...", self.covd(T, conn), self.ginv)
+        if conn is None or conn is self.gamma:
+            conn_up = self.gamma_up
+        else:
+            conn_up = contract("mn,nap->map", self.ginv, conn)
+        out = -contract("p,p...->...", contract("mmp->p", conn_up), T)
+        grad = self._frame_gradient(T)
+        if grad is not None:
+            out = out + contract("mn...,mn->...", grad, self.ginv)
+        idx = "abcd"[:T.ndim]
+        for s in range(1, T.ndim):
+            out = out - contract(f"m{idx[s]}p,m{idx[1:s]}p{idx[s + 1:]}->{idx[1:]}", conn_up, T)
+        return out
 
     def div_f(self, T, conn=None):
         """The f-twisted divergence div(T, conn) - (grad f)^m T_{m...}."""
@@ -355,6 +377,34 @@ class Geometry:
         return self.gamma - _half(self.H_ddu)
 
     @cached_property
+    def gamma_up(self):
+        """Gamma^m_ap = g^{mn} Gamma[n, a, p]: the Levi-Civita symbols with their
+        first slot raised, as ``div`` contracts them. Its trace Gamma^m_mp is
+        also the trace of the Bismut symbols when H is a 3-form, since
+        g^{mn} H_mn^p = 0 for g^-1 symmetric and H antisymmetric; ``div`` raises
+        any other symbols itself, so a general rank-3 H is served too."""
+        return contract("mn,nap->map", self.ginv, self.gamma)
+
+    def _ricci(self, conn):
+        """The trace R_ijk^i of the curvature endomorphism of conn, without
+        forming it: the sum over i of conn[j, k, m] conn[i, m, i]
+        - conn[i, k, m] conn[j, m, i] - c^m_ij conn[m, k, i], plus
+        E_i conn[j, k, i] - E_j conn[i, k, i], which takes 36 frame
+        derivatives, not 81. The terms are summed over i last, one i at a
+        time, in the order the trace of R_ijk^l sums them, so float64 Rc
+        rounds exactly as that trace does."""
+        z = (contract("jkm,imi->ijk", conn, conn) - contract("ikm,jmi->ijk", conn, conn)
+             - contract("ijm,mki->ijk", _STRUCTURE, conn))
+        out = z[0] + z[1] + z[2]
+        if _is_invariant(conn):
+            return out
+        w = contract("iki->k", conn)
+        for j, k in np.ndindex(3, 3):
+            out[j, k] = (out[j, k] + frame_derive(conn[j, k, 0], 1) + frame_derive(conn[j, k, 1], 2)
+                         + frame_derive(conn[j, k, 2], 3) - frame_derive(w[k], j + 1))
+        return out
+
+    @cached_property
     def Rm_dddu(self):
         """R_ijk^l: the curvature endomorphism of the Levi-Civita connection."""
         return self.curvature(self.gamma)
@@ -375,17 +425,17 @@ class Geometry:
         return contract("ijkp,pl->ijkl", self.Rm_plus_dddu, self.g)
 
     # g^{il} Rm_{ijkl} = R_ijk^i, since g^{il} g_{pl} = delta_ip holds exactly
-    # for exact and jet data alike
+    # for exact and jet data alike; the trace is taken before R_ijk^l is formed
 
     @cached_property
     def Rc(self):
         """Ricci tensor Rc_{jk} = g^{il} Rm_{ijkl}, the trace R_ijk^i."""
-        return contract("ijki->jk", self.Rm_dddu)
+        return self._ricci(self.gamma)
 
     @cached_property
     def Rc_plus(self):
         """Bismut Ricci tensor g^{il} Rm+_{ijkl} = R+_ijk^i."""
-        return contract("ijki->jk", self.Rm_plus_dddu)
+        return self._ricci(self.gamma_p)
 
     @cached_property
     def R(self):

@@ -18,7 +18,7 @@ from grflab.deformations import (MU, Deformation, NotEigenfunction,
 from grflab.frames import BadIndex
 from grflab.harmonics import canonical_space, harmonic_basis
 from grflab.poly import IntegralValue, JetScalar, Polynomial, integrate_s3
-from grflab.tensors import Geometry, antisym, is_zero, obj_array
+from grflab.tensors import Geometry, antisym, contract, is_zero, obj_array
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 
@@ -169,29 +169,36 @@ def test_jet_pairing_matches_obstruction_sample():
         assert res["pairing"] == obstruction(u, w)
 
 
-def test_jet_check_builds_curvature_once(monkeypatch):
-    # the jet geometry's Riemann tensor serves Rc, R and the Bakry-Emery tensor,
-    # and a second w with the same u reuses the whole u part
+def test_jet_check_builds_no_curvature_and_reuses_u_part(monkeypatch):
+    # Rc, R and the Bakry-Emery tensor of the jet geometry are traced without
+    # forming a curvature endomorphism, and a second w with the same u reuses
+    # the whole u part, its one jet Geometry included
     round_geometry()
-    calls = []
-    curvature = Geometry.curvature
+    calls, jet_geometries = [], []
+    curvature, init = Geometry.curvature, Geometry.__init__
 
     def counting(self, conn):
         calls.append(conn)
         return curvature(self, conn)
 
+    def recording(self, g, *args, **kwargs):
+        init(self, g, *args, **kwargs)
+        if isinstance(self.g[0, 0], JetScalar):
+            jet_geometries.append(self)
+
     monkeypatch.setattr(Geometry, "curvature", counting)
+    monkeypatch.setattr(Geometry, "__init__", recording)
     u = X[0] * X[1]
     _jet_u_part.cache_clear()
     res = jet_second_variation_check(u, X[2] * X[3])
     assert res["all_formulas_match"] and res["residual"].is_zero
-    assert len(calls) == 1
+    assert calls == [] and len(jet_geometries) == 1
     w = X[0] * X[0] - X[2] * X[2]
     warm = jet_second_variation_check(u, w)
-    assert len(calls) == 1
+    assert len(jet_geometries) == 1
     _jet_u_part.cache_clear()
     cold = jet_second_variation_check(u, w)
-    assert len(calls) == 2
+    assert calls == [] and len(jet_geometries) == 2
     assert warm["pairing"] == cold["pairing"] == obstruction(u, w)
     assert warm == cold
 
@@ -201,7 +208,8 @@ def test_cold_jet_u_part_makes_few_sums_and_jet_products(monkeypatch):
     # would. Before Rc was the trace of the curvature endomorphism, object
     # contractions went pairwise, d*H and Hess f were cached per Geometry and
     # zero jets returned at once, this made 25,084 Polynomial sums and 4,998
-    # jet products; now 3,598 and 1,893
+    # jet products; then 3,598 and 1,893, and since Rc and div trace before
+    # R_ijk^l and nabla T are formed, 2,314 and 1,191
     u = X[0] * X[1]
     _jet_u_part(u)  # warms round_geometry and canonical_space(4)
     _jet_u_part.cache_clear()
@@ -222,7 +230,33 @@ def test_cold_jet_u_part_makes_few_sums_and_jet_products(monkeypatch):
         monkeypatch.setattr(JetScalar, name, counting_jet_mul)
     checks, _ = _jet_u_part(u)
     assert all(checks.values())
-    assert counts["add"] <= 4497 and counts["jet_mul"] <= 2366  # 1.25 x today's counts
+    assert counts["add"] <= 2892 and counts["jet_mul"] <= 1488  # 1.25 x today's counts
+
+
+def test_cold_jet_dstar_h_makes_few_jet_products(monkeypatch):
+    # d*H of the jet geometry of u = x1 x2: 810 jet products while it built
+    # the whole nabla H before tracing it, 351 since g^-1 meets the symbols first
+    u = X[0] * X[1]
+    geo0 = round_geometry()
+    g = obj_array([[JetScalar(geo0.g[i, j], u * geo0.g[i, j], 0) for j in range(3)]
+                   for i in range(3)])
+    H = obj_array([[[JetScalar(geo0.H[i, j, k], 2 * u * geo0.H[i, j, k], 0)
+                     for k in range(3)] for j in range(3)] for i in range(3)])
+    geo = Geometry(g, H)
+    calls = []
+    jet_mul = JetScalar.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return jet_mul(self, other)
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(JetScalar, name, counting)
+    dstar_h = geo.dstar_H
+    monkeypatch.undo()
+    assert len(calls) <= 438  # 1.25 x today's count
+    assert is_zero(dstar_h + contract("mn...,mn->...", geo.covd(geo.H), geo.ginv))
+    assert not is_zero(dstar_h)
 
 
 def test_jet_cache_keys_u_by_its_terms():

@@ -6,7 +6,7 @@ import pytest
 
 from grflab.flow import (FlowBlowup, FlowState, dual_path_residual, grf_rhs,
                          run_flow, soliton_residual, step_rk4)
-from grflab import tensors
+from grflab import flow, tensors
 from grflab.frames import STRUCTURE
 from grflab.poly import JetScalar
 from grflab.tensors import Geometry, SingularMetric, jet_part, obj_array
@@ -81,13 +81,27 @@ def test_dual_path_identity_random_states():
         assert dual_path_residual(s) < 1e-12
 
 
-def test_rhs_builds_one_riemann_tensor(monkeypatch):
-    # the Bismut Ricci tensor is only built when the dual-path check asks for it
-    calls = []
+def test_rhs_builds_no_curvature_endomorphism(monkeypatch):
+    # Rc is traced before R_ijk^l is formed, and the Bismut Ricci tensor is
+    # only built when the dual-path check asks for it
+    calls, built = [], []
     real = tensors.riemann
     monkeypatch.setattr(tensors, "riemann", lambda *a: calls.append(1) or real(*a))
-    grf_rhs(round_state(eps=0.1))
-    assert len(calls) == 1
+
+    class Recording(Geometry):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(flow, "Geometry", Recording)
+    dg, db = grf_rhs(round_state(eps=0.1))
+    assert calls == [] and len(built) == 1
+    cached = built[0].__dict__
+    assert "Rc" in cached and "dstar_H" in cached
+    assert not {"Rc_plus", "gamma_p", "Rm_dddu", "Rm_plus_dddu"} & cached.keys()
+    assert np.array_equal(db, -cached["dstar_H"])
+    dual_path_residual(round_state(eps=0.1))
+    assert calls == [] and "Rc_plus" in built[1].__dict__
 
 
 def test_singular_metric():
@@ -222,3 +236,18 @@ def test_residuals_see_a_planted_torsion_divergence(monkeypatch):
     assert np.array_equal(grf_rhs(state)[1], PLANTED_FORM)
     assert dual_path_residual(state) == pytest.approx(4e-3, rel=1e-9)
     assert soliton_residual(state) == pytest.approx(np.linalg.norm(PLANTED_FORM), rel=1e-9)
+
+
+def test_dual_path_reads_d_star_h_with_the_sign_of_db(monkeypatch):
+    # Rc+ = Rc - H^2/4 - d*H/2, so a fault F in the cached d*H that Rc+ carries
+    # as -F/2 keeps dg - db + 2 Rc+ = 0 with db = -d*H; read with the wrong
+    # sign, the dual path would be off by 2F
+    states = [round_state()] + full_states(5, count=2)
+    real_dstar, real_rc_plus = tensors.Geometry.dstar_H.func, tensors.Geometry.Rc_plus.func
+    monkeypatch.setattr(tensors.Geometry, "dstar_H",
+                        property(lambda self: real_dstar(self) + PLANTED_FORM))
+    monkeypatch.setattr(tensors.Geometry, "Rc_plus",
+                        property(lambda self: real_rc_plus(self) - PLANTED_FORM / 2))
+    for s in states:
+        assert dual_path_residual(s) <= 1e-12
+        assert np.abs(grf_rhs(s)[1] + PLANTED_FORM).max() <= 1e-12

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import grflab
 from grflab.deformations import round_geometry
 from grflab.flow import FlowState, run_flow
-from grflab.frames import EPS, STRUCTURE, adjoint_matrix, frame_derive, laplacian_scalar
+from grflab.frames import EPS, STRUCTURE, Op, adjoint_matrix, frame_derive, laplacian_scalar
 from grflab.poly import JetScalar, Polynomial, as_jet, as_poly, integrate_s3
 from grflab.tensors import (BadRank, Geometry, SingularMetric, antisym, christoffel, contract,
                             is_zero, jet_part, leading_minors, obj_array, riemann, sym,
@@ -396,8 +396,10 @@ def test_ricci_is_the_trace_of_the_curvature_endomorphism():
             for _ in range(4)]
     geos += [Geometry(_dense_jet_metric(), H=2), round_geometry()]
     for geo in geos:
-        for rc, rm in ((geo.Rc, geo.Rm), (geo.Rc_plus, geo.Rm_plus)):
+        for rc, rm, endo in ((geo.Rc, geo.Rm, geo.Rm_dddu),
+                             (geo.Rc_plus, geo.Rm_plus, geo.Rm_plus_dddu)):
             assert is_zero(rc - contract("ijkl,il->jk", rm, geo.ginv))
+            assert is_zero(rc - contract("ijki->jk", endo))
         assert not is_zero(geo.Rc)
     g0 = np.array([[1.2, 0.1, -0.2], [0.1, 0.9, 0.05], [-0.2, 0.05, 1.1]])
     samples = run_flow(FlowState(g=g0, b=np.zeros((3, 3)), H0_coeff=1.7), 1e-2, 30,
@@ -408,6 +410,66 @@ def test_ricci_is_the_trace_of_the_curvature_endomorphism():
         for rc, rm in ((geo.Rc, geo.Rm), (geo.Rc_plus, geo.Rm_plus)):
             assert rc.dtype == np.float64
             assert np.abs(rc - contract("ijkl,il->jk", rm, geo.ginv)).max() <= 1e-13
+
+
+def _covd_div(geo, T, conn):
+    """g^{mn} (nabla T)_{mn...} with the whole nabla T built first."""
+    return contract("mn...,mn->...", geo.covd(T, conn), geo.ginv)
+
+
+def _covd_div_f(geo, T, conn):
+    return _covd_div(geo, T, conn) - contract("m,m...->...", geo.grad_up(geo.f), T)
+
+
+def _torsion_trace(geo):
+    """g^{mn} H_mn^p, zero for a 3-form H."""
+    return contract("mn,mnp->p", geo.ginv, geo.H_ddu)
+
+
+def test_trace_first_divergence_matches_covd():
+    # div and div_f trace g^-1 into the symbols before they meet T; the old
+    # formula builds nabla T and traces it. Exactly equal on dense rational
+    # metrics, a dense jet metric and the round point with formal Op tensors
+    rng = random.Random(29)
+    geos = [Geometry(rand_metric(rng), H=Fraction(rng.randint(1, 3), rng.randint(1, 2)),
+                     f=X[rng.randrange(4)] * X[rng.randrange(4)] - Fraction(1, 3) * X[0])
+            for _ in range(2)]
+    geos.append(Geometry(_dense_jet_metric(), H=2, f=JetScalar(0, X[0], X[1] * X[2])))
+    for geo in geos:
+        assert is_zero(_torsion_trace(geo)) and not is_zero(geo.gamma_up)
+        for rank in (1, 2, 3):
+            T = _rand_linear(rng, rank)
+            for conn in (geo.gamma, geo.gamma_p, geo.gamma_m):
+                assert is_zero(geo.div(T, conn) - _covd_div(geo, T, conn))
+                assert is_zero(geo.div_f(T, conn) - _covd_div_f(geo, T, conn))
+            assert is_zero(geo.div(T) - _covd_div(geo, T, geo.gamma))
+    geo = round_geometry()
+    assert is_zero(_torsion_trace(geo))
+    for rank in (1, 2, 3):
+        for pos in np.ndindex(*(3,) * rank):
+            unit = np.full((3,) * rank, Op(), dtype=object)
+            unit[pos] = Op(())
+            for conn in (geo.gamma, geo.gamma_p, geo.gamma_m):
+                got, want = geo.div_f(unit, conn), _covd_div(geo, unit, conn)
+                assert all(isinstance(x, Op) for x in np.ravel(got))
+                assert is_zero(got - want)
+
+
+def test_trace_first_divergence_matches_covd_on_flow_states():
+    g0 = np.array([[1.2, 0.1, -0.2], [0.1, 0.9, 0.05], [-0.2, 0.05, 1.1]])
+    samples = run_flow(FlowState(g=g0, b=np.zeros((3, 3)), H0_coeff=1.7), 1e-2, 30,
+                       sample_every=10)
+    rng = np.random.default_rng(31)
+    for _, state, _, _ in samples:
+        geo = state.geometry()
+        assert np.abs(_torsion_trace(geo)).max() <= 1e-13
+        for rank in (1, 2, 3):
+            T = rng.uniform(-2, 2, (3,) * rank)
+            for conn in (geo.gamma, geo.gamma_p, geo.gamma_m):
+                got, want = geo.div(T, conn), _covd_div(geo, T, conn)
+                assert np.asarray(got).dtype == np.float64
+                assert np.abs(got - want).max() <= 1e-13
+        assert np.abs(geo.dstar_H + _covd_div(geo, geo.H, geo.gamma)).max() <= 1e-13
 
 
 def test_leading_minors_decide_positive_definiteness():
@@ -599,12 +661,16 @@ def test_inner_matches_many_operand_einsum():
 
 
 # Every spec that src/ hands to contract: the literal ones, then covd's for T
-# of rank 1 to 3 and raised's for T of rank 1 to 4; "ijkl,il->jk" is
-# g^il Rm_ijkl, which the tests check Rc against.
+# of rank 1 to 3, div's slot terms for T of rank 2 to 4 and raised's for T of
+# rank 1 to 4; "ijkl,il->jk" is g^il Rm_ijkl and "ijki->jk" the trace of the
+# curvature endomorphism, which the tests check Rc against.
 CONTRACT_SPECS = (
     "mip,pk->mik", "mkp,ip->mik", "ikp,mp->mik", "imk->mik", "kmi->mik", "mik,pk->mip",
     "jkm,iml->ijkl", "ikm,jml->ijkl", "ijm,mkl->ijkl", "jikl->ijkl", "ijkp,pl->ijkl",
     "mn,n->m", "mn...,mn->...", "m,m...->...", "ijkl,il->jk", "ijki->jk", "jk,jk->",
+    "mn,nap->map", "mmp->p", "p,p...->...", "jkm,imi->ijk", "ikm,jmi->ijk", "ijm,mki->ijk",
+    "iki->k", "mbp,mp->b", "mbp,mpc->bc", "mcp,mbp->bc", "mbp,mpcd->bcd", "mcp,mbpd->bcd",
+    "mdp,mbcp->bcd",
     "ipq,jrs,pr,qs->ij", "ij,ij->", "cfj,cei->ijef", "ila,jkb,ab->ijkl",
     "jla,ikb,ab->ijkl", "m,m->", "mjk,mik->ij", "mik,mkj->ij", "ja,ia->ij", "ia,aj->ij",
     "ijef,ef->ij", "cdi,cdj->ij", "cdj,cid->ij", "lcd,cd->l", "mib,jb->mij",

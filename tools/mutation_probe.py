@@ -1,0 +1,150 @@
+"""Mutation probe: does the test suite notice a planted one-line fault?
+
+Usage (from the repository root):
+
+    python tools/mutation_probe.py            # every mutant below
+    python tools/mutation_probe.py NAME ...   # only the named mutants
+
+The probe copies ``src/``, ``tests/``, ``bench/`` and ``pyproject.toml`` to a
+temporary directory (under ``$TMPDIR`` if set), checks that the named test
+files pass there unmutated, and then applies each mutant in turn: it replaces
+one exact fragment of one source line, runs the mutant's test files with
+``pytest -x`` against the mutated copy, and restores the file. A mutant is
+killed when pytest fails and survives when it passes. One line per mutant is
+printed, then a summary. The exit status is 0 when every mutant is killed,
+1 when one survives and 2 when a mutant's fragment is not found exactly once
+in its file (the source has moved on; edit the list).
+
+A mutant that the tests cannot tell apart from the original, because it
+computes the same values (an equivalent mutant), is kept in the list with
+``equivalent=True`` and reported as such; it is not expected to be killed.
+
+pytest does not collect this file: it is outside ``tests/``.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "bench", "pyproject.toml")
+
+TENSOR_TESTS = ("tests/test_tensors.py", "tests/test_deformations.py",
+                "tests/test_variational.py")
+FLOW_TESTS = ("tests/test_flow.py",)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple
+    equivalent: bool = False
+
+
+MUTANTS = (
+    # Geometry.div: g^-1 traced into the symbols before they meet T
+    Mutant("gamma_up raises the last slot", "src/grflab/tensors.py",
+           'return contract("mn,nap->map", self.ginv, self.gamma)',
+           'return contract("mn,pan->map", self.ginv, self.gamma)', TENSOR_TESTS),
+    Mutant("div raises other symbols transposed", "src/grflab/tensors.py",
+           'conn_up = contract("mn,nap->map", self.ginv, conn)',
+           'conn_up = contract("mn,npa->map", self.ginv, conn)', TENSOR_TESTS),
+    Mutant("div traces the wrong pair", "src/grflab/tensors.py",
+           'contract("mmp->p", conn_up)', 'contract("mpm->p", conn_up)', TENSOR_TESTS),
+    Mutant("div's v meets T's last slot", "src/grflab/tensors.py",
+           'out = -contract("p,p...->...",', 'out = -contract("p,...p->...",', TENSOR_TESTS),
+    Mutant("div's slot term swaps m and p", "src/grflab/tensors.py",
+           'contract(f"m{idx[s]}p,m{idx[1:s]}p', 'contract(f"p{idx[s]}m,m{idx[1:s]}p',
+           TENSOR_TESTS),
+    Mutant("div subtracts its frame-derivative term", "src/grflab/tensors.py",
+           "out = out + contract(\"mn...,mn->...\", grad, self.ginv)",
+           "out = out - contract(\"mn...,mn->...\", grad, self.ginv)", TENSOR_TESTS),
+    # g^-1 is symmetric, so tracing grad against its transpose changes no
+    # value; only the list of specs that src/ hands to contract can see it
+    Mutant("div's frame term against g^-1 transposed", "src/grflab/tensors.py",
+           'contract("mn...,mn->...", grad, self.ginv)',
+           'contract("mn...,nm->...", grad, self.ginv)', TENSOR_TESTS, equivalent=True),
+    # Geometry._ricci: R_ijk^i without forming R_ijk^l
+    Mutant("ricci's first product", "src/grflab/tensors.py",
+           'contract("jkm,imi->ijk", conn, conn)', 'contract("jkm,iim->ijk", conn, conn)',
+           TENSOR_TESTS),
+    Mutant("ricci's second product", "src/grflab/tensors.py",
+           'contract("ikm,jmi->ijk", conn, conn)', 'contract("ikm,jim->ijk", conn, conn)',
+           TENSOR_TESTS),
+    Mutant("ricci's structure term", "src/grflab/tensors.py",
+           'contract("ijm,mki->ijk", _STRUCTURE, conn)',
+           'contract("ijm,mik->ijk", _STRUCTURE, conn)', TENSOR_TESTS),
+    Mutant("ricci sums one i twice", "src/grflab/tensors.py",
+           "out = z[0] + z[1] + z[2]", "out = z[0] + z[1] + z[1]", TENSOR_TESTS),
+    Mutant("ricci's connection trace", "src/grflab/tensors.py",
+           'w = contract("iki->k", conn)', 'w = contract("kii->k", conn)', TENSOR_TESTS),
+    Mutant("ricci derives the trace along E_k", "src/grflab/tensors.py",
+           "frame_derive(w[k], j + 1)", "frame_derive(w[k], k + 1)", TENSOR_TESTS),
+    Mutant("ricci derives conn[j, k, 1] along E_1", "src/grflab/tensors.py",
+           "frame_derive(conn[j, k, 1], 2)", "frame_derive(conn[j, k, 1], 1)", TENSOR_TESTS),
+    # flow: db/dt = -d*H read from the cached Geometry.dstar_H
+    Mutant("grf_rhs returns +d*H", "src/grflab/flow.py",
+           "return dg, -geo.dstar_H", "return dg, geo.dstar_H", FLOW_TESTS),
+    Mutant("dual path subtracts d*H", "src/grflab/flow.py",
+           "(dg + geo.dstar_H)", "(dg - geo.dstar_H)", FLOW_TESTS),
+)
+
+
+def _pytest(root, tests):
+    """pytest's exit code for the test files, run -x against root's src/."""
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(root / "src"))).returncode
+
+
+def main(names):
+    mutants = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print("unknown mutant: " + ", ".join(sorted(unknown)), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="mutation-probe-") as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy(src, root / name)
+        for tests in sorted({m.tests for m in mutants}):
+            if _pytest(root, tests) != 0:
+                print(f"the unmutated copy fails {' '.join(tests)}", file=sys.stderr)
+                return 2
+        survived = stale = 0
+        for m in mutants:
+            path = root / m.path
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"stale     {m.name}: fragment found {text.count(m.old)} times")
+                stale += 1
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            start = time.monotonic()
+            try:
+                code = _pytest(root, m.tests)
+            finally:
+                path.write_text(text)
+            verdict = "killed" if code != 0 else "survived"
+            note = " (equivalent)" if m.equivalent else ""
+            print(f"{verdict:9} {m.name}{note}  [{time.monotonic() - start:.0f} s]", flush=True)
+            survived += code == 0 and not m.equivalent
+        print(f"{len(mutants)} mutants: {survived} survived, {stale} stale, "
+              f"{sum(m.equivalent for m in mutants)} marked equivalent")
+    return 2 if stale else 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
