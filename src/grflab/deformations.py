@@ -3,7 +3,7 @@ the canonical eigenfunction construction, exact kernel computation, the
 integral identities, and the second-order integrability obstruction with an
 independent jet-based cross-check."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 
@@ -11,7 +11,7 @@ import numpy as np
 
 from .frames import BadIndex, adjoint_matrix
 from .harmonics import canonical_space, harmonic_basis, is_eigenfunction
-from .poly import IntegralValue, JetScalar, Polynomial, as_poly, integrate_s3
+from .poly import IntegralValue, JetScalar, as_poly, integrate_s3
 from .tensors import Geometry, antisym, contract, is_zero, jet_part, obj_array, sym, zeros
 from .variational import (curvature_action, degree_kernels, operator_B,
                           second_variation_form)
@@ -165,21 +165,12 @@ def obstruction(u, w):
     return IntegralValue(-6 * MU * integrate_s3(u * u, w).coeff)
 
 
-@dataclass
-class ObstructionReport:
-    u: Polynomial
-    pairings: dict = field(default_factory=dict)
-    integrable_order2: bool = False
-
-
 def integrability_report(u):
+    """(pairings, integrable_order2): the obstruction pairings {i: obstruction(u, w_i)}
+    against w_i = harmonic_basis(2)[i], and whether they all vanish."""
     u = _check_eigen(u)
     pairings = {i: obstruction(u, w) for i, w in enumerate(harmonic_basis(2))}
-    return ObstructionReport(
-        u=u,
-        pairings=pairings,
-        integrable_order2=all(v.is_zero for v in pairings.values()),
-    )
+    return pairings, all(v.is_zero for v in pairings.values())
 
 
 @lru_cache(maxsize=9)

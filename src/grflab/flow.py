@@ -71,12 +71,10 @@ def soliton_residual(state):
 
 
 def flow_lambda(state):
-    """lambda of the current state via the exact eigenproblem assembly.
-
-    The potential of invariant data is constant, so degree 0 is exact.
-    """
+    """lambda of the current state, the constant potential of its invariant
+    data, computed exactly from the float64 entries and rounded once."""
     g = [[Fraction(float(x)) for x in row] for row in state.g]
-    return lambda_min(Geometry(g, Fraction(state.H0_coeff)), 0).value
+    return float(lambda_min(Geometry(g, Fraction(state.H0_coeff)))[0])
 
 
 def step_rk4(state, dt):

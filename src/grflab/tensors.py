@@ -387,18 +387,15 @@ class Geometry:
 
     def _ricci(self, conn):
         """The trace R_ijk^i of the curvature endomorphism of conn, without
-        forming it: the sum over i of conn[j, k, m] conn[i, m, i]
-        - conn[i, k, m] conn[j, m, i] - c^m_ij conn[m, k, i], plus
-        E_i conn[j, k, i] - E_j conn[i, k, i], which takes 36 frame
-        derivatives, not 81. The terms are summed over i last, one i at a
-        time, in the order the trace of R_ijk^l sums them, so float64 Rc
-        rounds exactly as that trace does."""
-        z = (contract("jkm,imi->ijk", conn, conn) - contract("ikm,jmi->ijk", conn, conn)
-             - contract("ijm,mki->ijk", _STRUCTURE, conn))
-        out = z[0] + z[1] + z[2]
+        forming it: conn[j, k, m] w_m - conn[i, k, m] conn[j, m, i]
+        - c^m_ij conn[m, k, i], summed over i and m, with the trace
+        w_m = conn[i, m, i], plus E_i conn[j, k, i] - E_j w_k, which takes
+        36 frame derivatives, not 81."""
+        w = contract("iki->k", conn)
+        out = (contract("jkm,m->jk", conn, w) - contract("ikm,jmi->jk", conn, conn)
+               - contract("ijm,mki->jk", _STRUCTURE, conn))
         if _is_invariant(conn):
             return out
-        w = contract("iki->k", conn)
         for j, k in np.ndindex(3, 3):
             out[j, k] = (out[j, k] + frame_derive(conn[j, k, 0], 1) + frame_derive(conn[j, k, 1], 2)
                          + frame_derive(conn[j, k, 2], 3) - frame_derive(w[k], j + 1))

@@ -2,7 +2,6 @@
 A and B, the Bianchi and Phi operators, and the second-variation form."""
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,13 +19,6 @@ class SolverError(RuntimeError):
 
 class InconsistentSource(RuntimeError):
     pass
-
-
-@dataclass
-class LambdaResult:
-    value: float
-    f: Polynomial
-    residual: float
 
 
 def schrodinger_potential(geo):
@@ -48,7 +40,7 @@ def pairing_matrix(xs, ys):
             for x in xs]
 
 
-def _float_matrix(name, entries):
+def _float_matrix(entries):
     """(m + m^T) / 2 of the exact matrix m, rejected unless every entry is a finite float64."""
     try:
         m = np.array([[float(x) for x in row] for row in entries])
@@ -57,7 +49,7 @@ def _float_matrix(name, entries):
     with np.errstate(over="ignore", invalid="ignore"):
         m = (m + m.T) / 2
     if not np.isfinite(m).all():
-        raise SolverError(f"symmetrized {name} matrix does not fit in a float64")
+        raise SolverError("symmetrized second-variation matrix does not fit in a float64")
     return m
 
 
@@ -72,71 +64,34 @@ def _float_det(geo):
     return det
 
 
-def lambda_min(geo, degree=2):
-    """Smallest eigenvalue of -4 lap_g + (R - |H|^2/12) on polynomials of degree <= d.
+def lambda_min(geo):
+    """(lambda, f): the smallest eigenvalue of -4 lap_g + V, V = R - |H|^2/12,
+    and its minimizer, for a constant V.
 
-    The matrix of the operator in the harmonic basis is assembled exactly;
-    only the final symmetric generalized eigensolve is floating point. The
-    minimizer is returned as f = -log(psi^2) for the normalized ground state
-    psi, expanded to second order around its mean (exact when psi is constant).
-    geo.f is not read.
+    -lap_g >= 0 vanishes only on constants, so the ground state is constant and
+    lambda is V itself, a Fraction. f is the constant log Vol_g =
+    log(2 pi^2 sqrt(det g)), so that int e^{-f} dV_g = 1. geo.f is not read.
     """
     detg = _float_det(geo)
-    space = canonical_space(degree)
     V = schrodinger_potential(geo)
-    ops = [Fraction(-4) * as_poly(geo.div(geo.covd_scalar(phi))) + V * phi
-           for phi in space.basis]
-    A = _float_matrix("operator", pairing_matrix(ops, space.basis))
-    M = _float_matrix("mass", pairing_matrix(space.basis, space.basis))
-    # A c = lam M c with M = L L^T is the standard problem of L^-1 A L^-T in y = L^T c
+    if not V.is_constant:
+        raise ValueError("lambda is implemented for a constant potential")
+    lam = V.constant_value()
     try:
-        L = np.linalg.cholesky(M)
-        w, y = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, A).T))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(str(exc)) from exc
-    # eigh returns an arbitrary vector of an eigenspace that float64 cannot split
-    if len(w) > 1 and w[1] - w[0] <= 16 * np.finfo(float).eps * max(abs(w[0]), abs(w[1])):
-        raise SolverError(f"ground state is not resolved in float64: the two lowest "
-                          f"eigenvalues {w[0]:.17g} and {w[1]:.17g} are within 16 eps")
-    lam = float(w[0])
-    c = np.linalg.solve(L.T, y[:, 0])
-    # scaled norms: the squares of a large residual's entries overflow
-    residual = math.hypot(*(A @ c - lam * (M @ c))) / math.hypot(*c)
-    # normalize int psi^2 dV_g = 1 and fix the overall sign
-    vol_factor = math.sqrt(detg) * math.pi**2
-    norm2 = float(c @ (M @ c)) * vol_factor
-    c = c / math.sqrt(norm2)
-    if sum(c) < 0:
-        c = -c
-    # the normalized coefficients scale as det(g)^(-1/4); cut relative to that
-    c = np.where(np.abs(c) * detg**0.25 < 1e-12, 0.0, c)
-    psi = space.from_coords([Fraction(float(ci)) for ci in c])
-    rest = (psi * psi).terms
-    mean = rest.pop((0, 0, 0, 0), Fraction(0))
-    if mean <= 0:
-        raise SolverError("ground state has nonpositive mean square")
-    q = Polynomial(rest) * (Fraction(1) / mean)
-    f = Polynomial.constant(Fraction(-math.log(float(mean)))) - q + q * q * Fraction(1, 2)
-    return LambdaResult(value=lam, f=f, residual=residual)
+        float(lam)
+    except OverflowError as exc:
+        raise SolverError("lambda does not fit in a float64") from exc
+    return lam, Polynomial.constant(Fraction(math.log(2 * math.pi**2 * math.sqrt(detg))))
 
 
 def first_variation(geo, gamma):
-    """d lambda / dt along gamma: the pairing -int <gamma, Rc^{H,f}> e^{-f} dV_g.
-
-    The weight e^{-f} is exact for constant f and a fourth-order series
-    around the constant term of f otherwise.
-    """
-    rchf = geo.bakry_emery()
-    s = geo.inner(gamma, rchf)
-    c = geo.f.terms.get((0, 0, 0, 0), Fraction(0))
-    phi = geo.f - Polynomial.constant(c)
-    w = Polynomial.constant(1)
-    term = Polynomial.constant(1)
-    for k in range(1, 5):
-        term = term * phi * Fraction(-1, k)
-        w = w + term
-    scale = math.exp(-float(c)) * math.sqrt(_float_det(geo))
-    return float(integrate_s3(s, w).coeff) * (-math.pi**2) * scale
+    """d lambda / dt along gamma: the pairing -int <gamma, Rc^{H,f}> e^{-f} dV_g,
+    for a constant f, whose weight e^{-f} is a number."""
+    if not geo.f.is_constant:
+        raise ValueError("the first variation is implemented for constant f")
+    s = geo.inner(gamma, geo.bakry_emery())
+    scale = math.exp(-float(geo.f.constant_value())) * math.sqrt(_float_det(geo))
+    return float(integrate_s3(s).coeff) * (-math.pi**2) * scale
 
 
 def curvature_action(geo, gamma, bismut=True):
@@ -333,7 +288,7 @@ def second_variation_matrix(blocks, geo):
 def block_eigenvalues(blocks):
     """The sorted float64 eigenvalues of a list of exact symmetric blocks."""
     return np.sort(np.concatenate([
-        np.linalg.eigvalsh(_float_matrix("second-variation", e))
+        np.linalg.eigvalsh(_float_matrix(e))
         for e in blocks]))
 
 

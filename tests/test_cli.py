@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import random
 import re
 from decimal import Decimal
@@ -35,7 +36,7 @@ def test_lambda_command(capsys):
 
 
 def test_lambda_command_large_metric(capsys):
-    # the ground-state cutoff scales with the metric: no coefficient is lost
+    # lambda = 6/s - 2/s^3 of a huge round metric keeps its relative accuracy
     s = 1e17
     code, out = run(capsys, "lambda", "--g", "diag:1e17,1e17,1e17", "--degree", "0")
     assert code == 0
@@ -223,14 +224,9 @@ def test_output_file(tmp_path, capsys):
     (["flow", "--g", "diag:1e300,1,1", "--steps", "2"], None, "does not fit in a float64"),
     (["lambda", "--g", "diag:1e150,1e150,1e150", "--degree", "0"], None, "det g"),
     (["flow", "--g", "diag:1e150,1e150,1e150", "--h0", "0", "--steps", "3"], None, "det g"),
-    (["lambda", "--h0", "1e154", "--degree", "0"], None, "symmetrized operator matrix"),
-    (["flow", "--h0", "1e154", "--steps", "3"], None, "symmetrized operator matrix"),
-    # the degree-2 Galerkin eigenvalues coincide in float64 at this scale
-    (["lambda", "--h0", "7e153", "--degree", "2"], None,
-     "ground state is not resolved in float64"),
-    # two eigenvalues a few eps apart: eigh returns a mixture, not the constant ground state
-    (["lambda", "--g", "diag:1.1,0.9,1.05", "--h0", "1e10", "--degree", "2"], None,
-     "ground state is not resolved in float64"),
+    # lambda = 6 - h0^2/2 fits in a float64; the soliton residual's H^2 = 2 h0^2 g does not
+    (["flow", "--h0", "1e154", "--steps", "3"], None,
+     "curvature of the initial state does not fit in a float64"),
     (["spectrum", "--degree", "3"], None, "degree at most 2"),
     # a key the command does not read
     (["igsd"], {"h0": 3.0}, "unknown config key 'h0'"),
@@ -251,8 +247,7 @@ def test_output_file(tmp_path, capsys):
 ], ids=["config-type", "config-command", "config-unknown-key", "sample-every-zero",
         "metric-indefinite", "output-dir-missing", "lambda-overflow", "flow-h0-overflow",
         "flow-metric-huge", "lambda-det-overflow", "flow-det-overflow",
-        "lambda-matrix-overflow", "flow-matrix-overflow", "lambda-ground-state-lost",
-        "lambda-ground-state-unresolved", "spectrum-degree",
+        "flow-matrix-overflow", "spectrum-degree",
         "config-igsd-h0", "config-verify-metric", "config-obstruction-dt",
         "obstruction-zero-denominator", "obstruction-huge-exponent",
         "config-obstruction-huge-exponent", "obstruction-long-mantissa",
@@ -316,9 +311,40 @@ def test_readme_lists_every_flag():
     assert "`--output FILE`" in section and "`--config FILE`" in section
 
 
+def milnor_lambda(a, h0):
+    """lambda = R - |H|^2/12 of g = diag(a) and H = h0 vol, Milnor's closed form."""
+    a1, a2, a3 = a
+    lam = (2 * math.sqrt(a1 / (a2 * a3)), 2 * math.sqrt(a2 / (a1 * a3)),
+           2 * math.sqrt(a3 / (a1 * a2)))
+    mu = [sum(lam) / 2 - x for x in lam]
+    scalar = 2 * (mu[1] * mu[2] + mu[0] * mu[2] + mu[0] * mu[1])
+    return scalar - h0 * h0 / (2 * a1 * a2 * a3)
+
+
+# inputs where the float Galerkin eigensolve broke down: an operator matrix
+# entry past float64, or the two lowest eigenvalues within a few eps
+@pytest.mark.parametrize("diag, h0, degree", [
+    ((1, 1, 1), 1e154, 0),
+    ((1, 1, 1), 7e153, 2),
+    ((1.1, 0.9, 1.05), 1e10, 2),
+], ids=["lambda-matrix-overflow", "lambda-ground-state-lost", "lambda-ground-state-unresolved"])
+@pytest.mark.filterwarnings("error")
+def test_lambda_is_exact_where_the_float_solve_failed(capsys, diag, h0, degree):
+    metric = "diag:" + ",".join(map(str, diag))
+    code = main(["lambda", "--g", metric, "--h0", str(h0), "--degree", str(degree)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    rep = json.loads(captured.out)
+    assert rep["degree"] == degree
+    assert rep["lambda"] == pytest.approx(milnor_lambda(diag, h0), rel=1e-9)
+    assert rep["residual"] == 0.0
+    assert rep["f_constant"] is True
+
+
 @pytest.mark.filterwarnings("error")
 def test_lambda_large_torsion_prints_strict_json(capsys):
-    # the residual's squared entries overflow float64; its scaled norm does not
+    # lambda is near -float64 max, and the report is still strict JSON
     code = main(["lambda", "--h0", "3e153", "--degree", "0"])
     captured = capsys.readouterr()
     assert code == 0
@@ -329,7 +355,7 @@ def test_lambda_large_torsion_prints_strict_json(capsys):
 
     rep = json.loads(captured.out, parse_constant=reject)
     assert rep["lambda"] == pytest.approx(-4.5e306, rel=1e-9)
-    assert 0 < rep["residual"] < 1e300
+    assert rep["residual"] == 0.0
 
 
 @pytest.mark.parametrize("argv, message", [

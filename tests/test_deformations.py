@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import grflab
-from grflab import linalg
+from grflab import deformations, linalg
 from grflab.deformations import (MU, Deformation, NotEigenfunction,
                                  PreconditionFailed, _jet_u_part, canonical_igsd,
                                  equivalence_check, igsd_kernel,
@@ -127,6 +128,31 @@ def test_integral_identities_values():
         integral_identities(obj_array([[X[0], 0, 0], [0, 0, 0], [0, 0, 0]]))
 
 
+# each verdict of integral_identities and one integral it compares
+_VERDICT_OPERANDS = {"chain_holds": "ring_h", "gradient_norms_equal": "grad_h_sq",
+                     "ricci_identity_holds": "ricci_hh"}
+
+
+@pytest.mark.parametrize("verdict, operand", _VERDICT_OPERANDS.items())
+def test_integral_identities_see_a_planted_fault(monkeypatch, verdict, operand):
+    # integral_identities takes its integrals in the order of its report's first
+    # keys; pi^2 added to the one integral that is the operand breaks its identity
+    gamma = parallel_from_invariant_forms(1, 1).gamma
+    clean = integral_identities(gamma)
+    target = list(clean).index(operand)
+    real, index = deformations.integrate_s3, itertools.count()
+
+    def planted(*args):
+        value = real(*args)
+        return value + IntegralValue(1) if next(index) == target else value
+
+    monkeypatch.setattr(deformations, "integrate_s3", planted)
+    rep = integral_identities(gamma)
+    assert rep[operand] == clean[operand] + IntegralValue(1)
+    assert rep[verdict] is False
+    assert all(rep[v] for v in _VERDICT_OPERANDS if v != verdict)
+
+
 def test_obstruction_values():
     u = X[0] * X[0] - X[1] * X[1]
     w = X[0] * X[0] - X[2] * X[2]
@@ -134,10 +160,10 @@ def test_obstruction_values():
     assert integrate_s3(u * u * w) == IntegralValue(Fraction(1, 12))
     assert obstruction(u, w) == IntegralValue(-1)
     for s in (1, -1):
-        rep = integrability_report(X[0] * X[1] + s * X[2] * X[3])
-        assert rep.integrable_order2
-    rep_bad = integrability_report(u)
-    assert not rep_bad.integrable_order2
+        assert integrability_report(X[0] * X[1] + s * X[2] * X[3])[1]
+    pairings, integrable = integrability_report(u)
+    assert not integrable
+    assert pairings == {i: obstruction(u, w) for i, w in enumerate(harmonic_basis(2))}
     with pytest.raises(NotEigenfunction):
         obstruction(X[0], X[0] * X[1])
 

@@ -668,7 +668,7 @@ CONTRACT_SPECS = (
     "mip,pk->mik", "mkp,ip->mik", "ikp,mp->mik", "imk->mik", "kmi->mik", "mik,pk->mip",
     "jkm,iml->ijkl", "ikm,jml->ijkl", "ijm,mkl->ijkl", "jikl->ijkl", "ijkp,pl->ijkl",
     "mn,n->m", "mn...,mn->...", "m,m...->...", "ijkl,il->jk", "ijki->jk", "jk,jk->",
-    "mn,nap->map", "mmp->p", "p,p...->...", "jkm,imi->ijk", "ikm,jmi->ijk", "ijm,mki->ijk",
+    "mn,nap->map", "mmp->p", "p,p...->...", "jkm,m->jk", "ikm,jmi->jk", "ijm,mki->jk",
     "iki->k", "mbp,mp->b", "mbp,mpc->bc", "mcp,mbp->bc", "mbp,mpcd->bcd", "mcp,mbpd->bcd",
     "mdp,mbcp->bcd",
     "ipq,jrs,pr,qs->ij", "ij,ij->", "cfj,cei->ijef", "ila,jkb,ab->ijkl",

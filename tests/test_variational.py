@@ -40,37 +40,54 @@ def rand_tensor(rng, degree=2):
 # -- lambda --------------------------------------------------------------------
 
 def test_lambda_at_critical_point():
-    r = lambda_min(round_geo(), 2)
-    assert abs(r.value - 4.0) < 1e-9
-    assert r.residual < 1e-10
-    assert r.f.is_constant
+    lam, f = lambda_min(round_geo())
+    assert lam == 4
+    assert f.is_constant
     # normalized minimizer: exp(-f) * Vol = 1
-    assert float(r.f.constant_value()) == pytest.approx(math.log(2 * math.pi ** 2))
+    assert float(f.constant_value()) == pytest.approx(math.log(2 * math.pi ** 2))
 
 
 def test_lambda_torsion_free():
-    r = lambda_min(Geometry(EYE, H=0), 2)
-    assert abs(r.value - 6.0) < 1e-9
+    lam, _ = lambda_min(Geometry(EYE, H=0))
+    assert lam == 6
 
 
 def test_lambda_spectral_shift():
     # scaling the torsion coefficient shifts the constant potential
-    r1 = lambda_min(round_geo(), 2)
-    r2 = lambda_min(Geometry(EYE, H=1), 2)
+    lam1, _ = lambda_min(round_geo())
+    lam2, f2 = lambda_min(Geometry(EYE, H=1))
     # |H|^2 = 24 s^2 / 4 -> potential 6 - 2 s^2
-    assert r2.value - r1.value == pytest.approx((6 - 0.5) - 4.0, abs=1e-9)
-    assert r2.f.is_constant
+    assert lam2 - lam1 == Fraction(11, 2) - 4
+    assert f2.is_constant
 
 
 def test_lambda_degree_zero_is_constant_potential():
-    r = lambda_min(round_geo(), 0)
-    assert abs(r.value - 4.0) < 1e-12
+    # the 1x1 Galerkin problem on the constants is the potential itself
+    lam, _ = lambda_min(round_geo())
+    assert galerkin_lambda(round_geo(), 0)[0] == pytest.approx(float(lam), rel=1e-15)
+
+
+def galerkin_lambda(geo, degree):
+    """Reference lambda: the smallest eigenvalue of -4 lap_g + V on polynomials
+    of degree <= d, from the exact Galerkin matrices A and M by Cholesky and a
+    symmetric float eigensolve, with the residual of its eigenvector."""
+    space = canonical_space(degree)
+    V = variational.schrodinger_potential(geo)
+    ops = [Fraction(-4) * as_poly(geo.div(geo.covd_scalar(phi))) + V * phi
+           for phi in space.basis]
+    A = np.array(pairing_matrix(ops, space.basis), dtype=float)
+    M = np.array(pairing_matrix(space.basis, space.basis), dtype=float)
+    A, M = (A + A.T) / 2, (M + M.T) / 2
+    L = np.linalg.cholesky(M)
+    w, y = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, A).T))
+    c = np.linalg.solve(L.T, y[:, 0])
+    return float(w[0]), np.linalg.norm(A @ c - w[0] * (M @ c)) / np.linalg.norm(c)
 
 
 def test_lambda_is_the_constant_potential_on_invariant_data():
     # invariant data have a constant potential, so the ground state is constant and
-    # lambda is exactly that potential, whatever the metric and the degree; at
-    # degree >= 2 the mass matrix of the solve is not diagonal
+    # lambda is exactly that potential, whatever the metric; the Galerkin solve at
+    # every degree agrees, and at degree >= 2 its mass matrix is not diagonal
     rng = random.Random(19)
     metrics = []
     for _ in range(2):
@@ -83,12 +100,23 @@ def test_lambda_is_the_constant_potential_on_invariant_data():
     for g in metrics:
         for h0 in (0, Fraction(1, 3), Fraction(7, 2)):
             geo = Geometry(g, H=h0)
-            exact = float(variational.schrodinger_potential(geo).constant_value())
+            lam, f = lambda_min(geo)
+            assert lam == variational.schrodinger_potential(geo).constant_value()
+            assert f.is_constant
+            # int e^{-f} dV_g = 1, with Vol_g = 2 pi^2 sqrt(det g)
+            vol = 2 * math.pi ** 2 * math.sqrt(geo.det)
+            assert math.exp(-float(f.constant_value())) * vol == pytest.approx(1, rel=1e-12)
             for d in (0, 2, 4):
-                r = lambda_min(geo, d)
-                assert r.value == pytest.approx(exact, rel=1e-12, abs=0)
-                assert r.residual < 1e-12
-                assert r.f.is_constant
+                value, residual = galerkin_lambda(geo, d)
+                assert value == pytest.approx(float(lam), rel=1e-12, abs=0)
+                assert residual < 1e-12
+
+
+def test_lambda_rejects_a_nonconstant_potential():
+    # H = (1 + x1) vol has a nonconstant |H|^2, so the ground state is not constant
+    geo = Geometry(EYE, H=(1 + X[0]) * round_geo().H)
+    with pytest.raises(ValueError, match="constant potential"):
+        lambda_min(geo)
 
 
 # -- first variation ------------------------------------------------------------
@@ -111,21 +139,13 @@ def test_first_variation_negative_along_soliton_tensor():
 
 def test_first_variation_matches_finite_difference():
     # oracle: central differences of lambda_min along a homogeneous direction
-    h = 1e-4
     direction = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
-
-    def lam(t):
-        g = [[Fraction(1 + t * direction[i][j]) if i == j or direction[i][j]
-              else Fraction(EYE[i][j]) for j in range(3)] for i in range(3)]
-        g[0][0] = Fraction(1) + Fraction(t)
-        return lambda_min(Geometry(g, H=2), 0).value
-
     base = [[Fraction(11, 10), 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def lam2(t):
         g = [[base[i][j] for j in range(3)] for i in range(3)]
         g[0][0] = g[0][0] + Fraction(t)
-        return lambda_min(Geometry(g, H=2), 0).value
+        return float(lambda_min(Geometry(g, H=2))[0])
 
     fd = (lam2(Fraction(1, 10000)) - lam2(Fraction(-1, 10000))) / 2e-4
     gamma = obj_array(direction)
@@ -133,6 +153,12 @@ def test_first_variation_matches_finite_difference():
     vol = 2 * math.pi ** 2 * math.sqrt(1.1)
     got = first_variation(Geometry(base, 2, Fraction(math.log(vol))), gamma)
     assert got == pytest.approx(fd, abs=1e-5)
+
+
+def test_first_variation_rejects_a_nonconstant_f():
+    geo = Geometry(EYE, H=2, f=X[0])
+    with pytest.raises(ValueError, match="constant f"):
+        first_variation(geo, obj_array(EYE))
 
 
 # -- operators -------------------------------------------------------------------

@@ -5,7 +5,8 @@ Usage (from the repository root):
     python tools/mutation_probe.py            # every mutant below
     python tools/mutation_probe.py NAME ...   # only the named mutants
 
-The probe copies ``src/``, ``tests/``, ``bench/`` and ``pyproject.toml`` to a
+The probe copies ``src/``, ``tests/``, ``bench/``, ``pyproject.toml`` and
+``README.md`` (``tests/test_cli.py`` reads its usage block) to a
 temporary directory (under ``$TMPDIR`` if set), checks that the named test
 files pass there unmutated, and then applies each mutant in turn: it replaces
 one exact fragment of one source line, runs the mutant's test files with
@@ -32,11 +33,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "bench", "pyproject.toml")
+COPIED = ("src", "tests", "bench", "pyproject.toml", "README.md")
 
 TENSOR_TESTS = ("tests/test_tensors.py", "tests/test_deformations.py",
                 "tests/test_variational.py")
 FLOW_TESTS = ("tests/test_flow.py",)
+VARIATIONAL_TESTS = ("tests/test_variational.py", "tests/test_cli.py")
 
 
 @dataclass(frozen=True)
@@ -74,22 +76,34 @@ MUTANTS = (
            'contract("mn...,nm->...", grad, self.ginv)', TENSOR_TESTS, equivalent=True),
     # Geometry._ricci: R_ijk^i without forming R_ijk^l
     Mutant("ricci's first product", "src/grflab/tensors.py",
-           'contract("jkm,imi->ijk", conn, conn)', 'contract("jkm,iim->ijk", conn, conn)',
-           TENSOR_TESTS),
+           'contract("jkm,m->jk", conn, w)', 'contract("jmk,m->jk", conn, w)', TENSOR_TESTS),
     Mutant("ricci's second product", "src/grflab/tensors.py",
-           'contract("ikm,jmi->ijk", conn, conn)', 'contract("ikm,jim->ijk", conn, conn)',
+           'contract("ikm,jmi->jk", conn, conn)', 'contract("ikm,jim->jk", conn, conn)',
            TENSOR_TESTS),
     Mutant("ricci's structure term", "src/grflab/tensors.py",
-           'contract("ijm,mki->ijk", _STRUCTURE, conn)',
-           'contract("ijm,mik->ijk", _STRUCTURE, conn)', TENSOR_TESTS),
-    Mutant("ricci sums one i twice", "src/grflab/tensors.py",
-           "out = z[0] + z[1] + z[2]", "out = z[0] + z[1] + z[1]", TENSOR_TESTS),
+           'contract("ijm,mki->jk", _STRUCTURE, conn)',
+           'contract("ijm,mik->jk", _STRUCTURE, conn)', TENSOR_TESTS),
     Mutant("ricci's connection trace", "src/grflab/tensors.py",
            'w = contract("iki->k", conn)', 'w = contract("kii->k", conn)', TENSOR_TESTS),
     Mutant("ricci derives the trace along E_k", "src/grflab/tensors.py",
            "frame_derive(w[k], j + 1)", "frame_derive(w[k], k + 1)", TENSOR_TESTS),
     Mutant("ricci derives conn[j, k, 1] along E_1", "src/grflab/tensors.py",
            "frame_derive(conn[j, k, 1], 2)", "frame_derive(conn[j, k, 1], 1)", TENSOR_TESTS),
+    # lambda_min: lambda = V and f = log(2 pi^2 sqrt(det g)) on invariant data
+    Mutant("lambda is -V", "src/grflab/variational.py",
+           "lam = V.constant_value()", "lam = -V.constant_value()", VARIATIONAL_TESTS),
+    Mutant("Vol_g with pi^2 for 2 pi^2", "src/grflab/variational.py",
+           "math.log(2 * math.pi**2 * math.sqrt(detg))", "math.log(math.pi**2 * math.sqrt(detg))",
+           VARIATIONAL_TESTS),
+    Mutant("Vol_g without sqrt(det g)", "src/grflab/variational.py",
+           "math.log(2 * math.pi**2 * math.sqrt(detg))", "math.log(2 * math.pi**2)",
+           VARIATIONAL_TESTS),
+    Mutant("first variation weighs by e^{+f}", "src/grflab/variational.py",
+           "math.exp(-float(geo.f.constant_value()))", "math.exp(float(geo.f.constant_value()))",
+           VARIATIONAL_TESTS),
+    Mutant("gradient norms always equal", "src/grflab/deformations.py",
+           'report["gradient_norms_equal"] = nh2 == nk2', 'report["gradient_norms_equal"] = True',
+           ("tests/test_deformations.py",)),
     # flow: db/dt = -d*H read from the cached Geometry.dstar_H
     Mutant("grf_rhs returns +d*H", "src/grflab/flow.py",
            "return dg, -geo.dstar_H", "return dg, geo.dstar_H", FLOW_TESTS),
