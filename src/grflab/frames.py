@@ -60,8 +60,9 @@ class Op:
     """A formal scalar: the constant-coefficient frame operator
     sum_w c_w E_{w_1} E_{w_2} ... E_{w_n}, stored as ``words`` {word: Fraction}
     without zero coefficients. Op(word) is one word with coefficient 1, Op(())
-    the identity and Op() zero. Letters 1..3 are the frame fields E_i, and
-    INV_LAPLACIAN is the inverse Laplacian.
+    the identity and Op() zero. Letters 1..3 are the frame fields E_i,
+    INV_LAPLACIAN is the inverse Laplacian, and the negative slot letters
+    mark the entry of a formal tensor that a word came from.
 
     Run through the tensor calculus in place of functions, Ops read off the
     symbol of a linear operator with constant coefficients in the frame. So Ops

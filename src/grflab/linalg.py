@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals on sparse rows {column: Fraction}."""
 
+import math
 from fractions import Fraction
 
 
 def rref(mat):
-    """Reduced row echelon form of a list of rows, as (rows, pivot_columns): each
-    row a dict {column: Fraction} of its nonzeros, empty past the rank. The input
-    is not modified."""
+    """Reduced row echelon form of a list of rows of Fractions or ints, as
+    (rows, pivot_columns): each row a dict {column: Fraction} of its nonzeros,
+    empty past the rank. The input is not modified."""
     rows = [{c: Fraction(x) for c, x in enumerate(r) if x} for r in mat]
     nrows = len(rows)
     ncols = len(mat[0]) if nrows else 0
@@ -41,7 +42,7 @@ def rank(mat):
 
 
 def kernel_basis(mat):
-    """Basis of the right kernel of a matrix (rows = equations)."""
+    """Basis of the right kernel of a matrix (rows = equations) of Fractions or ints."""
     ncols = len(mat[0]) if mat else 0
     rows, pivots = rref(mat)
     basis = []
@@ -65,10 +66,19 @@ def mat_inv(mat):
     return [{k - n: x for k, x in row.items() if k >= n} for row in rows]
 
 
+def numerators(vectors):
+    """(numerators, D) of sparse vectors {key: Fraction or int}: the vectors
+    of Python ints n = x D, D the lcm of every entry's denominator."""
+    den = math.lcm(*(x.denominator for v in vectors for x in v.values()))
+    return [{key: x.numerator * (den // x.denominator) for key, x in v.items()}
+            for v in vectors], den
+
+
 def mat_vec(cols, v, n):
     """The product a v of the n-row matrix a with columns cols[j] = {i: a[i][j]} and
-    the sparse vector v, a list of (j, v_j): only the columns j of v are read."""
-    out = [Fraction(0)] * n
+    the sparse vector v, a list of (j, v_j): only the columns j of v are read.
+    Int entries give ints."""
+    out = [0] * n
     for j, y in v:
         for i, x in cols[j].items():
             out[i] += x * y

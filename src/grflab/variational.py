@@ -10,7 +10,7 @@ from . import linalg
 from .frames import INV_LAPLACIAN, Op
 from .harmonics import canonical_space, harmonic_basis, word_matrix
 from .poly import IntegralValue, Polynomial, as_poly, integrate_s3
-from .tensors import contract, zeros
+from .tensors import contract, obj_array, zeros
 
 
 class SolverError(RuntimeError):
@@ -178,47 +178,55 @@ def second_variation_form(gamma1, gamma2, geo):
 
 def _symbol(image):
     """The symbol of a linear map on rank-2 tensors with constant coefficients
-    in the frame, as ({word w: [(r, s, c)]}, number of image components): the
+    in the frame, as ({word w: {(r, s): c}}, number of image components): the
     map sends e_ab (x) phi, (a, b) the s-th slot in frame order, to the sum of
     c E_w phi in its r-th image component. image(t) is the tuple of tensors the
-    map sends t to. It runs once on each formal unit tensor e_ab (x) Op(()), so
-    it must be built from frame derivatives, contractions and numbers.
+    map sends t to. It runs once, on the formal tensor whose (a, b) entry is
+    Op((-1 - s,)), the slot letter of slot s, so it must be built from frame
+    derivatives, contractions and numbers. Those only prepend letters, so each
+    image word ends in the slot letter it came from, which is stripped.
     """
+    formal = obj_array([[Op((-1 - 3 * a - b,)) for b in range(3)] for a in range(3)])
+    try:
+        comps = np.concatenate([x.reshape(-1) for x in image(formal)])
+        if not all(isinstance(x, Op) for x in comps):
+            raise TypeError("an image component is not an Op")
+    except TypeError as exc:
+        raise ValueError("map is not a constant-coefficient frame operator, so it need "
+                         f"not keep harmonic degree: {exc}") from exc
     words = {}
-    for s, (a, b) in enumerate(np.ndindex(3, 3)):
-        unit = np.full((3, 3), Op(), dtype=object)
-        unit[a, b] = Op(())
-        try:
-            comps = np.concatenate([x.reshape(-1) for x in image(unit)])
-            if not all(isinstance(x, Op) for x in comps):
-                raise TypeError("an image component is not an Op")
-        except TypeError as exc:
-            raise ValueError("map is not a constant-coefficient frame operator, so it need "
-                             f"not keep harmonic degree: {exc}") from exc
-        for r, x in enumerate(comps):
-            for w, c in x.words.items():
-                words.setdefault(w, []).append((r, s, c))
+    for r, x in enumerate(comps):
+        for w, c in x.words.items():
+            if not w or w[-1] >= 0:
+                raise ValueError(f"map is not linear: image word {w} has no slot letter")
+            words.setdefault(w[:-1], {})[r, -1 - w[-1]] = c
     return words, len(comps)
 
 
 def _block(symbol, k):
-    """The degree-k block sum_w C^w (x) D_w of a symbol, as its 9 n columns
-    {row: Fraction}, n = (k+1)^2: column s n + j is e_ab (x) phi_j, (a, b) the
+    """The degree-k block sum_w C^w (x) D_w of a symbol, as (columns, D): its
+    9 n columns {row: int}, n = (k+1)^2, are numerators over the one
+    denominator D, the lcm of the denominators of the symbol's coefficients
+    times that of the entries of its word matrices. Column s n + j is e_ab (x) phi_j, (a, b) the
     s-th slot and phi_j the j-th element of harmonic_basis(k), and row r n + i
     coordinate i of image component r."""
     n = (k + 1) ** 2
+    try:
+        mats = [word_matrix(k, w) for w in symbol[0]]
+    except ValueError as exc:  # the inverse Laplacian met a nonzero mean
+        raise InconsistentSource(str(exc)) from exc
+    coeffs, dc = linalg.numerators(list(symbol[0].values()))
+    entries, dx = linalg.numerators([col for d in mats for col in d])
     cols = [{} for _ in range(9 * n)]
-    for w, entries in symbol[0].items():
-        try:
-            d = word_matrix(k, w)
-        except ValueError as exc:  # the inverse Laplacian met a nonzero mean
-            raise InconsistentSource(str(exc)) from exc
-        for r, s, c in entries:
+    for m, coeff in enumerate(coeffs):
+        d = entries[m * n:(m + 1) * n]
+        for (r, s), c in coeff.items():
+            base = r * n
             for j, dcol in enumerate(d):
                 col = cols[s * n + j]
                 for i, x in dcol.items():
-                    col[r * n + i] = col.get(r * n + i, 0) + c * x
-    return cols
+                    col[base + i] = col.get(base + i, 0) + c * x
+    return cols, dc * dx
 
 
 def degree_kernels(d, image):
@@ -227,12 +235,14 @@ def degree_kernels(d, image):
     harmonic_basis(k). image(t) is the tuple of tensors the map sends t to.
     The map must have constant coefficients in the frame, as every operator
     at the round point has: it keeps each degree, and its degree-k matrix is
-    read off its symbol (see ``_symbol``), so image runs 9 times in all.
+    read off its symbol (see ``_symbol``), so image runs once in all. The
+    kernel is solved on the block's integer numerators: scaling by 1/D does
+    not change it, and its reduced echelon basis is unique.
     """
     symbol = _symbol(image)
     out = []
     for k in range(d + 1):
-        cols = _block(symbol, k)
+        cols = _block(symbol, k)[0]
         mat = [[col.get(i, 0) for col in cols] for i in range(symbol[1] * (k + 1) ** 2)]
         out.append([_tensor(vec, k) for vec in linalg.kernel_basis(mat)])
     return out
@@ -268,19 +278,24 @@ def second_variation_matrix(blocks, geo):
     each degree, and distinct degrees are L2-orthogonal. The block is
     Z^T (I_9 (x) G_k) R_k Z: R_k is the degree-k block of the symbol of
     y -> -A y with both slots raised, G_k the Gram matrix of harmonic_basis(k)
-    and Z the coordinates of the block's tensors."""
+    and Z the coordinates of the block's tensors. The product runs on integer
+    numerators of R_k, G_k and Z over D_R, D_G and D_Z, and each entry is one
+    Fraction over D_R D_G D_Z^2."""
     symbol = _symbol(lambda t: (geo.raised(-operator_A(t, geo), 0, 1),))
     out = []
     for k, b in enumerate(blocks):
         n = (k + 1) ** 2
-        r, gram = _block(symbol, k), pairing_matrix(harmonic_basis(k), harmonic_basis(k))
-        z = [_coordinates(t, k) for t in b]
+        r, dr = _block(symbol, k)
+        gram = pairing_matrix(harmonic_basis(k), harmonic_basis(k))
+        gram, dg = linalg.numerators([{q: g for q, g in enumerate(row) if g} for row in gram])
+        z, dz = linalg.numerators([_coordinates(t, k) for t in b])
         gy = []  # (I_9 (x) G_k) R_k z per column z of Z
         for col in z:
             y = linalg.mat_vec(r, col.items(), 9 * n)
-            gy.append([sum(g * y[s + q] for q, g in enumerate(row) if g and y[s + q])
+            gy.append([sum(g * y[s + q] for q, g in row.items())
                        for s in range(0, 9 * n, n) for row in gram])
-        out.append([[sum((x * v[i] for i, x in zx.items()), Fraction(0)) for v in gy]
+        den = dr * dg * dz * dz
+        out.append([[Fraction(sum(x * v[i] for i, x in zx.items()), den) for v in gy]
                     for zx in z])
     return out
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -140,3 +141,23 @@ def test_sparse_inverse_against_dense_reference(mat):
     prod = [[sum(mat[i][t] * inv[t].get(j, 0) for t in range(n)) for j in range(n)]
             for i in range(n)]
     assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.dictionaries(st.integers(0, 20),
+                                st.fractions(min_value=-50, max_value=50, max_denominator=60)
+                                | st.integers(-9, 9), max_size=6), max_size=6))
+def test_numerators_round_trip_over_the_lcm(vectors):
+    nums, den = linalg.numerators(vectors)
+    assert den == math.lcm(*(Fraction(x).denominator for v in vectors for x in v.values()))
+    assert all(type(n) is int for v in nums for n in v.values())
+    assert [{key: Fraction(n, den) for key, n in v.items()} for v in nums] == vectors
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_kernel_of_integer_numerators_is_the_kernel(mat):
+    # a nonzero scale keeps the kernel, and its reduced echelon basis is unique
+    nums, _ = linalg.numerators([dict(enumerate(r)) for r in mat])
+    assert linalg.kernel_basis([[v[j] for j in range(len(v))] for v in nums]) \
+        == linalg.kernel_basis(mat)

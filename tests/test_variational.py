@@ -7,6 +7,7 @@ import pytest
 
 from grflab import linalg, variational
 from grflab.deformations import round_geometry
+from grflab.frames import INV_LAPLACIAN, Op
 from grflab.harmonics import canonical_space, harmonic_basis
 from grflab.poly import IntegralValue, Polynomial, as_poly, integrate_s3
 from grflab.tensors import Geometry, is_zero, obj_array, zeros
@@ -434,9 +435,9 @@ def test_second_variation_matrix_raises_each_image_once(monkeypatch):
 
     monkeypatch.setattr(Geometry, "raised", counting)
     second_variation_matrix(blocks, geo)
-    # the symbol of A is read off its image of the 9 unit tensors, each
-    # raised once, whatever the number of block tensors
-    assert raised == [(0, 1)] * 9
+    # the symbol of A is read off its image of one formal tensor, raised
+    # once, whatever the number of block tensors
+    assert raised == [(0, 1)]
 
 
 def test_pairing_matrix_forms_no_products(monkeypatch):
@@ -506,7 +507,22 @@ def per_tensor_second_variation(blocks, geo):
 def symbol_columns(image, k):
     symbol = variational._symbol(image)
     rows = symbol[1] * (k + 1) ** 2
-    return [[col.get(i, 0) for i in range(rows)] for col in variational._block(symbol, k)]
+    cols, den = variational._block(symbol, k)
+    return [[Fraction(col.get(i, 0), den) for i in range(rows)] for col in cols]
+
+
+def nine_run_symbol(image):
+    """Reference: the symbol as {word: sorted [(r, s, c)]}, read off one run of
+    image on each formal unit tensor e_ab (x) Op(())."""
+    words = {}
+    for s, (a, b) in enumerate(np.ndindex(3, 3)):
+        unit = np.full((3, 3), Op(), dtype=object)
+        unit[a, b] = Op(())
+        comps = np.concatenate([x.reshape(-1) for x in image(unit)])
+        for r, x in enumerate(comps):
+            for w, c in x.words.items():
+                words.setdefault(w, []).append((r, s, c))
+    return {w: sorted(e) for w, e in words.items()}
 
 
 SKEWED = Geometry([[Fraction(11, 10), 0, 0], [0, Fraction(9, 10), 0], [0, 0, Fraction(21, 20)]],
@@ -536,7 +552,33 @@ def test_symbol_blocks_see_words_composed_in_reverse(monkeypatch):
     assert second_variation_matrix(blocks, geo) != want
 
 
-def test_degree_kernels_runs_the_map_nine_times():
+@pytest.mark.parametrize("geo", [round_geometry(), SKEWED], ids=["round", "skewed"])
+def test_one_run_symbol_equals_the_nine_run_symbol(geo):
+    def b_and_divergence(t):
+        return (operator_B(t, geo), *geo.twisted_divergence(t))
+
+    def minus_a_raised(t):
+        return (geo.raised(-operator_A(t, geo), 0, 1),)
+
+    for image in (geo.twisted_divergence, b_and_divergence, minus_a_raised):
+        words, _ = variational._symbol(image)
+        got = {w: sorted((r, s, c) for (r, s), c in e.items()) for w, e in words.items()}
+        assert got == nine_run_symbol(image)
+    assert len(got) == 157
+    assert any(INV_LAPLACIAN in w for w in got)
+
+
+def test_symbol_rejects_a_word_without_slot_letter():
+    # an affine map: the constant Op(()) is no image of a tensor entry
+    def affine(t):
+        return (np.array([t[0, 0] + Op(())]),)
+
+    assert nine_run_symbol(affine)  # the nine-run loop took it silently
+    with pytest.raises(ValueError, match="no slot letter"):
+        variational._symbol(affine)
+
+
+def test_degree_kernels_runs_the_map_once():
     geo = round_geo()
     calls = []
 
@@ -546,4 +588,4 @@ def test_degree_kernels_runs_the_map_nine_times():
 
     blocks = variational.degree_kernels(3, image)
     assert [len(b) for b in blocks] == [6, 16, 39, 64]
-    assert len(calls) == 9
+    assert len(calls) == 1

@@ -101,6 +101,13 @@ MUTANTS = (
     Mutant("first variation weighs by e^{+f}", "src/grflab/variational.py",
            "math.exp(-float(geo.f.constant_value()))", "math.exp(float(geo.f.constant_value()))",
            VARIATIONAL_TESTS),
+    # round-point blocks: one formal run, integer numerators
+    Mutant("slot letter decoded with the wrong sign", "src/grflab/variational.py",
+           "[r, -1 - w[-1]] = c", "[r, -1 + w[-1]] = c", VARIATIONAL_TESTS),
+    Mutant("second variation over D_Z, not D_Z^2", "src/grflab/variational.py",
+           "den = dr * dg * dz * dz", "den = dr * dg * dz", VARIATIONAL_TESTS),
+    Mutant("block denominator without the symbol lcm", "src/grflab/variational.py",
+           "return cols, dc * dx", "return cols, dx", VARIATIONAL_TESTS),
     Mutant("gradient norms always equal", "src/grflab/deformations.py",
            'report["gradient_norms_equal"] = nh2 == nk2', 'report["gradient_norms_equal"] = True',
            ("tests/test_deformations.py",)),
