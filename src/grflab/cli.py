@@ -129,14 +129,12 @@ _SAMPLED = (
 
 
 def _suite_lambda(geo):
-    lam, f = lambda_min(geo)
     fv_zero = all(
         first_variation(geo, obj_array([[1 if (i, j) == (a, b) else 0 for j in range(3)]
                                         for i in range(3)])) == 0.0
         for a in range(3) for b in range(3))
     return [
-        ("lambda at the critical point equals 4", lam == 4),
-        ("minimizer is constant with small residual", f.is_constant),
+        ("lambda at the critical point equals 4", lambda_min(geo) == 4),
         ("first variation vanishes on homogeneous directions", fv_zero),
     ]
 
@@ -169,7 +167,6 @@ def cmd_verify(cfg):
     report = {
         "command": "verify",
         "seed": cfg.seed,
-        "degree": cfg.degree,
         "assertions": [{"name": n, "passed": bool(p)} for n, p in assertions],
         "all_passed": all(p for _, p in assertions),
     }
@@ -180,14 +177,12 @@ def cmd_spectrum(cfg):
     if cfg.degree > 2:
         raise ValueError("spectrum is computed at the round point for degree at most 2")
     geo = round_geometry()
-    lam, _ = lambda_min(geo)
     blocks = second_variation_matrix(slice_tangent_basis(geo, cfg.degree), geo)
     eig = block_eigenvalues(blocks)
     report = {
         "command": "spectrum",
         "degree": cfg.degree,
-        "lambda": _fmt_float(lam),
-        "lambda_residual": 0.0,
+        "lambda": _fmt_float(lambda_min(geo)),
         "slice_dimension": sum(len(e) for e in blocks),
         "eigenvalues": [_fmt_float(x) for x in eig],
         "kernel_dim": sum(len(e) - rank(e) for e in blocks),
@@ -328,17 +323,9 @@ def cmd_flow(cfg):
 
 
 def cmd_lambda(cfg):
-    g = parse_metric(cfg.metric)
-    gq = [[Fraction(float(x)) for x in row] for row in g]
-    lam, f = lambda_min(Geometry(gq, Fraction(cfg.h0)))
-    report = {
-        "command": "lambda",
-        "degree": cfg.degree,
-        "lambda": _fmt_float(lam),
-        "residual": 0.0,
-        "f_constant": bool(f.is_constant),
-    }
-    return report, True
+    g = [[Fraction(float(x)) for x in row] for row in parse_metric(cfg.metric)]
+    lam = lambda_min(Geometry(g, Fraction(cfg.h0)))
+    return {"command": "lambda", "degree": cfg.degree, "lambda": _fmt_float(lam)}, True
 
 
 def _emit(report, cfg):
@@ -375,7 +362,7 @@ _SETTINGS = {
 # command -> (handler, the settings it reads); every command also takes
 # --output and --config
 _COMMANDS = {
-    "verify": (cmd_verify, ("degree", "seed")),
+    "verify": (cmd_verify, ("seed",)),
     "spectrum": (cmd_spectrum, ("degree",)),
     "igsd": (cmd_igsd, ("degree",)),
     "obstruction": (cmd_obstruction, ("u_spec",)),

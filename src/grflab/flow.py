@@ -7,10 +7,13 @@ moves: ``step_rk4`` integrates g alone and carries b as it is. d*H is still
 evaluated where it is checked, each time read from the one cached
 ``Geometry.dstar_H``: ``grf_rhs`` returns -d*H as db/dt, the dual-path check
 ``dual_path_residual`` adds it in, and ``soliton_residual`` adds its norm once
-per sample."""
+per sample.
+
+lambda is the constant potential R - |H|^2/12 of the invariant data, so
+``flow_lambda`` reads it off the state's float64 ``Geometry`` like every
+other quantity of the flow."""
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -71,10 +74,9 @@ def soliton_residual(state):
 
 
 def flow_lambda(state):
-    """lambda of the current state, the constant potential of its invariant
-    data, computed exactly from the float64 entries and rounded once."""
-    g = [[Fraction(float(x)) for x in row] for row in state.g]
-    return float(lambda_min(Geometry(g, Fraction(state.H0_coeff)))[0])
+    """lambda of the current state: the constant potential R - |H|^2/12 of
+    its float64 Geometry."""
+    return float(lambda_min(state.geometry()))
 
 
 def step_rk4(state, dt):
@@ -100,13 +102,16 @@ def run_flow(initial, dt, steps, sample_every=1):
     state = initial
 
     def sample(s):
-        samples.append((s.t, s, flow_lambda(s), soliton_residual(s)))
+        # the residual is read first: an initial state whose curvature overflows
+        # is reported as such, not as a lambda that does not fit
+        residual = soliton_residual(s)
+        if not samples and not np.isfinite(residual):
+            raise ValueError("curvature of the initial state does not fit in a float64")
+        samples.append((s.t, s, flow_lambda(s), residual))
 
     # float64 overflow is reported as an error, not as warnings
     with np.errstate(over="ignore", invalid="ignore"):
         sample(state)
-        if not np.isfinite(samples[0][3]):
-            raise ValueError("curvature of the initial state does not fit in a float64")
         for n in range(1, steps + 1):
             try:
                 state = step_rk4(state, dt)

@@ -22,8 +22,10 @@ class InconsistentSource(RuntimeError):
 
 
 def schrodinger_potential(geo):
-    """The scalar potential R - |H|^2 / 12 of the lambda eigenproblem."""
-    return as_poly(geo.R) - Fraction(1, 12) * as_poly(geo.H2_norm)
+    """The scalar potential R - |H|^2 / 12 of the lambda eigenproblem: a
+    Fraction on exact invariant data, a float64 on float64 data and a
+    Polynomial otherwise."""
+    return geo.R - Fraction(1, 12) * geo.H2_norm
 
 
 def _entries(x):
@@ -40,48 +42,41 @@ def pairing_matrix(xs, ys):
             for x in xs]
 
 
-def _float_matrix(entries):
-    """(m + m^T) / 2 of the exact matrix m, rejected unless every entry is a finite float64."""
+def _float(x):
+    """A float64 or an exact constant as a float64, +-inf beyond its range."""
+    if not isinstance(x, float):
+        x = as_poly(x).constant_value()
     try:
-        m = np.array([[float(x) for x in row] for row in entries])
-    except OverflowError as exc:
-        raise SolverError("matrix entry does not fit in a float64") from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = (m + m.T) / 2
-    if not np.isfinite(m).all():
-        raise SolverError("symmetrized second-variation matrix does not fit in a float64")
-    return m
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _float_det(geo):
     """det g of a constant metric as a float64, which must be finite and positive."""
-    try:
-        det = float(as_poly(geo.det).constant_value())
-    except OverflowError:
-        det = math.inf
+    det = _float(geo.det)
     if not 0 < det < math.inf:
         raise SolverError(f"det g = {det} is not a finite positive float64")
     return det
 
 
 def lambda_min(geo):
-    """(lambda, f): the smallest eigenvalue of -4 lap_g + V, V = R - |H|^2/12,
-    and its minimizer, for a constant V.
+    """lambda: the smallest eigenvalue of -4 lap_g + V, V = R - |H|^2/12, for a
+    constant V.
 
     -lap_g >= 0 vanishes only on constants, so the ground state is constant and
-    lambda is V itself, a Fraction. f is the constant log Vol_g =
-    log(2 pi^2 sqrt(det g)), so that int e^{-f} dV_g = 1. geo.f is not read.
+    lambda is V itself: a Fraction on exact invariant data, a float64 on
+    float64 data. geo.f is not read.
     """
-    detg = _float_det(geo)
-    V = schrodinger_potential(geo)
-    if not V.is_constant:
-        raise ValueError("lambda is implemented for a constant potential")
-    lam = V.constant_value()
-    try:
-        float(lam)
-    except OverflowError as exc:
-        raise SolverError("lambda does not fit in a float64") from exc
-    return lam, Polynomial.constant(Fraction(math.log(2 * math.pi**2 * math.sqrt(detg))))
+    _float_det(geo)
+    lam = schrodinger_potential(geo)
+    if isinstance(lam, Polynomial):
+        if not lam.is_constant:
+            raise ValueError("lambda is implemented for a constant potential")
+        lam = lam.constant_value()
+    if not math.isfinite(_float(lam)):
+        raise SolverError("lambda does not fit in a float64")
+    return lam
 
 
 def first_variation(geo, gamma):
@@ -303,8 +298,7 @@ def second_variation_matrix(blocks, geo):
 def block_eigenvalues(blocks):
     """The sorted float64 eigenvalues of a list of exact symmetric blocks."""
     return np.sort(np.concatenate([
-        np.linalg.eigvalsh(_float_matrix(e))
-        for e in blocks]))
+        np.linalg.eigvalsh(np.array(e, dtype=float)) for e in blocks]))
 
 
 def slice_tangent_basis(geo, d):

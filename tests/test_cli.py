@@ -32,7 +32,6 @@ def test_lambda_command(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["lambda"] == 4.0
-    assert rep["f_constant"] is True
 
 
 def test_lambda_command_large_metric(capsys):
@@ -41,7 +40,6 @@ def test_lambda_command_large_metric(capsys):
     code, out = run(capsys, "lambda", "--g", "diag:1e17,1e17,1e17", "--degree", "0")
     assert code == 0
     rep = json.loads(out)
-    assert rep["f_constant"] is True
     want = 6 / s - 2 / s**3
     assert abs(rep["lambda"] - want) <= 1e-9 * want
 
@@ -121,8 +119,8 @@ def test_flow_csv(capsys):
 
 
 def test_verify_deterministic(capsys):
-    code1, out1 = run(capsys, "verify", "--degree", "2", "--seed", "7")
-    code2, out2 = run(capsys, "verify", "--degree", "2", "--seed", "7")
+    code1, out1 = run(capsys, "verify", "--seed", "7")
+    code2, out2 = run(capsys, "verify", "--seed", "7")
     assert code1 == code2 == 0
     assert out1 == out2
     rep = json.loads(out1)
@@ -151,7 +149,7 @@ def _verify_draws(monkeypatch, capsys, fail_first_bianchi):
     monkeypatch.setattr(cli, "bianchi_contracted_check", bianchi)
     monkeypatch.setattr(cli, "phi_relation_check", phi)
     monkeypatch.setattr(cli, "operator_A", operator_a)
-    code, out = run(capsys, "verify", "--degree", "0", "--seed", "3")
+    code, out = run(capsys, "verify", "--seed", "3")
     failed = [a["name"] for a in json.loads(out)["assertions"] if not a["passed"]]
     return code, failed, len(bianchi_calls), drawn
 
@@ -224,7 +222,8 @@ def test_output_file(tmp_path, capsys):
     (["flow", "--g", "diag:1e300,1,1", "--steps", "2"], None, "does not fit in a float64"),
     (["lambda", "--g", "diag:1e150,1e150,1e150", "--degree", "0"], None, "det g"),
     (["flow", "--g", "diag:1e150,1e150,1e150", "--h0", "0", "--steps", "3"], None, "det g"),
-    # lambda = 6 - h0^2/2 fits in a float64; the soliton residual's H^2 = 2 h0^2 g does not
+    # the exact lambda = 6 - h0^2/2 fits in a float64, but H^2 = 2 h0^2 g does not, and
+    # the flow reads the soliton residual before lambda
     (["flow", "--h0", "1e154", "--steps", "3"], None,
      "curvature of the initial state does not fit in a float64"),
     (["spectrum", "--degree", "3"], None, "degree at most 2"),
@@ -268,7 +267,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, mes
     assert captured.err.count("\n") == 1
 
 
-_UNREAD_FLAGS = [("verify", "--h0"), ("verify", "--format"),
+_UNREAD_FLAGS = [("verify", "--degree"), ("verify", "--h0"), ("verify", "--format"),
                  ("spectrum", "--h0"), ("spectrum", "--seed"), ("spectrum", "--format"),
                  ("igsd", "--h0"), ("igsd", "--seed"), ("igsd", "--format"),
                  ("obstruction", "--degree"), ("obstruction", "--h0"),
@@ -338,8 +337,6 @@ def test_lambda_is_exact_where_the_float_solve_failed(capsys, diag, h0, degree):
     rep = json.loads(captured.out)
     assert rep["degree"] == degree
     assert rep["lambda"] == pytest.approx(milnor_lambda(diag, h0), rel=1e-9)
-    assert rep["residual"] == 0.0
-    assert rep["f_constant"] is True
 
 
 @pytest.mark.filterwarnings("error")
@@ -355,7 +352,6 @@ def test_lambda_large_torsion_prints_strict_json(capsys):
 
     rep = json.loads(captured.out, parse_constant=reject)
     assert rep["lambda"] == pytest.approx(-4.5e306, rel=1e-9)
-    assert rep["residual"] == 0.0
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grflab.flow import (FlowBlowup, FlowState, dual_path_residual, grf_rhs,
+from grflab.flow import (FlowBlowup, FlowState, dual_path_residual, flow_lambda, grf_rhs,
                          run_flow, soliton_residual, step_rk4)
 from grflab import flow, tensors
 from grflab.frames import STRUCTURE
 from grflab.poly import JetScalar
 from grflab.tensors import Geometry, SingularMetric, jet_part, obj_array
+from grflab.variational import lambda_min
 
 
 def round_state(eps=0.0, h0=2.0):
@@ -133,6 +136,35 @@ def test_berger_run_monotone():
     assert abs(lams[-1] - 4.0) < 1e-6
     times = [s[0] for s in samples]
     assert times == sorted(times)
+
+
+def exact_lambda(g, h0):
+    """The reference for flow_lambda: lambda of the float64 entries of (g, h0)
+    read as exact Fractions and rounded once, with max(1, |R|, |H|^2/12), the
+    size of the terms of V = R - |H|^2/12."""
+    geo = Geometry([[Fraction(float(x)) for x in row] for row in g], Fraction(h0))
+    return float(lambda_min(geo)), max(1.0, abs(float(geo.R)), float(geo.H2_norm) / 12)
+
+
+def dense_metric(entries, shift):
+    b = np.array(entries).reshape(3, 3)
+    m = b @ b.T + shift * np.eye(3)
+    return (m + m.T) / 2
+
+
+METRICS = st.one_of(
+    st.lists(st.floats(0.1, 10), min_size=3, max_size=3).map(np.diag),
+    st.builds(dense_metric, st.lists(st.floats(-1, 1), min_size=9, max_size=9),
+              st.floats(0.1, 10)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(METRICS, st.floats(-10, 10))
+def test_flow_lambda_is_the_exact_potential_rounded(g, h0):
+    # V is a difference, so its float64 error is relative to the size of its terms
+    want, scale = exact_lambda(g, h0)
+    assert abs(flow_lambda(FlowState(g=g, b=np.zeros((3, 3)), H0_coeff=h0)) - want) \
+        <= 1e-12 * scale
 
 
 def test_blowup_detected():

@@ -696,7 +696,7 @@ _small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 _polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), _small, max_size=3).map(Polynomial)
 _ENTRIES = {
     "fraction": st.one_of(st.just(Fraction(0)), _small),
-    # Fraction(float) has a power-of-two denominator up to 2^1074, as flow_lambda's data
+    # Fraction(float) has a power-of-two denominator up to 2^1074, as cmd_lambda's data
     "float_fraction": st.one_of(st.just(0.0), st.floats(-4, 4)).map(Fraction),
     "polynomial": _polys,
     "mixed": st.one_of(st.just(Fraction(0)), _small, _polys),

@@ -89,14 +89,9 @@ MUTANTS = (
            "frame_derive(w[k], j + 1)", "frame_derive(w[k], k + 1)", TENSOR_TESTS),
     Mutant("ricci derives conn[j, k, 1] along E_1", "src/grflab/tensors.py",
            "frame_derive(conn[j, k, 1], 2)", "frame_derive(conn[j, k, 1], 1)", TENSOR_TESTS),
-    # lambda_min: lambda = V and f = log(2 pi^2 sqrt(det g)) on invariant data
+    # lambda_min: lambda = V on invariant data, exact or float64
     Mutant("lambda is -V", "src/grflab/variational.py",
-           "lam = V.constant_value()", "lam = -V.constant_value()", VARIATIONAL_TESTS),
-    Mutant("Vol_g with pi^2 for 2 pi^2", "src/grflab/variational.py",
-           "math.log(2 * math.pi**2 * math.sqrt(detg))", "math.log(math.pi**2 * math.sqrt(detg))",
-           VARIATIONAL_TESTS),
-    Mutant("Vol_g without sqrt(det g)", "src/grflab/variational.py",
-           "math.log(2 * math.pi**2 * math.sqrt(detg))", "math.log(2 * math.pi**2)",
+           "lam = schrodinger_potential(geo)", "lam = -schrodinger_potential(geo)",
            VARIATIONAL_TESTS),
     Mutant("first variation weighs by e^{+f}", "src/grflab/variational.py",
            "math.exp(-float(geo.f.constant_value()))", "math.exp(float(geo.f.constant_value()))",
@@ -116,6 +111,11 @@ MUTANTS = (
            "return dg, -geo.dstar_H", "return dg, geo.dstar_H", FLOW_TESTS),
     Mutant("dual path subtracts d*H", "src/grflab/flow.py",
            "(dg + geo.dstar_H)", "(dg - geo.dstar_H)", FLOW_TESTS),
+    # flow_lambda: lambda read off the state's float64 Geometry; the CLI and
+    # golden flows start from diagonal metrics, so only a dense one sees this
+    Mutant("flow lambda reads only the diagonal of g", "src/grflab/flow.py",
+           "lambda_min(state.geometry())",
+           "lambda_min(Geometry(np.diag(state.g.diagonal()), state.H0_coeff))", FLOW_TESTS),
 )
 
 
