@@ -14,6 +14,7 @@ lambda is the constant potential R - |H|^2/12 of the invariant data, so
 other quantity of the flow."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,20 +28,30 @@ class FlowBlowup(RuntimeError):
         self.samples = samples  # the samples taken before the blowup
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowState:
+    """One point of the flow. g and b are float64 arrays; float64 arrays, as
+    step_rk4 makes, are kept without a copy. A state and its arrays are not
+    changed after it is made, so its Geometry is built once and serves both
+    the soliton residual and lambda of a sample."""
+
     g: np.ndarray
     b: np.ndarray
     H0_coeff: float
     t: float = 0.0
 
     def __post_init__(self):
-        self.g = np.array(self.g, dtype=float)
-        self.b = np.array(self.b, dtype=float)
+        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
+        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+
+    @cached_property
+    def _geometry(self):
+        return Geometry(self.g, self.H0_coeff)
 
     def geometry(self):
-        """The float64 Geometry of (g, H0 vol); b does not enter, since db = 0."""
-        return Geometry(self.g, self.H0_coeff)
+        """The float64 Geometry of (g, H0 vol), built on the first call; b does
+        not enter, since db = 0."""
+        return self._geometry
 
     def copy_with(self, g, b, t):
         return FlowState(g=g, b=b, H0_coeff=self.H0_coeff, t=t)

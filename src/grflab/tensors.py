@@ -9,6 +9,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+try:
+    # the C function np.einsum calls (optimize=False), without its Python
+    # dispatch, which costs more than a contraction of 3x3 float64 operands
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy 1.x
+    _einsum = np.einsum
+
 from . import frames
 from .frames import Op, frame_derive
 from .poly import _ZERO, JetScalar, NonInvertibleJet, Polynomial, as_jet, as_poly
@@ -111,7 +118,7 @@ def contract(spec, *operands):
     themselves.
     """
     if np.result_type(*operands) != object:  # no operand has object dtype
-        return np.einsum(spec, *operands)
+        return _einsum(spec, *operands)
     lifted = [_lift(a) for a in operands]
     den = math.prod(ld[1] for ld in lifted if ld is not None)
     if any(ld is None for ld in lifted):
@@ -120,12 +127,12 @@ def contract(spec, *operands):
                 ld is None and a.dtype == object for a, ld in zip(operands, lifted)):
             terms = [np.asarray(a, dtype=object) for a in terms]
             for i, j, step in _pairwise_plan(spec):
-                out = np.einsum(step, terms[i], terms[j])
+                out = _einsum(step, terms[i], terms[j])
                 terms = [a for k, a in enumerate(terms) if k not in (i, j)] + [out]
         else:
-            out = np.einsum(spec, *terms)
+            out = _einsum(spec, *terms)
         return out if den == 1 else out * Fraction(1, den)
-    out = np.einsum(spec, *(ld[0] for ld in lifted))
+    out = _einsum(spec, *(ld[0] for ld in lifted))
     if not isinstance(out, np.ndarray):
         return Fraction(out, den)
     res = np.empty(out.shape, dtype=object)
@@ -154,15 +161,15 @@ def jet_part(a, order):
 
 
 # flat indices of m[a + s, b + t] (mod 3) at (a, b), for (s, t) = (1, 1),
-# (2, 2), (1, 2), (2, 1)
-_COFACTOR_INDEX = [np.array([[3 * ((a + s) % 3) + (b + t) % 3 for b in range(3)]
-                             for a in range(3)]) for s, t in ((1, 1), (2, 2), (1, 2), (2, 1))]
+# (2, 2), (1, 2), (2, 1): one take reads all four
+_COFACTOR_INDEX = np.array([[[3 * ((a + s) % 3) + (b + t) % 3 for b in range(3)]
+                             for a in range(3)] for s, t in ((1, 1), (2, 2), (1, 2), (2, 1))])
 
 
 def _adjugate(m):
     """adj(m) of a 3x3 array, m adj(m) = det(m) I: the transpose of the
     cofactors m[a+1, b+1] m[a+2, b+2] - m[a+1, b+2] m[a+2, b+1]."""
-    m11, m22, m12, m21 = (m.take(i) for i in _COFACTOR_INDEX)
+    m11, m22, m12, m21 = m.take(_COFACTOR_INDEX)
     return (m11 * m22 - m12 * m21).T
 
 
@@ -172,7 +179,7 @@ def leading_minors(m, adj=None):
     definite iff m[0, 0], adj[2, 2] and det m are all positive."""
     if adj is None:
         adj = _adjugate(m)
-    return m[0, 0], adj[2, 2], sum(m[0, k] * adj[k, 0] for k in range(3))
+    return m[0, 0], adj[2, 2], m[0, 0] * adj[0, 0] + m[0, 1] * adj[1, 0] + m[0, 2] * adj[2, 0]
 
 
 def _reciprocal(det):
@@ -203,21 +210,35 @@ _STRUCTURE = np.array(frames.STRUCTURE)
 _VOLUME = np.array(frames.EPS)
 
 
+def _christoffel_table():
+    """T[m, i, k, p, q] = c^p_mi d_qk - c^p_mk d_qi - c^p_ik d_qm, so that
+    T[m, i, k, p, q] g_pq = c^p_mi g_pk - c^p_mk g_pi - c^p_ik g_pm."""
+    t = np.zeros((3,) * 5, dtype=int)
+    for m, i, k, p in np.ndindex(3, 3, 3, 3):
+        t[m, i, k, p, k] += _STRUCTURE[m, i, p]
+        t[m, i, k, p, i] -= _STRUCTURE[m, k, p]
+        t[m, i, k, p, m] -= _STRUCTURE[i, k, p]
+    return t
+
+
+_CHRISTOFFEL = _christoffel_table()
+
+
 def christoffel(g, ginv, dg=None):
     """Levi-Civita symbols Gamma[m, i, p], nabla_{E_m} E_i = Gamma[m, i, p] E_p.
 
     _STRUCTURE[i, j, k] is the structure constant c^k_{ij}, g the metric and
     ginv its inverse, as float64 or object ndarrays. dg[m, i, k] = E_m(g_ik);
     None for invariant data, whose components have no frame derivatives.
-    g must be symmetric, as ``Geometry`` requires: the three structure terms
-    c^p_mi g_pk - c^p_mk g_ip - c^p_ik g_mp are read off the one contraction
-    X[m, i, k] = c^p_mi g_pk.
+    The three structure terms c^p_mi g_pk - c^p_mk g_ip - c^p_ik g_mp, for g
+    symmetric as ``Geometry`` requires, and their raising by g^-1 are the one
+    contraction of the constant table _CHRISTOFFEL with g and ginv.
     """
-    x = contract("mip,pk->mik", _STRUCTURE, g)
-    a = x - x.transpose(0, 2, 1) - x.transpose(2, 0, 1)
+    out = contract("mikpq,pq,rk->mir", _CHRISTOFFEL, g, ginv)
     if dg is not None:
-        a = a + dg + contract("imk->mik", dg) - contract("kmi->mik", dg)
-    return contract("mik,pk->mip", _half(a), ginv)
+        a = dg + contract("imk->mik", dg) - contract("kmi->mik", dg)
+        out = out + contract("mik,pk->mip", a, ginv)
+    return _half(out)
 
 
 def riemann(conn, dconn=None):
@@ -387,13 +408,14 @@ class Geometry:
 
     def _ricci(self, conn):
         """The trace R_ijk^i of the curvature endomorphism of conn, without
-        forming it: conn[j, k, m] w_m - conn[i, k, m] conn[j, m, i]
-        - c^m_ij conn[m, k, i], summed over i and m, with the trace
-        w_m = conn[i, m, i], plus E_i conn[j, k, i] - E_j w_k, which takes
-        36 frame derivatives, not 81."""
+        forming it: conn[j, k, m] w_m - conn[i, k, m] (conn[j, m, i] + c^i_mj),
+        summed over i and m, with the trace w_m = conn[i, m, i], plus
+        E_i conn[j, k, i] - E_j w_k, which takes 36 frame derivatives, not 81.
+        The structure term c^i_mj conn[i, k, m] = c^m_ij conn[m, k, i] rides
+        in the conn.conn contraction."""
         w = contract("iki->k", conn)
-        out = (contract("jkm,m->jk", conn, w) - contract("ikm,jmi->jk", conn, conn)
-               - contract("ijm,mki->jk", _STRUCTURE, conn))
+        out = (contract("jkm,m->jk", conn, w)
+               - contract("ikm,jmi->jk", conn, conn + _STRUCTURE.transpose(1, 0, 2)))
         if _is_invariant(conn):
             return out
         for j, k in np.ndindex(3, 3):

@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import importlib.util
+import io
 import json
 import math
 import random
@@ -8,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import numpy as np
 
@@ -19,6 +24,16 @@ from grflab.tensors import Geometry, is_zero
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 ROOT = Path(__file__).resolve().parent.parent
 REFERENCE = ROOT / "bench" / "reference"
+
+
+def _oracle():
+    spec = importlib.util.spec_from_file_location("bench_oracle", ROOT / "bench" / "oracle.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLE = _oracle()
 
 
 def run(capsys, *argv):
@@ -116,6 +131,22 @@ def test_flow_csv(capsys):
     assert "g11" in header and "b23" in header
     assert header[-2:] == ["lambda", "residual"]
     assert len(lines) >= 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_flow_follows_milnors_closed_form(capsys, seed):
+    # on a diagonal metric the flow is Milnor's ODE for the three eigenvalues:
+    # every sample of g, lambda and the residual agrees with its RK4 solution
+    # within the benchmark oracle's tolerance
+    rng = random.Random(seed)
+    diag = ",".join(f"{rng.uniform(0.7, 1.4):.4f}" for _ in range(3))
+    argv = ["flow", "--g", f"diag:{diag}", "--h0", f"{rng.uniform(1.0, 3.0):.4f}",
+            "--dt", "1e-3", "--steps", "200", "--sample-every", "40"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert len(report["samples"]) == 6
+    assert ORACLE.check_flow(report, argv) is None
 
 
 def test_verify_deterministic(capsys):
@@ -364,6 +395,36 @@ def test_flow_blowup_emits_partial_trajectory(capsys, argv, message):
     rep = json.loads(out)
     assert rep["blowup"].startswith(message)
     assert rep["samples"][0]["t"] == 0.0
+
+
+_BIG = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(_BIG, st.floats(1e-3, 1e3)), min_size=3, max_size=3),
+       st.one_of(_BIG, st.floats(-10, 10)), st.integers(0, 5))
+@pytest.mark.filterwarnings("error")
+def test_flow_keeps_the_exit_contract(diag, h0, steps):
+    # every diagonal metric and torsion up to 1e300: exit 0 or 1 with strict
+    # JSON on stdout, or exit 2 with one error line; never a traceback, even
+    # where overflow leaves an inf or 0 * inf = nan in a stage
+    argv = ["flow", "--g", "diag:" + ",".join(map(repr, diag)), f"--h0={h0!r}",
+            "--steps", str(steps), "--sample-every", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 1) and err.getvalue() == ""
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        report = json.loads(out.getvalue(), parse_constant=reject)
+        assert report["samples"]
+        assert (code == 0) == ("blowup" not in report and report["lambda_nondecreasing"])
 
 
 def test_coclosed_torsion_check_sees_a_planted_divergence():

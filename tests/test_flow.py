@@ -107,6 +107,19 @@ def test_rhs_builds_no_curvature_endomorphism(monkeypatch):
     assert calls == [] and "Rc_plus" in built[1].__dict__
 
 
+def test_float_g_rate_makes_five_contractions(monkeypatch):
+    # one table contraction for the symbols, the trace and two products of
+    # Rc (the structure term rides in conn.conn) and one for H^2
+    specs = []
+    real = tensors.contract
+    monkeypatch.setattr(tensors, "contract",
+                        lambda spec, *ops: specs.append(spec) or real(spec, *ops))
+    for s in [round_state(eps=0.1)] + full_states(6, count=2):
+        specs.clear()
+        flow._g_rate(s.g, s.H0_coeff)
+        assert len(specs) == 5, specs
+
+
 def test_singular_metric():
     with pytest.raises(SingularMetric):
         grf_rhs(FlowState(g=np.diag([1.0, -1.0, 1.0]), b=np.zeros((3, 3)),

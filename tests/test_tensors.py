@@ -388,6 +388,41 @@ def test_fused_structure_contractions_match_three_term_formulas():
         assert not is_zero(geo.Rm)
 
 
+def _term_sizes(geo, conn):
+    """The three-term formulas for the symbols of geo and for g^il Rm_ijkl of
+    conn with every term by its absolute value: the size of the terms that a
+    float64 sum of them rounds against."""
+    c, g, ginv, conn = (np.abs(x) for x in (np.array(STRUCTURE), geo.g, geo.ginv, conn))
+    a = (np.einsum("mip,pk->mik", c, g) + np.einsum("mkp,ip->mik", c, g)
+         + np.einsum("ikp,mp->mik", c, g))
+    rm = (np.einsum("jkm,iml->ijkl", conn, conn) + np.einsum("ikm,jml->ijkl", conn, conn)
+          + np.einsum("ijm,mkl->ijkl", c, conn))
+    return np.einsum("mik,pk->mip", a / 2, ginv), np.einsum("ijkp,pl,il->jk", rm, g, ginv)
+
+
+# a product below the normal float64 range rounds by up to 2^-1075 absolutely,
+# whatever the size of the terms
+UNDERFLOW = 1e-320
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1, 1), min_size=9, max_size=9), st.floats(0.1, 10), st.floats(-4, 4))
+def test_fused_structure_contractions_match_three_term_formulas_float64(entries, shift, h0):
+    # the same fused contractions on dense SPD float64 metrics, as the flow
+    # evaluates them: within 1e-13 of the size of the terms they sum, for the
+    # symbols and for the Levi-Civita and Bismut Ricci traces
+    b = np.array(entries).reshape(3, 3)
+    g = b @ b.T + shift * np.eye(3)
+    geo = Geometry((g + g.T) / 2, h0)
+    want = _three_term_christoffel(geo.g, geo.ginv).astype(float)
+    size = _term_sizes(geo, geo.gamma)[0]
+    assert np.all(np.abs(geo.gamma - want) <= 1e-13 * size + UNDERFLOW)
+    for conn, rc in ((geo.gamma, geo.Rc), (geo.gamma_p, geo.Rc_plus)):
+        assert rc.dtype == np.float64
+        want = np.einsum("ijkl,il->jk", _three_term_riemann(conn, geo.g), geo.ginv)
+        assert np.all(np.abs(rc - want) <= 1e-13 * _term_sizes(geo, conn)[1] + UNDERFLOW)
+
+
 def test_ricci_is_the_trace_of_the_curvature_endomorphism():
     # Rc = R_ijk^i equals g^il Rm_ijkl: exactly for exact and jet data, to
     # rounding for float64 flow states
@@ -665,10 +700,10 @@ def test_inner_matches_many_operand_einsum():
 # rank 1 to 4; "ijkl,il->jk" is g^il Rm_ijkl and "ijki->jk" the trace of the
 # curvature endomorphism, which the tests check Rc against.
 CONTRACT_SPECS = (
-    "mip,pk->mik", "mkp,ip->mik", "ikp,mp->mik", "imk->mik", "kmi->mik", "mik,pk->mip",
-    "jkm,iml->ijkl", "ikm,jml->ijkl", "ijm,mkl->ijkl", "jikl->ijkl", "ijkp,pl->ijkl",
+    "mikpq,pq,rk->mir", "imk->mik", "kmi->mik", "mik,pk->mip",
+    "jkm,iml->ijkl", "ijm,mkl->ijkl", "jikl->ijkl", "ijkp,pl->ijkl",
     "mn,n->m", "mn...,mn->...", "m,m...->...", "ijkl,il->jk", "ijki->jk", "jk,jk->",
-    "mn,nap->map", "mmp->p", "p,p...->...", "jkm,m->jk", "ikm,jmi->jk", "ijm,mki->jk",
+    "mn,nap->map", "mmp->p", "p,p...->...", "jkm,m->jk", "ikm,jmi->jk",
     "iki->k", "mbp,mp->b", "mbp,mpc->bc", "mcp,mbp->bc", "mbp,mpcd->bcd", "mcp,mbpd->bcd",
     "mdp,mbcp->bcd",
     "ipq,jrs,pr,qs->ij", "ij,ij->", "cfj,cei->ijef", "ila,jkb,ab->ijkl",

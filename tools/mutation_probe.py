@@ -52,6 +52,12 @@ class Mutant:
 
 
 MUTANTS = (
+    # christoffel: the structure terms and g^-1 in one contraction of a constant table
+    Mutant("christoffel table drops its third term", "src/grflab/tensors.py",
+           "t[m, i, k, p, m] -= _STRUCTURE[i, k, p]", "t[m, i, k, p, m] -= 0", TENSOR_TESTS),
+    Mutant("adjugate reads a wrong cofactor entry", "src/grflab/tensors.py",
+           "for s, t in ((1, 1), (2, 2), (1, 2), (2, 1))",
+           "for s, t in ((1, 2), (2, 2), (1, 2), (2, 1))", TENSOR_TESTS),
     # Geometry.div: g^-1 traced into the symbols before they meet T
     Mutant("gamma_up raises the last slot", "src/grflab/tensors.py",
            'return contract("mn,nap->map", self.ginv, self.gamma)',
@@ -78,11 +84,13 @@ MUTANTS = (
     Mutant("ricci's first product", "src/grflab/tensors.py",
            'contract("jkm,m->jk", conn, w)', 'contract("jmk,m->jk", conn, w)', TENSOR_TESTS),
     Mutant("ricci's second product", "src/grflab/tensors.py",
-           'contract("ikm,jmi->jk", conn, conn)', 'contract("ikm,jim->jk", conn, conn)',
+           'contract("ikm,jmi->jk", conn, conn +', 'contract("ikm,jim->jk", conn, conn +',
            TENSOR_TESTS),
+    # the structure term rides in the conn.conn product; c is antisymmetric in
+    # its lower slots, so reading c^i_jm for c^i_mj flips its sign
     Mutant("ricci's structure term", "src/grflab/tensors.py",
-           'contract("ijm,mki->jk", _STRUCTURE, conn)',
-           'contract("ijm,mik->jk", _STRUCTURE, conn)', TENSOR_TESTS),
+           "conn + _STRUCTURE.transpose(1, 0, 2)", "conn + _STRUCTURE.transpose(0, 1, 2)",
+           TENSOR_TESTS),
     Mutant("ricci's connection trace", "src/grflab/tensors.py",
            'w = contract("iki->k", conn)', 'w = contract("kii->k", conn)', TENSOR_TESTS),
     Mutant("ricci derives the trace along E_k", "src/grflab/tensors.py",
