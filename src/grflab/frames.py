@@ -58,7 +58,7 @@ INV_LAPLACIAN = 0
 
 class Op:
     """A formal scalar: the constant-coefficient frame operator
-    sum_w c_w E_{w_1} E_{w_2} ... E_{w_n}, stored as ``words`` {word: Fraction}
+    sum_w c_w E_{w_1} E_{w_2} ... E_{w_n}, stored as ``words`` {word: Fraction or int}
     without zero coefficients. Op(word) is one word with coefficient 1, Op(())
     the identity and Op() zero. Letters 1..3 are the frame fields E_i,
     INV_LAPLACIAN is the inverse Laplacian, and the negative slot letters
@@ -73,7 +73,7 @@ class Op:
     __slots__ = ("words",)
 
     def __init__(self, word=None):
-        self.words = {} if word is None else {tuple(word): Fraction(1)}
+        self.words = {} if word is None else {tuple(word): 1}
 
     @classmethod
     def _of(cls, words):

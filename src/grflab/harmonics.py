@@ -80,14 +80,15 @@ class CanonicalSpace:
         if len(self.exps) != len(self.basis):
             raise RuntimeError(f"{len(self.exps)} canonical monomials but {len(self.basis)} "
                                f"harmonics of degree <= {d}")
-        # M^T: the basis over self.exps; the rows of (M^T)^-1 are the columns of M^-1
+        # M^T: the basis over self.exps; the rows of (M^T)^-1 are the columns of
+        # M^-1, kept as integer numerators over one denominator
         rows = [[t.get(e, 0) for e in self.exps] for t in (p.terms for p in self.basis)]
-        self._inv_columns = linalg.mat_inv(rows)
+        self._inv_columns, self._inv_den = linalg.numerators(linalg.mat_inv(rows))
 
     def coords(self, p):
         """Exact coordinate vector of p in the harmonic basis: the inverse's
-        columns of p's monomials, weighted by p's integer numerators, over p's
-        denominator."""
+        integer columns of p's monomials, weighted by p's integer numerators,
+        over the product of the two denominators."""
         p = as_poly(p)
         vec = []
         for e, n in p.num.items():
@@ -95,8 +96,9 @@ class CanonicalSpace:
             if idx is None:
                 raise ValueError(f"polynomial degree exceeds truncation d={self.d}")
             vec.append((idx, n))
-        out = linalg.mat_vec(self._inv_columns, vec, len(self.exps))
-        return out if p.den == 1 else [x / p.den if x else x for x in out]
+        den = p.den * self._inv_den
+        return [Fraction(x, den) if x else x for x in
+                linalg.mat_vec(self._inv_columns, vec, len(self.exps))]
 
     def from_coords(self, vec):
         out = Polynomial.zero()
@@ -129,32 +131,35 @@ def canonical_space(d):
 @lru_cache(maxsize=None)
 def word_matrix(k, word):
     """The exact matrix of the Op word E_{w_1} ... E_{w_n} on harmonic_basis(k),
-    as its columns {row: Fraction}, one per basis element.
+    as (columns, D): its columns {row: int}, one per basis element, are
+    numerators over the one denominator D.
 
     A frame field E_m keeps each harmonic degree, so its matrix D_m holds the
     degree-k coordinates of E_m phi; a longer word is D_{w_1} times the matrix
-    of the rest. INV_LAPLACIAN acts on degree k as -1/(k(k+2)); at k = 0 it
-    must meet a zero source, or ValueError is raised.
+    of the rest, over the product of their denominators. INV_LAPLACIAN acts on
+    degree k as -1/(k(k+2)): it negates the numerators and multiplies D by
+    k(k+2). At k = 0 it must meet a zero source, or ValueError is raised.
     """
     n = (k + 1) ** 2
     if not word:
-        return tuple({j: Fraction(1)} for j in range(n))
+        return tuple({j: 1} for j in range(n)), 1
     letter, rest = word[0], word[1:]
     if letter == INV_LAPLACIAN:
-        tail = word_matrix(k, rest)
+        tail, dt = word_matrix(k, rest)
         if k == 0:
             if any(tail):
                 raise ValueError("right side has a nonzero mean component")
-            return tail
-        s = Fraction(-1, k * (k + 2))
-        return tuple({i: s * x for i, x in col.items()} for col in tail)
+            return tail, dt
+        return tuple({i: -x for i, x in col.items()} for col in tail), dt * k * (k + 2)
     if rest:
-        head, tail = word_matrix(k, (letter,)), word_matrix(k, rest)
+        (head, dh), (tail, dt) = word_matrix(k, (letter,)), word_matrix(k, rest)
         return tuple({i: x for i, x in enumerate(linalg.mat_vec(head, col.items(), n)) if x}
-                     for col in tail)
+                     for col in tail), dh * dt
     space = canonical_space(k)
-    return tuple({i: x for i, x in enumerate(space.coords(frame_derive(phi, letter))[-n:]) if x}
-                 for phi in harmonic_basis(k))
+    cols, den = linalg.numerators([
+        {i: x for i, x in enumerate(space.coords(frame_derive(phi, letter))[-n:]) if x}
+        for phi in harmonic_basis(k)])
+    return tuple(cols), den
 
 
 def is_eigenfunction(u, k):

@@ -7,8 +7,14 @@ from fractions import Fraction
 def rref(mat):
     """Reduced row echelon form of a list of rows of Fractions or ints, as
     (rows, pivot_columns): each row a dict {column: Fraction} of its nonzeros,
-    empty past the rank. The input is not modified."""
-    rows = [{c: Fraction(x) for c, x in enumerate(r) if x} for r in mat]
+    empty past the rank. The input is not modified.
+
+    The elimination is fraction-free: each row is scaled to primitive integers
+    by the lcm of its own denominators, a row meets a pivot row as
+    (pv/g) row - (f/g) prow with g = gcd(pv, f) and is divided by the gcd of
+    its entries again, and only the last step divides each pivot row by its
+    pivot, into Fractions."""
+    rows = [_primitive(numerators([{c: x for c, x in enumerate(r) if x}])[0][0]) for r in mat]
     nrows = len(rows)
     ncols = len(mat[0]) if nrows else 0
     pivots = []
@@ -23,18 +29,36 @@ def rref(mat):
         rows[r], rows[pivot] = rows[pivot], rows[r]
         prow = rows[r]
         pv = prow[c]
-        if pv != 1:
-            prow = rows[r] = {k: x / pv for k, x in prow.items()}
         for i, row in enumerate(rows):
             f = row.get(c)
             if f is None or i == r:
                 continue
+            g = math.gcd(pv, f)
+            a, b = pv // g, f // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
             for k, x in prow.items():
-                row[k] = row.get(k, 0) - f * x
-                if not row[k]:
+                y = row.get(k, 0) - b * x
+                if y:
+                    row[k] = y
+                else:
                     del row[k]
+            rows[i] = _primitive(row)
         pivots.append(c)
+    for row, c in zip(rows, pivots):
+        pv = row[c]
+        for k, x in row.items():
+            row[k] = Fraction(x, pv)
     return rows, pivots
+
+
+def _primitive(row):
+    """The integer row {column: int} divided by the gcd of its entries."""
+    g = math.gcd(*row.values())
+    if g > 1:
+        return {k: x // g for k, x in row.items()}
+    return row
 
 
 def rank(mat):

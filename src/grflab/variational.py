@@ -202,21 +202,22 @@ def _block(symbol, k):
     """The degree-k block sum_w C^w (x) D_w of a symbol, as (columns, D): its
     9 n columns {row: int}, n = (k+1)^2, are numerators over the one
     denominator D, the lcm of the denominators of the symbol's coefficients
-    times that of the entries of its word matrices. Column s n + j is e_ab (x) phi_j, (a, b) the
-    s-th slot and phi_j the j-th element of harmonic_basis(k), and row r n + i
-    coordinate i of image component r."""
+    times the lcm of those of its word matrices, so each word is scaled to D
+    as it is read. Column s n + j is e_ab (x) phi_j, (a, b) the s-th slot and
+    phi_j the j-th element of harmonic_basis(k), and row r n + i coordinate i
+    of image component r."""
     n = (k + 1) ** 2
     try:
         mats = [word_matrix(k, w) for w in symbol[0]]
     except ValueError as exc:  # the inverse Laplacian met a nonzero mean
         raise InconsistentSource(str(exc)) from exc
     coeffs, dc = linalg.numerators(list(symbol[0].values()))
-    entries, dx = linalg.numerators([col for d in mats for col in d])
+    dx = math.lcm(*(dw for _, dw in mats))
     cols = [{} for _ in range(9 * n)]
-    for m, coeff in enumerate(coeffs):
-        d = entries[m * n:(m + 1) * n]
+    for coeff, (d, dw) in zip(coeffs, mats):
+        scale = dx // dw  # the word's numerators over dx
         for (r, s), c in coeff.items():
-            base = r * n
+            base, c = r * n, c * scale
             for j, dcol in enumerate(d):
                 col = cols[s * n + j]
                 for i, x in dcol.items():

@@ -152,8 +152,8 @@ def test_op_words_compose_as_frame_derivatives():
     space, n = canonical_space(2), 9
     for j, phi in enumerate(harmonic_basis(2)):
         want = space.coords(frame_derive(frame_derive(phi, 2) - 3 * frame_derive(phi, 3), 1))
-        got = [sum(c * word_matrix(2, w)[j].get(i, 0) for w, c in op.words.items())
-               for i in range(n)]
+        got = [sum(c * Fraction(word_matrix(2, w)[0][j].get(i, 0), word_matrix(2, w)[1])
+                   for w, c in op.words.items()) for i in range(n)]
         assert want[-n:] == got and not any(want[:-n])
 
 
@@ -170,15 +170,33 @@ def test_op_arithmetic():
         frame_derive(e1, 1, "right")
 
 
+def test_word_matrices_are_integer_and_close_the_su2_bracket():
+    # D_(i,j) - D_(j,i) = sum_l 2 eps_ijl D_(l), exactly on the integer
+    # numerators: frame-letter words have D = 1, (INV_LAPLACIAN,) has k(k+2)
+    for k in range(5):
+        n = (k + 1) ** 2
+        for i, j in product((1, 2, 3), repeat=2):
+            (dij, d1), (dji, d2) = word_matrix(k, (i, j)), word_matrix(k, (j, i))
+            assert d1 == d2 == word_matrix(k, (i,))[1] == 1
+            assert all(type(x) is int for col in dij for x in col.values())
+            bracket = [dij[s].get(r, 0) - dji[s].get(r, 0) for s in range(n) for r in range(n)]
+            want = [sum(STRUCTURE[i - 1][j - 1][m - 1] * word_matrix(k, (m,))[0][s].get(r, 0)
+                        for m in (1, 2, 3)) for s in range(n) for r in range(n)]
+            assert bracket == want
+        if k:
+            assert word_matrix(k, (INV_LAPLACIAN,))[1] == k * (k + 2)
+
+
 def test_inverse_laplacian_letter_scales_each_degree():
     for k in (1, 2, 3):
         n, ev = (k + 1) ** 2, -k * (k + 2)
         eye = [int(i == j) for j in range(n) for i in range(n)]
-        lap = [sum(word_matrix(k, (m, m))[j].get(i, 0) for m in (1, 2, 3))
+        lap = [sum(word_matrix(k, (m, m))[0][j].get(i, 0) for m in (1, 2, 3))
                for j in range(n) for i in range(n)]
-        inv = [word_matrix(k, (INV_LAPLACIAN,))[j].get(i, 0) for j in range(n) for i in range(n)]
+        inv, d = word_matrix(k, (INV_LAPLACIAN,))
+        inv = [Fraction(inv[j].get(i, 0), d) for j in range(n) for i in range(n)]
         assert lap == [ev * x for x in eye] and inv == [Fraction(x, ev) for x in eye]
     # at degree 0 the inverse Laplacian meets the constants
-    assert word_matrix(0, (INV_LAPLACIAN, 1)) == ({},)
+    assert word_matrix(0, (INV_LAPLACIAN, 1)) == (({},), 1)
     with pytest.raises(ValueError, match="nonzero mean"):
         word_matrix(0, (INV_LAPLACIAN,))

@@ -98,11 +98,14 @@ def dense_rref(mat):
 @st.composite
 def sparse_matrices(draw, square=False):
     """Rational matrices up to 8 x 8 at density 0-60 %, with some rows and
-    columns forced to zero."""
+    columns forced to zero. Entries are small Fractions or, in rows that mix
+    the two, ints up to 10^20 in size."""
     n = draw(st.integers(0, 8))
     m = n if square else draw(st.integers(0, 8))
     density = draw(st.integers(0, 60))
     entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    if draw(st.booleans()):
+        entry = entry | st.integers(-10**20, 10**20)
     mat = [[draw(entry) if draw(st.integers(0, 99)) < density else Fraction(0)
             for _ in range(m)] for _ in range(n)]
     zero_rows = draw(st.sets(st.integers(0, n - 1))) if n else set()
@@ -121,6 +124,8 @@ def test_sparse_elimination_against_dense_reference(mat):
     assert mat == before
     assert [[r.get(c, 0) for c in range(ncols)] for r in rows] == want_rows
     assert all(all(r.values()) for r in rows)
+    assert all(type(x) is Fraction for r in rows for x in r.values())
+    assert all(r[c] == 1 for r, c in zip(rows, pivots))
     assert pivots == want_pivots
     assert linalg.rank(mat) == len(want_pivots)
     kernel = linalg.kernel_basis(mat)

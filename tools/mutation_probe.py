@@ -39,6 +39,7 @@ TENSOR_TESTS = ("tests/test_tensors.py", "tests/test_deformations.py",
                 "tests/test_variational.py")
 FLOW_TESTS = ("tests/test_flow.py",)
 VARIATIONAL_TESTS = ("tests/test_variational.py", "tests/test_cli.py")
+WORD_TESTS = ("tests/test_frames.py", "tests/test_variational.py")
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,11 @@ MUTANTS = (
            "den = dr * dg * dz * dz", "den = dr * dg * dz", VARIATIONAL_TESTS),
     Mutant("block denominator without the symbol lcm", "src/grflab/variational.py",
            "return cols, dc * dx", "return cols, dx", VARIATIONAL_TESTS),
+    # integer numerators from the word matrices to the reduced echelon form
+    Mutant("elimination without the pv/g row scale", "src/grflab/linalg.py",
+           "a, b = pv // g, f // g", "a, b = 1, f // g", ("tests/test_linalg.py",)),
+    Mutant("inverse Laplacian over k(k+1)", "src/grflab/harmonics.py",
+           "dt * k * (k + 2)", "dt * k * (k + 1)", WORD_TESTS),
     Mutant("gradient norms always equal", "src/grflab/deformations.py",
            'report["gradient_norms_equal"] = nh2 == nk2', 'report["gradient_norms_equal"] = True',
            ("tests/test_deformations.py",)),
