@@ -8,9 +8,9 @@ from .harmonics import CanonicalSpace, canonical_space, harmonic_basis, is_eigen
 from .tensors import (BadRank, Geometry, SingularMetric, antisym, is_zero, jet_part,
                       obj_array, sym)
 from .variational import (InconsistentSource, SolverError, bianchi_contracted_check,
-                          block_eigenvalues, first_variation, lambda_min, operator_A,
-                          operator_B, phi_operator, phi_relation_check, second_variation_form,
-                          second_variation_matrix, slice_tangent_basis)
+                          block_eigenvalues, coordinate_tensor, first_variation, lambda_min,
+                          operator_A, operator_B, phi_operator, phi_relation_check,
+                          second_variation_form, second_variation_matrix, slice_tangent_basis)
 from .deformations import (Deformation, NotEigenfunction, PreconditionFailed, canonical_igsd,
                            equivalence_check, igsd_kernel, integrability_report,
                            integral_identities, jet_second_variation_check, obstruction,

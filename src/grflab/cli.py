@@ -185,7 +185,7 @@ def cmd_spectrum(cfg):
         "lambda": _fmt_float(lambda_min(geo)),
         "slice_dimension": sum(len(e) for e in blocks),
         "eigenvalues": [_fmt_float(x) for x in eig],
-        "kernel_dim": sum(len(e) - rank(e) for e in blocks),
+        "kernel_dim": sum(len(e) - rank([dict(enumerate(row)) for row in e]) for e in blocks),
         "max_eigenvalue": _fmt_float(eig.max()),
         "stable": bool(eig.max() <= 1e-9),
     }

@@ -13,7 +13,7 @@ from .frames import BadIndex, adjoint_matrix
 from .harmonics import canonical_space, harmonic_basis, is_eigenfunction
 from .poly import IntegralValue, JetScalar, as_poly, integrate_s3
 from .tensors import Geometry, antisym, contract, is_zero, jet_part, obj_array, sym, zeros
-from .variational import (curvature_action, degree_kernels, operator_B,
+from .variational import (coordinate_tensor, curvature_action, degree_kernels, operator_B,
                           second_variation_form)
 
 MU = Fraction(2)  # Einstein constant of the unit round 3-sphere
@@ -78,8 +78,8 @@ def igsd_kernel(d):
     """
     geo = round_geometry()
     blocks = degree_kernels(d, lambda t: (operator_B(t, geo), *geo.twisted_divergence(t)))
-    return [Deformation(t, provenance=f"kernel(k={k},i={n})")
-            for k, block in enumerate(blocks) for n, t in enumerate(block)]
+    return [Deformation(coordinate_tensor(v, k), provenance=f"kernel(k={k},i={n})")
+            for k, block in enumerate(blocks) for n, v in enumerate(block)]
 
 
 def first_order_system_check(gamma):

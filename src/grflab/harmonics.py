@@ -27,24 +27,14 @@ def harmonic_basis(k):
     if k < 0:
         raise ValueError("degree must be nonnegative")
     exps = _homogeneous_exponents(k)
-    lower = _homogeneous_exponents(k - 2) if k >= 2 else []
-    lower_index = {e: i for i, e in enumerate(lower)}
-    rows = [[Fraction(0)] * len(exps) for _ in lower]
+    lower_index = {e: i for i, e in enumerate(_homogeneous_exponents(k - 2))}
+    rows = [{} for _ in lower_index]
     for col, e in enumerate(exps):
-        for mu in range(4):
-            a = e[mu]
+        for mu, a in enumerate(e):
             if a >= 2:
-                tgt = list(e)
-                tgt[mu] = a - 2
-                rows[lower_index[tuple(tgt)]][col] += a * (a - 1)
-    if rows:
-        kernel = linalg.kernel_basis(rows)
-    else:
-        kernel = [[Fraction(1) if i == j else Fraction(0) for j in range(len(exps))]
-                  for i in range(len(exps))]
-    basis = []
-    for vec in kernel:
-        basis.append(Polynomial({e: c for e, c in zip(exps, vec) if c != 0}))
+                rows[lower_index[e[:mu] + (a - 2,) + e[mu + 1:]]][col] = a * (a - 1)
+    basis = [Polynomial({exps[j]: c for j, c in vec.items()})
+             for vec in linalg.kernel_basis(rows, len(exps))]
     if len(basis) != (k + 1) ** 2:
         raise RuntimeError(f"degree-{k} eigenspace has dimension {len(basis)}, not {(k + 1) ** 2}")
     return tuple(basis)
@@ -82,7 +72,7 @@ class CanonicalSpace:
                                f"harmonics of degree <= {d}")
         # M^T: the basis over self.exps; the rows of (M^T)^-1 are the columns of
         # M^-1, kept as integer numerators over one denominator
-        rows = [[t.get(e, 0) for e in self.exps] for t in (p.terms for p in self.basis)]
+        rows = [{self.exp_index[e]: c for e, c in p.terms.items()} for p in self.basis]
         self._inv_columns, self._inv_den = linalg.numerators(linalg.mat_inv(rows))
 
     def coords(self, p):

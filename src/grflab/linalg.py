@@ -1,24 +1,25 @@
-"""Exact linear algebra over the rationals on sparse rows {column: Fraction}."""
+"""Exact linear algebra over the rationals in one sparse format: rows
+{column: int or Fraction} in, vectors {column: Fraction} out."""
 
 import math
 from fractions import Fraction
 
 
-def rref(mat):
-    """Reduced row echelon form of a list of rows of Fractions or ints, as
+def rref(rows):
+    """Reduced row echelon form of sparse rows {column: Fraction or int}, as
     (rows, pivot_columns): each row a dict {column: Fraction} of its nonzeros,
-    empty past the rank. The input is not modified.
+    empty past the rank. The columns are the sorted union of those the rows
+    hold: elimination makes no other. The input is not modified.
 
     The elimination is fraction-free: each row is scaled to primitive integers
     by the lcm of its own denominators, a row meets a pivot row as
     (pv/g) row - (f/g) prow with g = gcd(pv, f) and is divided by the gcd of
     its entries again, and only the last step divides each pivot row by its
     pivot, into Fractions."""
-    rows = [_primitive(numerators([{c: x for c, x in enumerate(r) if x}])[0][0]) for r in mat]
+    rows = [_primitive(numerators([{c: x for c, x in r.items() if x}])[0][0]) for r in rows]
     nrows = len(rows)
-    ncols = len(mat[0]) if nrows else 0
     pivots = []
-    for c in range(ncols):
+    for c in sorted(set().union(*rows)):
         r = len(pivots)
         if r == nrows:
             break
@@ -61,33 +62,31 @@ def _primitive(row):
     return row
 
 
-def rank(mat):
-    return len(rref(mat)[1])
+def rank(rows):
+    return len(rref(rows)[1])
 
 
-def kernel_basis(mat):
-    """Basis of the right kernel of a matrix (rows = equations) of Fractions or ints."""
-    ncols = len(mat[0]) if mat else 0
-    rows, pivots = rref(mat)
+def kernel_basis(rows, ncols):
+    """Basis of the right kernel of sparse rows (equations) in the unknowns
+    0..ncols-1, as sparse vectors {column: Fraction} in column order: one per
+    free column, and a column that no row holds is free."""
+    red, pivots = rref(rows)
     basis = []
     for fc in sorted(set(range(ncols)) - set(pivots)):
-        v = [Fraction(0)] * ncols
+        v = {pc: -row[fc] for row, pc in zip(red, pivots) if fc in row}
         v[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            if fc in row:
-                v[pc] = -row[fc]
-        basis.append(v)
+        basis.append(dict(sorted(v.items())))
     return basis
 
 
-def mat_inv(mat):
-    """Inverse of a square rational matrix, as rows {column: Fraction}."""
-    n = len(mat)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(mat)]
-    rows, pivots = rref(aug)
+def mat_inv(rows):
+    """Inverse of a square rational matrix given as sparse rows, as rows
+    {column: Fraction}."""
+    n = len(rows)
+    red, pivots = rref([{**row, n + i: 1} for i, row in enumerate(rows)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [{k - n: x for k, x in row.items() if k >= n} for row in rows]
+    return [{k - n: x for k, x in row.items() if k >= n} for row in red]
 
 
 def numerators(vectors):

@@ -226,45 +226,39 @@ def _block(symbol, k):
 
 
 def degree_kernels(d, image):
-    """Exact kernel of a linear map on rank-2 tensors, one list per harmonic
-    degree k = 0..d, solved on the 9 (k+1)^2 tensors with one entry in
-    harmonic_basis(k). image(t) is the tuple of tensors the map sends t to.
+    """Exact kernel of a linear map on rank-2 tensors, one list of coordinate
+    vectors {column: Fraction} per harmonic degree k = 0..d, in ``_block``'s
+    columns of degree k (``coordinate_tensor`` reads one as a tensor), solved
+    on the 9 (k+1)^2 tensors with one entry in harmonic_basis(k).
+    image(t) is the tuple of tensors the map sends t to.
     The map must have constant coefficients in the frame, as every operator
     at the round point has: it keeps each degree, and its degree-k matrix is
     read off its symbol (see ``_symbol``), so image runs once in all. The
-    kernel is solved on the block's integer numerators: scaling by 1/D does
-    not change it, and its reduced echelon basis is unique.
+    kernel is solved on the block's integer numerators, handed over as sparse
+    rows: scaling by 1/D does not change it, and its reduced echelon basis is
+    unique.
     """
     symbol = _symbol(image)
     out = []
     for k in range(d + 1):
         cols = _block(symbol, k)[0]
-        mat = [[col.get(i, 0) for col in cols] for i in range(symbol[1] * (k + 1) ** 2)]
-        out.append([_tensor(vec, k) for vec in linalg.kernel_basis(mat)])
+        rows = [{} for _ in range(symbol[1] * (k + 1) ** 2)]
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                rows[i][j] = x
+        out.append(linalg.kernel_basis(rows, len(cols)))
     return out
 
 
-def _tensor(vec, k):
-    """The tensor with coordinates vec in ``_block``'s columns of degree k."""
-    n = (k + 1) ** 2
+def coordinate_tensor(vec, k):
+    """The tensor with coordinates vec {column: Fraction} in ``_block``'s
+    columns of degree k."""
+    n, basis = (k + 1) ** 2, harmonic_basis(k)
     out = zeros((3, 3))
-    for s, (a, b) in enumerate(np.ndindex(3, 3)):
-        for c, phi in zip(vec[s * n:(s + 1) * n], harmonic_basis(k)):
-            if c != 0:
-                out[a, b] = out[a, b] + phi * c
-    return out
-
-
-def _coordinates(t, k):
-    """The coordinates {column: Fraction} of a tensor of harmonic degree k in
-    ``_block``'s columns of degree k; ValueError for any other tensor."""
-    space, n = canonical_space(k), (k + 1) ** 2
-    out = {}
-    for s, p in enumerate(t.reshape(-1)):
-        c = space.coords(p)
-        if any(c[:-n]):
-            raise ValueError(f"tensor is not of harmonic degree {k}")
-        out.update((s * n + j, x) for j, x in enumerate(c[-n:]) if x)
+    for col, c in vec.items():
+        s, j = divmod(col, n)
+        ab = divmod(s, 3)
+        out[ab] = out[ab] + basis[j] * c
     return out
 
 
@@ -274,9 +268,9 @@ def second_variation_matrix(blocks, geo):
     each degree, and distinct degrees are L2-orthogonal. The block is
     Z^T (I_9 (x) G_k) R_k Z: R_k is the degree-k block of the symbol of
     y -> -A y with both slots raised, G_k the Gram matrix of harmonic_basis(k)
-    and Z the coordinates of the block's tensors. The product runs on integer
-    numerators of R_k, G_k and Z over D_R, D_G and D_Z, and each entry is one
-    Fraction over D_R D_G D_Z^2."""
+    and Z the block's coordinate vectors, as ``degree_kernels`` returns them.
+    The product runs on integer numerators of R_k, G_k and Z over D_R, D_G and
+    D_Z, and each entry is one Fraction over D_R D_G D_Z^2."""
     symbol = _symbol(lambda t: (geo.raised(-operator_A(t, geo), 0, 1),))
     out = []
     for k, b in enumerate(blocks):
@@ -284,7 +278,7 @@ def second_variation_matrix(blocks, geo):
         r, dr = _block(symbol, k)
         gram = pairing_matrix(harmonic_basis(k), harmonic_basis(k))
         gram, dg = linalg.numerators([{q: g for q, g in enumerate(row) if g} for row in gram])
-        z, dz = linalg.numerators([_coordinates(t, k) for t in b])
+        z, dz = linalg.numerators(b)
         gy = []  # (I_9 (x) G_k) R_k z per column z of Z
         for col in z:
             y = linalg.mat_vec(r, col.items(), 9 * n)
@@ -303,6 +297,7 @@ def block_eigenvalues(blocks):
 
 
 def slice_tangent_basis(geo, d):
-    """Exact basis of {gamma : twisted divergence = 0} at degree <= d, one
-    block per harmonic degree, for constant (g, H, f)."""
+    """Exact basis of {gamma : twisted divergence = 0} at degree <= d, for
+    constant (g, H, f): one block of coordinate vectors per harmonic degree,
+    as ``degree_kernels`` returns them."""
     return degree_kernels(d, geo.twisted_divergence)

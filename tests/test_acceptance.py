@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import sparse_rows
 from grflab.deformations import (canonical_igsd, igsd_kernel,
                                  integral_identities, jet_second_variation_check,
                                  obstruction, parallel_from_invariant_forms,
@@ -158,15 +159,16 @@ def test_criterion_07_kernel_dimension_and_spans():
     rows_par = [flat_coords(space, parallel_from_invariant_forms(i, j).gamma)
                 for i in (1, 2, 3) for j in (1, 2, 3)]
     rows_can = [flat_coords(space, canonical_igsd(u).gamma) for u in harmonic_basis(2)]
-    ok = ok and rank(rows_ker) == 9
-    ok = ok and rank(rows_par) == 9 and rank(rows_can) == 9
-    ok = ok and rank(rows_ker + rows_par) == 9 and rank(rows_ker + rows_can) == 9
+    ok = ok and rank(sparse_rows(rows_ker)) == 9
+    ok = ok and rank(sparse_rows(rows_par)) == 9 and rank(sparse_rows(rows_can)) == 9
+    ok = ok and rank(sparse_rows(rows_ker + rows_par)) == 9
+    ok = ok and rank(sparse_rows(rows_ker + rows_can)) == 9
     # the degree-3 kernel contains no new directions
     space3 = canonical_space(3)
     rows3 = [flat_coords(space3, d.gamma) for d in ker3]
     rows_par3 = [flat_coords(space3, parallel_from_invariant_forms(i, j).gamma)
                  for i in (1, 2, 3) for j in (1, 2, 3)]
-    ok = ok and rank(rows3) == 9 and rank(rows3 + rows_par3) == 9
+    ok = ok and rank(sparse_rows(rows3)) == 9 and rank(sparse_rows(rows3 + rows_par3)) == 9
     ok = ok and (time.monotonic() - start) < 60.0
     report(7, "kernel has dimension 9 with matching parallel and canonical spans", ok)
 
@@ -180,7 +182,7 @@ def test_criterion_08_no_trace_free_kernel_directions():
         trace_rows.append(space.coords(tr))
     from grflab.linalg import kernel_basis
     eqs = [[trace_rows[j][i] for j in range(len(ker))] for i in range(len(space.basis))]
-    ok = kernel_basis(eqs) == []
+    ok = kernel_basis(sparse_rows(eqs), len(ker)) == []
     report(8, "kernel meets the trace-free tensors only in zero", ok)
 
 

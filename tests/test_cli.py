@@ -427,6 +427,34 @@ def test_flow_keeps_the_exit_contract(diag, h0, steps):
         assert (code == 0) == ("blowup" not in report and report["lambda_nondecreasing"])
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(["spectrum", "igsd"]), st.integers(0, 3), st.booleans())
+@pytest.mark.filterwarnings("error")
+def test_spectrum_and_igsd_keep_the_exit_contract(tmp_path_factory, command, degree, by_config):
+    # the degree as a flag or from --config: exit 0 or 1 with strict JSON on
+    # stdout, or exit 2 with one error line (spectrum past degree 2)
+    argv = [command, "--degree", str(degree)]
+    if by_config:
+        path = tmp_path_factory.mktemp("config") / "c.json"
+        path.write_text(json.dumps({"degree": degree}))
+        argv = [command, "--config", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert code in (0, 1) and err.getvalue() == ""
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        report = json.loads(out.getvalue(), parse_constant=reject)
+        assert report["command"] == command and report["degree"] == degree
+    assert (code == 2) == (command == "spectrum" and degree > 2)
+
+
 def test_coclosed_torsion_check_sees_a_planted_divergence():
     # H = (1 + x1) vol is not coclosed: d*H = -i_{grad x1} vol
     eye = [[int(i == j) for j in range(3)] for i in range(3)]

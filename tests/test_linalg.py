@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sparse_rows
 from grflab import linalg
 
 
@@ -21,7 +22,7 @@ def test_rank_against_numpy():
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         mat = rand_matrix(rng, n, m)
         want = np.linalg.matrix_rank(np.array([[float(x) for x in r] for r in mat]))
-        assert linalg.rank(mat) == want
+        assert linalg.rank(sparse_rows(mat)) == want
 
 
 def test_kernel_vectors_are_in_kernel():
@@ -29,10 +30,10 @@ def test_kernel_vectors_are_in_kernel():
     for _ in range(25):
         n, m = rng.randint(1, 5), rng.randint(1, 6)
         mat = rand_matrix(rng, n, m)
-        kernel = linalg.kernel_basis(mat)
-        assert len(kernel) == m - linalg.rank(mat)
+        kernel = linalg.kernel_basis(sparse_rows(mat), m)
+        assert len(kernel) == m - linalg.rank(sparse_rows(mat))
         for v in kernel:
-            assert all(sum(r[j] * v[j] for j in range(m)) == 0 for r in mat)
+            assert all(sum(r[j] * x for j, x in v.items()) == 0 for r in mat)
 
 
 def test_mat_inv_exact():
@@ -42,7 +43,7 @@ def test_mat_inv_exact():
     while found < 10:
         mat = rand_matrix(rng, 4, 4)
         try:
-            inv = linalg.mat_inv(mat)
+            inv = linalg.mat_inv(sparse_rows(mat))
         except ValueError:
             continue
         found += 1
@@ -50,7 +51,7 @@ def test_mat_inv_exact():
                 for i in range(4)]
         assert prod == eye
     with pytest.raises(ValueError):
-        linalg.mat_inv([[1, 2], [2, 4]])
+        linalg.mat_inv(sparse_rows([[1, 2], [2, 4]]))
 
 
 def test_sparse_mat_vec_against_dense():
@@ -97,9 +98,12 @@ def dense_rref(mat):
 
 @st.composite
 def sparse_matrices(draw, square=False):
-    """Rational matrices up to 8 x 8 at density 0-60 %, with some rows and
-    columns forced to zero. Entries are small Fractions or, in rows that mix
-    the two, ints up to 10^20 in size."""
+    """(mat, rows, m): a rational n x m matrix mat up to 8 x 8 at density
+    0-60 %, with some rows and columns forced to zero, and its sparse rows as
+    linalg reads them. Entries are small Fractions or, in rows that mix the
+    two, ints up to 10^20 in size. A row holds its nonzeros and some explicit
+    zeros, keys in a drawn order; a forced zero column is in no row, so it is
+    a free unknown that only m names."""
     n = draw(st.integers(0, 8))
     m = n if square else draw(st.integers(0, 8))
     density = draw(st.integers(0, 60))
@@ -110,39 +114,59 @@ def sparse_matrices(draw, square=False):
             for _ in range(m)] for _ in range(n)]
     zero_rows = draw(st.sets(st.integers(0, n - 1))) if n else set()
     zero_cols = draw(st.sets(st.integers(0, m - 1))) if m else set()
-    return [[Fraction(0) if i in zero_rows or j in zero_cols else x
-             for j, x in enumerate(r)] for i, r in enumerate(mat)]
+    mat = [[Fraction(0) if i in zero_rows or j in zero_cols else x
+            for j, x in enumerate(r)] for i, r in enumerate(mat)]
+    rows = []
+    for r in mat:
+        keys = [j for j, x in enumerate(r) if x or j not in zero_cols and draw(st.booleans())]
+        rows.append({j: r[j] or draw(st.sampled_from((0, Fraction(0))))
+                     for j in draw(st.permutations(keys))})
+    return mat, rows, m
+
+
+def snapshot(rows):
+    """The rows' items in order, to see that linalg leaves its input as it was."""
+    return [list(r.items()) for r in rows]
 
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_matrices())
-def test_sparse_elimination_against_dense_reference(mat):
-    ncols = len(mat[0]) if mat else 0
+def test_sparse_elimination_against_dense_reference(case):
+    mat, sparse, ncols = case
     want_rows, want_pivots = dense_rref(mat)
-    before = [list(r) for r in mat]
-    rows, pivots = linalg.rref(mat)
-    assert mat == before
+    before = snapshot(sparse)
+    rows, pivots = linalg.rref(sparse)
+    assert snapshot(sparse) == before
     assert [[r.get(c, 0) for c in range(ncols)] for r in rows] == want_rows
     assert all(all(r.values()) for r in rows)
     assert all(type(x) is Fraction for r in rows for x in r.values())
     assert all(r[c] == 1 for r, c in zip(rows, pivots))
     assert pivots == want_pivots
-    assert linalg.rank(mat) == len(want_pivots)
-    kernel = linalg.kernel_basis(mat)
+    assert linalg.rank(sparse) == len(want_pivots)
+    kernel = linalg.kernel_basis(sparse, ncols)
+    assert snapshot(sparse) == before
     assert len(kernel) == ncols - len(want_pivots)
     for v in kernel:
-        assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in mat)
+        assert all(sum(r[j] * x for j, x in v.items()) == 0 for r in mat)
+        assert list(v) == sorted(v) and all(type(x) is Fraction and x for x in v.values())
+    # a zero column, one that no row holds among them, is a free unit vector
+    for c in range(ncols):
+        if not any(r[c] for r in mat):
+            assert {c: 1} in kernel
 
 
 @settings(max_examples=120, deadline=None)
 @given(sparse_matrices(square=True))
-def test_sparse_inverse_against_dense_reference(mat):
-    n = len(mat)
+def test_sparse_inverse_against_dense_reference(case):
+    mat, sparse, n = case
+    before = snapshot(sparse)
     if len(dense_rref(mat)[1]) < n:
         with pytest.raises(ValueError):
-            linalg.mat_inv(mat)
+            linalg.mat_inv(sparse)
+        assert snapshot(sparse) == before
         return
-    inv = linalg.mat_inv(mat)
+    inv = linalg.mat_inv(sparse)
+    assert snapshot(sparse) == before
     prod = [[sum(mat[i][t] * inv[t].get(j, 0) for t in range(n)) for j in range(n)]
             for i in range(n)]
     assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
@@ -161,8 +185,8 @@ def test_numerators_round_trip_over_the_lcm(vectors):
 
 @settings(max_examples=100, deadline=None)
 @given(sparse_matrices())
-def test_kernel_of_integer_numerators_is_the_kernel(mat):
+def test_kernel_of_integer_numerators_is_the_kernel(case):
     # a nonzero scale keeps the kernel, and its reduced echelon basis is unique
-    nums, _ = linalg.numerators([dict(enumerate(r)) for r in mat])
-    assert linalg.kernel_basis([[v[j] for j in range(len(v))] for v in nums]) \
-        == linalg.kernel_basis(mat)
+    _, sparse, ncols = case
+    nums, _ = linalg.numerators(sparse)
+    assert linalg.kernel_basis(nums, ncols) == linalg.kernel_basis(sparse, ncols)

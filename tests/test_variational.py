@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import sparse_rows
 from grflab import linalg, variational
 from grflab.deformations import round_geometry
 from grflab.frames import INV_LAPLACIAN, Op
@@ -15,7 +16,8 @@ from grflab.variational import (InconsistentSource, bianchi_contracted_check,
                                 block_eigenvalues, first_variation, lambda_min,
                                 operator_A, operator_B, pairing_matrix, phi_operator,
                                 phi_relation_check, second_variation_form,
-                                second_variation_matrix, slice_tangent_basis)
+                                coordinate_tensor, second_variation_matrix,
+                                slice_tangent_basis)
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 EYE = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
@@ -23,6 +25,12 @@ EYE = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
 
 def round_geo():
     return Geometry(EYE, H=2)
+
+
+def slice_tensors(geo, d):
+    """The slice at degree <= d as tensors, one block per harmonic degree."""
+    return [[coordinate_tensor(v, k) for v in b]
+            for k, b in enumerate(slice_tangent_basis(geo, d))]
 
 
 def rand_tensor(rng, degree=2):
@@ -202,7 +210,7 @@ def test_operator_a_vanishes_on_gauge_directions():
 
 def test_operator_a_equals_b_on_slice():
     geo = round_geo()
-    for block in slice_tangent_basis(geo, 1):
+    for block in slice_tensors(geo, 1):
         for gamma in block:
             assert is_zero(operator_A(gamma, geo) - operator_B(gamma, geo))
 
@@ -280,7 +288,7 @@ def test_contracted_bianchi_randomized():
 
 def test_bianchi_on_divergence_free():
     geo = round_geo()
-    for block in slice_tangent_basis(geo, 1):
+    for block in slice_tensors(geo, 1):
         for gamma in block:
             u, v = geo.twisted_divergence(gamma)
             assert is_zero(u) and is_zero(v)
@@ -317,7 +325,7 @@ def test_second_variation_scaling_and_symmetry():
 
 def test_second_variation_equals_gradient_energy_on_slice():
     geo = round_geo()
-    for block in slice_tangent_basis(geo, 1):
+    for block in slice_tensors(geo, 1):
         for gamma in block:
             nb = geo.mixed_covd(gamma)
             want = Fraction(-1, 2) * integrate_s3(as_poly(geo.inner(nb, nb)))
@@ -339,7 +347,7 @@ def _key(t):
 
 def test_slice_blocks_equal_whole_space_slice():
     geo = round_geo()
-    blocks = slice_tangent_basis(geo, 2)
+    blocks = slice_tensors(geo, 2)
     assert [len(b) for b in blocks] == [6, 16, 39]
     # reference: one kernel solve over all 126 basis tensors of degree <= 2
     space = canonical_space(2)
@@ -351,10 +359,39 @@ def test_slice_blocks_equal_whole_space_slice():
             basis.append(t)
     eqs = list(zip(*([c for s in geo.twisted_divergence(t) for p in s.reshape(-1)
                        for c in space.coords(p)] for t in basis)))
-    ref = [sum((t * c for c, t in zip(vec, basis) if c != 0), zeros((3, 3)))
-           for vec in linalg.kernel_basis(eqs)]
+    ref = [sum((basis[j] * c for j, c in vec.items()), zeros((3, 3)))
+           for vec in linalg.kernel_basis(sparse_rows(eqs), len(basis))]
     assert len(ref) == 61
     assert {_key(t) for b in blocks for t in b} == {_key(t) for t in ref}
+
+
+def read_coordinates(t, k):
+    """The coordinates {column: Fraction} of a tensor of harmonic degree k in
+    the block columns of degree k, read entry by entry with CanonicalSpace.coords;
+    every entry must have nothing below degree k."""
+    space, n = canonical_space(k), (k + 1) ** 2
+    out = {}
+    for s, p in enumerate(t.reshape(-1)):
+        c = space.coords(p)
+        assert not any(c[:-n])
+        out.update((s * n + j, x) for j, x in enumerate(c[-n:]) if x)
+    return out
+
+
+def test_coordinate_tensors_read_back_their_coordinates():
+    # the Z of the second variation are the coordinates of the slice tensors,
+    # and the igsd kernel vectors those of the tensors that igsd checks
+    geo = round_geo()
+
+    def b_and_divergence(t):
+        return (operator_B(t, geo), *geo.twisted_divergence(t))
+
+    for image, dim in ((geo.twisted_divergence, 125), (b_and_divergence, 9)):
+        blocks = variational.degree_kernels(3, image)
+        assert sum(map(len, blocks)) == dim
+        for k, block in enumerate(blocks):
+            for v in block:
+                assert read_coordinates(coordinate_tensor(v, k), k) == v
 
 
 def test_slice_solves_one_degree_at_a_time(monkeypatch):
@@ -362,9 +399,9 @@ def test_slice_solves_one_degree_at_a_time(monkeypatch):
     shapes = []
     kernel_basis = linalg.kernel_basis
 
-    def recording(mat):
-        shapes.append((len(mat), len(mat[0])))
-        return kernel_basis(mat)
+    def recording(rows, ncols):
+        shapes.append((len(rows), ncols))
+        return kernel_basis(rows, ncols)
 
     monkeypatch.setattr(linalg, "kernel_basis", recording)
     slice_tangent_basis(round_geo(), 2)
@@ -388,7 +425,7 @@ def test_degree_kernels_rejects_a_map_that_lowers_degree():
 
 def test_second_variation_pairs_distinct_degrees_to_zero():
     geo = round_geo()
-    deg0, deg1 = slice_tangent_basis(geo, 1)
+    deg0, deg1 = slice_tensors(geo, 1)
     images0 = [geo.raised(-operator_A(y, geo), 0, 1) for y in deg0]
     images1 = [geo.raised(-operator_A(y, geo), 0, 1) for y in deg1]
     cross = pairing_matrix(deg0, images1) + pairing_matrix(deg1, images0)
@@ -416,7 +453,7 @@ def test_second_variation_matrix_pairs_within_blocks(monkeypatch):
 def test_second_variation_matrix_raises_each_image_once(monkeypatch):
     geo = round_geo()
     blocks = slice_tangent_basis(geo, 1)
-    operator_A(blocks[1][0], geo)  # warm every cached contraction of geo
+    operator_A(coordinate_tensor(blocks[1][0], 1), geo)  # warm every cached contraction of geo
     raised = []
     original = Geometry.raised
 
@@ -491,8 +528,11 @@ def per_tensor_columns(image, k):
 
 def per_tensor_second_variation(blocks, geo):
     """Reference: the second-variation blocks with one raised -A(t) per block tensor t."""
-    return [pairing_matrix(b, [geo.raised(-operator_A(t, geo), 0, 1) for t in b])
-            for b in blocks]
+    out = []
+    for k, b in enumerate(blocks):
+        ts = [coordinate_tensor(v, k) for v in b]
+        out.append(pairing_matrix(ts, [geo.raised(-operator_A(t, geo), 0, 1) for t in ts]))
+    return out
 
 
 def symbol_columns(image, k):

@@ -112,9 +112,16 @@ MUTANTS = (
            "den = dr * dg * dz * dz", "den = dr * dg * dz", VARIATIONAL_TESTS),
     Mutant("block denominator without the symbol lcm", "src/grflab/variational.py",
            "return cols, dc * dx", "return cols, dx", VARIATIONAL_TESTS),
+    # the block reaches kernel_basis as sparse rows, transposed from its columns
+    Mutant("block entry transposed into the wrong row", "src/grflab/variational.py",
+           "rows[i][j] = x", "rows[i - (i == j)][j] = x", VARIATIONAL_TESTS),
     # integer numerators from the word matrices to the reduced echelon form
     Mutant("elimination without the pv/g row scale", "src/grflab/linalg.py",
            "a, b = pv // g, f // g", "a, b = 1, f // g", ("tests/test_linalg.py",)),
+    # a column that no row holds is a free unknown that only the caller's ncols names
+    Mutant("kernel columns taken from the rows", "src/grflab/linalg.py",
+           "set(range(ncols)) - set(pivots)", "set().union(*rows) - set(pivots)",
+           ("tests/test_linalg.py", "tests/test_harmonics.py")),
     Mutant("inverse Laplacian over k(k+1)", "src/grflab/harmonics.py",
            "dt * k * (k + 2)", "dt * k * (k + 1)", WORD_TESTS),
     Mutant("gradient norms always equal", "src/grflab/deformations.py",
