@@ -5,7 +5,7 @@ scalar ``Op`` of constant-coefficient frame operators."""
 from fractions import Fraction
 from itertools import product
 
-from .poly import JetScalar, Polynomial, as_poly
+from .poly import JetScalar, Polynomial, _canonicalize, as_poly
 
 
 class BadIndex(IndexError):
@@ -126,19 +126,36 @@ def _signed_coordinates(row):
 _SIGNED = {"left": tuple(map(_signed_coordinates, LEFT)),
            "right": tuple(map(_signed_coordinates, RIGHT))}
 
+# the canonical image of each monomial derived so far, per (chirality, index);
+# an image depends only on its monomial and table, so every caller shares them
+_IMAGES = {(c, i): {} for c in _SIGNED for i in (1, 2, 3)}
 
-def _derive(table, p):
-    """sum_mu s x_nu d/dx_mu of p, monomial by monomial: x^a goes to
-    s a_mu x^(a + e_nu - e_mu), on p's integer numerators over p's denominator;
-    the sum is reduced once."""
+
+def _image(table, e):
+    """sum_mu s x_nu d/dx_mu of the monomial x^e as canonical integer
+    numerators: x^e goes to s e_mu x^(e + e_nu - e_mu), reduced once."""
     raw = {}
+    for mu, d, s in table:
+        a = e[mu]
+        if a:
+            key = (e[0] + d[0], e[1] + d[1], e[2] + d[2], e[3] + d[3])
+            raw[key] = raw.get(key, 0) + s * a
+    return _canonicalize(raw)
+
+
+def _derive(table, images, p):
+    """The derivative of p: p's integer numerators summed against the canonical
+    images of its monomials, each image computed the first time its monomial
+    is derived. A sum of canonical numerators is canonical, so nothing is
+    reduced again."""
+    out = {}
     for e, c in p.num.items():
-        for mu, d, s in table:
-            a = e[mu]
-            if a:
-                key = (e[0] + d[0], e[1] + d[1], e[2] + d[2], e[3] + d[3])
-                raw[key] = raw.get(key, 0) + s * a * c
-    return Polynomial._from_raw(raw, p.den)
+        image = images.get(e)
+        if image is None:
+            image = images[e] = _image(table, e)
+        for k, n in image.items():
+            out[k] = out.get(k, 0) + c * n
+    return Polynomial._of({k: n for k, n in out.items() if n}, p.den)
 
 
 def frame_derive(p, i, chirality="left"):
@@ -152,10 +169,10 @@ def frame_derive(p, i, chirality="left"):
         if chirality != "left":
             raise ValueError("an Op is a word in the left-invariant frame fields")
         return p.prepend(i)
-    table = _SIGNED[chirality][i - 1]
+    table, images = _SIGNED[chirality][i - 1], _IMAGES[chirality, i]
     if isinstance(p, JetScalar):
-        return JetScalar(_derive(table, p.c0), _derive(table, p.c1), _derive(table, p.c2))
-    return _derive(table, as_poly(p))
+        return JetScalar(*(_derive(table, images, c) for c in (p.c0, p.c1, p.c2)))
+    return _derive(table, images, as_poly(p))
 
 
 def laplacian_scalar(p):

@@ -88,11 +88,6 @@ class Polynomial:
             {e: c.numerator * (den // c.denominator) for e, c in terms.items()}), den)
 
     @classmethod
-    def _from_raw(cls, raw, den=1):
-        """The polynomial of a raw {exponent tuple: int} dict over den, reduced once."""
-        return cls._of(_canonicalize(raw), den)
-
-    @classmethod
     def _of(cls, num, den):
         """The polynomial of canonical numerators num over den."""
         out = cls.__new__(cls)
@@ -203,7 +198,7 @@ class Polynomial:
                 for e2, n2 in other.num.items():
                     e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
                     raw[e] = raw.get(e, 0) + n1 * n2
-            return Polynomial._from_raw(raw, self.den * other.den)
+            return Polynomial._of(_canonicalize(raw), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             if not other or not self.num:
                 return _ZERO
@@ -225,6 +220,9 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
+        """A constant hashes as its value, since it equals that number."""
+        if self.num.keys() <= {_ONE}:
+            return hash(Fraction(self.num.get(_ONE, 0), self.den))
         return hash((frozenset(self.num.items()), self.den))
 
     def __repr__(self):

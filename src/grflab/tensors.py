@@ -208,6 +208,9 @@ def _half(a):
 # integer tables: against exact data they give Fractions, against float64 data floats
 _STRUCTURE = np.array(frames.STRUCTURE)
 _VOLUME = np.array(frames.EPS)
+# its entries are -1, 0 and 1, so a float64 copy scales a float h0 to the same
+# floats without casting the integer table on every Geometry
+_VOLUME_FLOAT = _VOLUME.astype(float)
 
 
 def _christoffel_table():
@@ -270,6 +273,15 @@ def _as_data(x):
     return obj_array(x)
 
 
+def _frame_div(U):
+    """out[...] = sum_m E_{m+1}(U[m, ...]): three frame derivatives per
+    component of out, a scalar for U of rank 1."""
+    rows = U.reshape(3, -1)
+    out = np.empty(rows.shape[1], dtype=object)
+    out[:] = [frame_derive(a, 1) + frame_derive(b, 2) + frame_derive(c, 3) for a, b, c in rows.T]
+    return out.reshape(U.shape[1:])[()]
+
+
 class Geometry:
     """Invariant-frame geometry data (g, H, f) with its connections.
 
@@ -288,7 +300,9 @@ class Geometry:
         if isinstance(H, int) and self.g.dtype == np.float64:
             H = float(H)
         H = _as_data(H)
-        self.H = _VOLUME * H[()] if H.ndim == 0 else H
+        if H.ndim == 0:
+            H = (_VOLUME_FLOAT if H.dtype == np.float64 else _VOLUME) * H[()]
+        self.H = H
         if self.g.shape != (3, 3) or self.H.shape != (3, 3, 3):
             raise BadRank("g must be 3x3 and H 3x3x3 or a number")
         if self.g.dtype != self.H.dtype:
@@ -313,6 +327,12 @@ class Geometry:
             for idx in np.ndindex(*arr.shape):
                 out[(m,) + idx] = frame_derive(arr[idx], m + 1)
         return out
+
+    @cached_property
+    def ginv_div(self):
+        """sum_m E_m(g^{mp}), the frame divergence of g^-1 that ``div`` reads;
+        None for invariant metrics."""
+        return None if _is_invariant(self.ginv) else _frame_div(self.ginv)
 
     def grad_up(self, s):
         """Raised gradient (nabla s)^m as a length-3 object array."""
@@ -353,16 +373,24 @@ class Geometry:
         with conn^m_ap = g^{mn} conn[n, a, p] (``gamma_up`` for Levi-Civita) and
         its trace v^p = conn^m_mp, the result is g^{mn} E_m T_{n...} - v^p T_{p...}
         - the sum over the slots s >= 1 of conn^m_{a_s p} T_{m...p...}, p in slot s.
-        Returns the contracted component array, a scalar for a 1-form.
+        The frame term is derived traced: sum_m E_m(g^{mn} T_{n...}) -
+        (E_m g^{mn}) T_{n...}, one derivative per component of T, and its second
+        part joins v as ``ginv_div``. Returns the contracted component array, a
+        scalar for a 1-form.
         """
         if conn is None or conn is self.gamma:
             conn_up = self.gamma_up
         else:
             conn_up = contract("mn,nap->map", self.ginv, conn)
-        out = -contract("p,p...->...", contract("mmp->p", conn_up), T)
-        grad = self._frame_gradient(T)
-        if grad is not None:
-            out = out + contract("mn...,mn->...", grad, self.ginv)
+        v = contract("mmp->p", conn_up)
+        frame = None
+        if not _is_invariant(T):
+            frame = _frame_div(contract("mn,n...->m...", self.ginv, T))
+            if self.ginv_div is not None:
+                v = v + self.ginv_div
+        out = -contract("p,p...->...", v, T)
+        if frame is not None:
+            out = out + frame
         idx = "abcd"[:T.ndim]
         for s in range(1, T.ndim):
             out = out - contract(f"m{idx[s]}p,m{idx[1:s]}p{idx[s + 1:]}->{idx[1:]}", conn_up, T)

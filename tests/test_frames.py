@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grflab.frames import (INV_LAPLACIAN, LEFT, RIGHT, STRUCTURE, BadIndex, Op, adjoint_matrix,
                            frame_derive, laplacian_scalar, validate_structure)
@@ -111,6 +113,43 @@ def test_frame_derive_makes_no_polynomial_products_or_sums(monkeypatch):
             for chirality in ("left", "right"):
                 frame_derive(phi, i, chirality)
     assert calls == []
+
+
+def _per_monomial_derive(p, i, chirality):
+    """E_i(p) (or F_i(p)) by the rule frame_derive followed before it kept the
+    image of each monomial: every monomial x^a of p goes to the sum of
+    s a_mu x^(a + e_nu - e_mu) over the signed coordinates s x_nu of the row,
+    and the whole sum is reduced once."""
+    raw = {}
+    for mu, coeff in enumerate(ROWS[chirality][i - 1]):
+        ((nu_exp, s),) = coeff.num.items()
+        for e, c in p.num.items():
+            if e[mu]:
+                key = tuple(a + nu_exp[k] - (k == mu) for k, a in enumerate(e))
+                raw[key] = raw.get(key, 0) + s * e[mu] * c
+    return Polynomial({k: Fraction(n, p.den) for k, n in raw.items()})
+
+
+_DEGREE_6 = st.dictionaries(
+    st.tuples(*[st.integers(0, 6)] * 4).filter(lambda e: sum(e) <= 6),
+    st.fractions(-4, 4, max_denominator=6), max_size=8).map(Polynomial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DEGREE_6, _DEGREE_6, _DEGREE_6)
+def test_frame_derive_matches_the_per_monomial_rule(p, q, r):
+    # the same monomials meet both chiralities and every index in one example,
+    # so an image kept under the wrong table or changed after its first use shows
+    jet = JetScalar(p, q, r)
+    for chirality in ("left", "right"):
+        for i in (1, 2, 3):
+            for poly in (p, q, r, p):
+                got = frame_derive(poly, i, chirality)
+                want = _per_monomial_derive(poly, i, chirality)
+                assert (got.num, got.den) == (want.num, want.den)
+            got = frame_derive(jet, i, chirality)
+            assert (got.c0, got.c1, got.c2) == tuple(
+                _per_monomial_derive(c, i, chirality) for c in (p, q, r))
 
 
 def test_laplacian_spectrum_on_coordinates():

@@ -365,6 +365,34 @@ def test_integer_numerators_agree_with_a_fraction_reference(p, q, c):
     assert (p == c) == (a == ({(0, 0, 0, 0): c} if c else {}))
 
 
+def _spellings(q):
+    """Equal spellings of the rational q: as a Fraction, as an int when it is
+    one, and as constant polynomials, one of them q x4^2 + q (x1^2 + x2^2 + x3^2)
+    before the sphere relation reduces it."""
+    out = [q, Polynomial.constant(q),
+           Polynomial({(0, 0, 0, 2): q, (2, 0, 0, 0): q, (0, 2, 0, 0): q, (0, 0, 2, 0): q})]
+    return out + [int(q)] if q.denominator == 1 else out
+
+
+_HASHABLE = st.one_of(st.integers(-3, 3), fractional, frac_polys,
+                      fractional.map(Polynomial.constant))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractional, _HASHABLE, _HASHABLE)
+def test_equal_numbers_and_polynomials_hash_equal(q, a, b):
+    # Python's data model: a == b implies hash(a) == hash(b), so a set or a dict
+    # key treats a constant polynomial and its value as one element
+    spellings = _spellings(q) + [a, b]
+    for x in spellings:
+        for y in spellings:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert len({*_spellings(q)}) == 1
+    assert len({Polynomial.constant(2), Fraction(2), 2}) == 1
+    assert len({Polynomial.zero(), 0, Fraction(0)}) == 1
+
+
 def test_arithmetic_builds_no_fraction(monkeypatch):
     import fractions
     p = Fraction(3, 4) * X[0] * X[3] + X[1] * X[1] - Fraction(1, 6)

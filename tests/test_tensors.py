@@ -507,6 +507,87 @@ def test_trace_first_divergence_matches_covd_on_flow_states():
         assert np.abs(geo.dstar_H + _covd_div(geo, geo.H, geo.gamma)).max() <= 1e-13
 
 
+def _full_gradient_div(geo, T, conn):
+    """div as it was before its frame term was derived traced: the frame
+    gradient E_m T_{n...} for every (m, n), traced against g^{mn}."""
+    conn_up = contract("mn,nap->map", geo.ginv, geo.gamma if conn is None else conn)
+    out = -contract("p,p...->...", contract("mmp->p", conn_up), T)
+    grad = geo._frame_gradient(T)
+    if grad is not None:
+        out = out + contract("mn...,mn->...", grad, geo.ginv)
+    idx = "abcd"[:T.ndim]
+    for s in range(1, T.ndim):
+        out = out - contract(f"m{idx[s]}p,m{idx[1:s]}p{idx[s + 1:]}->{idx[1:]}", conn_up, T)
+    return out
+
+
+_DIV_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4),
+                             st.fractions(-3, 3, max_denominator=4), max_size=3).map(Polynomial)
+
+
+@st.composite
+def _div_geometries(draw):
+    """The round point, a random constant exact metric with and without a
+    polynomial potential, or a jet metric whose c1 part is a drawn symmetric
+    matrix of polynomials, so that g^-1 has frame derivatives."""
+    kind = draw(st.sampled_from(["round", "constant", "potential", "jet"]))
+    if kind == "round":
+        return round_geometry()
+    if kind == "jet":
+        g0 = [[3, 1, Fraction(1, 2)], [1, 2, 0], [Fraction(1, 2), 0, 4]]
+        c1 = [[None] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i, 3):
+                c1[i][j] = c1[j][i] = draw(_DIV_POLYS)
+        return Geometry(obj_array([[JetScalar(g0[i][j], c1[i][j], 0) for j in range(3)]
+                                   for i in range(3)]), H=2)
+    g = rand_metric(random.Random(draw(st.integers(0, 10 ** 6))))
+    H = draw(st.fractions(1, 3, max_denominator=3))
+    return Geometry(g, H, draw(_DIV_POLYS) if kind == "potential" else 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_div_geometries(), st.integers(1, 4), st.sampled_from([None, "gamma_p", "gamma_m"]),
+       st.data())
+def test_div_matches_the_full_gradient_form(geo, rank, conn, data):
+    # at most nine nonzero entries, which keeps a rank-4 T on a jet metric quick
+    T = zeros((3,) * rank)
+    for pos in data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * rank), max_size=9)):
+        T[pos] = data.draw(_DIV_POLYS)
+    conn = None if conn is None else getattr(geo, conn)
+    want = _full_gradient_div(geo, T, conn)
+    assert is_zero(geo.div(T, conn) - want)
+    drift = contract("m,m...->...", geo.grad_up(geo.f), T)
+    assert is_zero(geo.div_f(T, conn) - (want - drift))
+
+
+def test_div_of_a_jet_metric_reads_the_frame_divergence_of_ginv():
+    geo = Geometry(_dense_jet_metric(), H=2)
+    assert not is_zero(geo.ginv_div)
+    for data in ((EYE, 2), (EYE, 2, X[0] * X[1])):
+        assert Geometry(*data).ginv_div is None
+    assert Geometry(np.eye(3), 2.0).ginv_div is None
+
+
+def test_div_derives_one_polynomial_per_component(monkeypatch):
+    import grflab.tensors as tensors
+    calls = []
+
+    def counting(p, i, chirality="left"):
+        calls.append(i)
+        return frame_derive(p, i, chirality)
+
+    monkeypatch.setattr(tensors, "frame_derive", counting)
+    geo = round_geo()
+    rng = random.Random(33)
+    T = _rand_linear(rng, 3) + X[rng.randrange(4)] * X[rng.randrange(4)]
+    assert all(isinstance(x, Polynomial) and x for x in T.reshape(-1))
+    got = geo.div(T)
+    assert len(calls) == 27
+    calls.clear()
+    assert is_zero(got - _full_gradient_div(geo, T, None)) and len(calls) == 81
+
+
 def test_leading_minors_decide_positive_definiteness():
     m = obj_array([[2, 1, 0], [1, 3, Fraction(1, 2)], [0, Fraction(1, 2), 1]])
     assert leading_minors(m) == (2, 5, Fraction(9, 2))
@@ -698,11 +779,13 @@ def test_inner_matches_many_operand_einsum():
 # Every spec that src/ hands to contract: the literal ones, then covd's for T
 # of rank 1 to 3, div's slot terms for T of rank 2 to 4 and raised's for T of
 # rank 1 to 4; "ijkl,il->jk" is g^il Rm_ijkl and "ijki->jk" the trace of the
-# curvature endomorphism, which the tests check Rc against.
+# curvature endomorphism, which the tests check Rc against, and "mn...,mn->..."
+# the full-gradient frame term that the divergence oracles trace.
 CONTRACT_SPECS = (
     "mikpq,pq,rk->mir", "imk->mik", "kmi->mik", "mik,pk->mip",
     "jkm,iml->ijkl", "ijm,mkl->ijkl", "jikl->ijkl", "ijkp,pl->ijkl",
-    "mn,n->m", "mn...,mn->...", "m,m...->...", "ijkl,il->jk", "ijki->jk", "jk,jk->",
+    "mn,n->m", "mn,n...->m...", "mn...,mn->...", "m,m...->...", "ijkl,il->jk", "ijki->jk",
+    "jk,jk->",
     "mn,nap->map", "mmp->p", "p,p...->...", "jkm,m->jk", "ikm,jmi->jk",
     "iki->k", "mbp,mp->b", "mbp,mpc->bc", "mcp,mbp->bc", "mbp,mpcd->bcd", "mcp,mbpd->bcd",
     "mdp,mbcp->bcd",

@@ -40,6 +40,7 @@ TENSOR_TESTS = ("tests/test_tensors.py", "tests/test_deformations.py",
 FLOW_TESTS = ("tests/test_flow.py",)
 VARIATIONAL_TESTS = ("tests/test_variational.py", "tests/test_cli.py")
 WORD_TESTS = ("tests/test_frames.py", "tests/test_variational.py")
+FRAME_TESTS = ("tests/test_frames.py", "tests/test_poly.py")
 
 
 @dataclass(frozen=True)
@@ -74,13 +75,16 @@ MUTANTS = (
            'contract(f"m{idx[s]}p,m{idx[1:s]}p', 'contract(f"p{idx[s]}m,m{idx[1:s]}p',
            TENSOR_TESTS),
     Mutant("div subtracts its frame-derivative term", "src/grflab/tensors.py",
-           "out = out + contract(\"mn...,mn->...\", grad, self.ginv)",
-           "out = out - contract(\"mn...,mn->...\", grad, self.ginv)", TENSOR_TESTS),
-    # g^-1 is symmetric, so tracing grad against its transpose changes no
-    # value; only the list of specs that src/ hands to contract can see it
+           "out = out + frame", "out = out - frame", TENSOR_TESTS),
+    # g^-1 is symmetric, so raising T by its transpose changes no value; only
+    # the list of specs that src/ hands to contract can see it
     Mutant("div's frame term against g^-1 transposed", "src/grflab/tensors.py",
-           'contract("mn...,mn->...", grad, self.ginv)',
-           'contract("mn...,nm->...", grad, self.ginv)', TENSOR_TESTS, equivalent=True),
+           'contract("mn,n...->m...", self.ginv, T)',
+           'contract("nm,n...->m...", self.ginv, T)', TENSOR_TESTS, equivalent=True),
+    # the frame term is derived traced, E_m(g^{mn} T_n...), so (E_m g^{mn}) T_n...
+    # must come off again; only a metric with frame derivatives (a jet) has it
+    Mutant("div drops the (E_m g^mn) T correction", "src/grflab/tensors.py",
+           "v = v + self.ginv_div", "v = v", TENSOR_TESTS),
     # Geometry._ricci: R_ijk^i without forming R_ijk^l
     Mutant("ricci's first product", "src/grflab/tensors.py",
            'contract("jkm,m->jk", conn, w)', 'contract("jmk,m->jk", conn, w)', TENSOR_TESTS),
@@ -98,6 +102,13 @@ MUTANTS = (
            "frame_derive(w[k], j + 1)", "frame_derive(w[k], k + 1)", TENSOR_TESTS),
     Mutant("ricci derives conn[j, k, 1] along E_1", "src/grflab/tensors.py",
            "frame_derive(conn[j, k, 1], 2)", "frame_derive(conn[j, k, 1], 1)", TENSOR_TESTS),
+    # frame_derive: numerators summed against the kept image of each monomial
+    Mutant("monomial images keyed without the chirality", "src/grflab/frames.py",
+           "_IMAGES[chirality, i]", '_IMAGES["left", i]', FRAME_TESTS),
+    Mutant("a kept monomial image has its sign flipped", "src/grflab/frames.py",
+           "image = images[e] = _image(table, e)",
+           "image = _image(table, e)\n            images[e] = {k: -n for k, n in image.items()}",
+           FRAME_TESTS),
     # lambda_min: lambda = V on invariant data, exact or float64
     Mutant("lambda is -V", "src/grflab/variational.py",
            "lam = schrodinger_potential(geo)", "lam = -schrodinger_potential(geo)",
