@@ -36,7 +36,7 @@ def round_geometry():
     return Geometry(_EYE, H=2)
 
 
-@dataclass
+@dataclass(eq=False)
 class Deformation:
     gamma: np.ndarray
     provenance: str = ""

@@ -227,13 +227,11 @@ def test_criterion_11_jet_expansion_matches_obstruction():
 
 def test_criterion_12_flow_convergence_and_order():
     start = time.monotonic()
-    fixed = FlowState(g=np.eye(3), b=np.zeros((3, 3)), H0_coeff=2.0)
-    dg, db = grf_rhs(fixed)
-    ok = np.abs(dg).max() == 0.0 and np.abs(db).max() == 0.0
+    fixed = FlowState(g=np.eye(3), H0_coeff=2.0)
+    ok = np.abs(grf_rhs(fixed)).max() == 0.0
     ok = ok and soliton_residual(fixed) == 0.0
 
-    initial = FlowState(g=np.diag([1.01, 1.0, 1.0]), b=np.zeros((3, 3)),
-                        H0_coeff=2.0)
+    initial = FlowState(g=np.diag([1.01, 1.0, 1.0]), H0_coeff=2.0)
     samples = run_flow(initial, 1e-3, 10000, sample_every=500)
     lams = [s[2] for s in samples]
     res = [s[3] for s in samples]
@@ -242,8 +240,7 @@ def test_criterion_12_flow_convergence_and_order():
     ok = ok and res[-1] < res[0]
 
     def integrate(dt, n):
-        s = FlowState(g=np.diag([1.2, 1.0, 1.0]), b=np.zeros((3, 3)),
-                      H0_coeff=2.0)
+        s = FlowState(g=np.diag([1.2, 1.0, 1.0]), H0_coeff=2.0)
         for _ in range(n):
             s = step_rk4(s, dt)
         return s.g

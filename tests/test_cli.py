@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -397,39 +398,48 @@ def test_flow_blowup_emits_partial_trajectory(capsys, argv, message):
     assert rep["samples"][0]["t"] == 0.0
 
 
+def _run_under_the_exit_contract(argv):
+    """main(argv)'s exit code and strict-JSON report, None on exit 2, after
+    checking that exit 2 prints one error line and that nothing prints a
+    traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    # warnings are errors in main alone: a failing example then stays a plain failure
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return code, None
+
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    assert err.getvalue() == ""
+    return code, json.loads(out.getvalue(), parse_constant=reject)
+
+
 _BIG = st.floats(min_value=-1e300, max_value=1e300)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.one_of(_BIG, st.floats(1e-3, 1e3)), min_size=3, max_size=3),
        st.one_of(_BIG, st.floats(-10, 10)), st.integers(0, 5))
-@pytest.mark.filterwarnings("error")
 def test_flow_keeps_the_exit_contract(diag, h0, steps):
     # every diagonal metric and torsion up to 1e300: exit 0 or 1 with strict
     # JSON on stdout, or exit 2 with one error line; never a traceback, even
     # where overflow leaves an inf or 0 * inf = nan in a stage
     argv = ["flow", "--g", "diag:" + ",".join(map(repr, diag)), f"--h0={h0!r}",
             "--steps", str(steps), "--sample-every", "1"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    else:
-        assert code in (0, 1) and err.getvalue() == ""
-
-        def reject(token):
-            raise ValueError(f"non-finite JSON token {token}")
-
-        report = json.loads(out.getvalue(), parse_constant=reject)
-        assert report["samples"]
+    code, report = _run_under_the_exit_contract(argv)
+    if code != 2:
+        assert code in (0, 1) and report["samples"]
         assert (code == 0) == ("blowup" not in report and report["lambda_nondecreasing"])
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(["spectrum", "igsd"]), st.integers(0, 3), st.booleans())
-@pytest.mark.filterwarnings("error")
 def test_spectrum_and_igsd_keep_the_exit_contract(tmp_path_factory, command, degree, by_config):
     # the degree as a flag or from --config: exit 0 or 1 with strict JSON on
     # stdout, or exit 2 with one error line (spectrum past degree 2)
@@ -438,21 +448,80 @@ def test_spectrum_and_igsd_keep_the_exit_contract(tmp_path_factory, command, deg
         path = tmp_path_factory.mktemp("config") / "c.json"
         path.write_text(json.dumps({"degree": degree}))
         argv = [command, "--config", str(path)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    if code == 2:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-    else:
-        assert code in (0, 1) and err.getvalue() == ""
-
-        def reject(token):
-            raise ValueError(f"non-finite JSON token {token}")
-
-        report = json.loads(out.getvalue(), parse_constant=reject)
+    code, report = _run_under_the_exit_contract(argv)
+    if code != 2:
+        assert code in (0, 1)
         assert report["command"] == command and report["degree"] == degree
     assert (code == 2) == (command == "spectrum" and degree > 2)
+
+
+# flag values after a space, negative and huge ones included
+_NUMBER = st.one_of(st.floats(allow_nan=False), st.floats(-10, 10), st.integers(-10**400, 10**400),
+                    st.sampled_from(["nan", "-inf", "-1e400", "-.5", "1e-400"]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(_NUMBER, min_size=3, max_size=3), _NUMBER, st.integers(-3, 5))
+def test_lambda_keeps_the_exit_contract(diag, h0, degree):
+    # exit 0 with strict JSON, or exit 2 with one error line
+    argv = ["lambda", "--g", "diag:" + ",".join(map(str, diag)), "--h0", str(h0),
+            "--degree", str(degree)]
+    code, report = _run_under_the_exit_contract(argv)
+    assert code in (0, 2)
+    if code == 0:
+        assert report["command"] == "lambda" and report["degree"] == degree
+
+
+_COEFFICIENT = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.builds("{}/{}".format, st.integers(-99, 99), st.integers(-9, 9)),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-4400, 4400)),
+    st.sampled_from(["", "x", "1e", "/", "1//2", "0.5.5", "1_0", "-.25"]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.lists(_COEFFICIENT, min_size=9, max_size=9).map(",".join),
+                 st.lists(_COEFFICIENT, min_size=0, max_size=11).map(",".join),
+                 st.sampled_from(sorted(cli._PRESETS))))
+def test_obstruction_keeps_the_exit_contract(spec):
+    # a preset or a comma list of any length, with negative, huge and malformed
+    # entries: exit 0 with strict JSON, or exit 2 with one error line
+    code, report = _run_under_the_exit_contract(["obstruction", "--u", spec])
+    assert code in (0, 2)
+    if code == 0:
+        assert report["u"] == spec and len(report["pairings"]) == 9
+
+
+@pytest.mark.parametrize("argv", [["lambda", "--h0", "-1e5"],
+                                  ["obstruction", "--u", "-1,0,0,0,0,0,0,0,0"],
+                                  ["lambda", "--g", "diag:2,1,1", "--h0", "-.5", "--degree", "0"]],
+                         ids=["lambda", "obstruction", "lambda-dot"])
+def test_negative_value_after_a_space(capsys, argv):
+    # argparse alone reads -1e5 as an unknown option; it is the flag's value
+    code, out = run(capsys, *argv)
+    joined = [f"{flag}={value}" for flag, value in zip(argv[1::2], argv[2::2])]
+    assert (code, out) == run(capsys, argv[0], *joined)
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["flow", "--dt", "-1e-3"], "dt must be positive and finite"),
+    (["lambda", "--h0", "-inf"], "h0 must be finite"),
+    (["flow", "--steps", "-2"], "steps must be nonnegative")], ids=["dt", "h0-inf", "steps"])
+def test_negative_value_after_a_space_is_refused_in_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_flow_prints_zero_b_columns(capsys):
+    # the B-field does not move on invariant data; its nine columns are output contract
+    code, out = run(capsys, "flow", "--g", "diag:1.2,0.9,1.05", "--h0", "1.7", "--steps", "20",
+                    "--sample-every", "10")
+    samples = json.loads(out)["samples"]
+    assert code == 0 and len(samples) == 3
+    for row in samples:
+        assert [row[f"b{i}{j}"] for i in "123" for j in "123"] == [0.0] * 9
 
 
 def test_coclosed_torsion_check_sees_a_planted_divergence():

@@ -391,3 +391,10 @@ def test_gradient_norms_check_sees_a_perturbed_grad_k(monkeypatch):
 
     monkeypatch.setattr(Geometry, "covd", perturbed)
     assert integral_identities(gamma)["gradient_norms_equal"] is False
+
+
+def test_deformations_compare_by_identity():
+    # gamma is an ndarray, so a Deformation compares and hashes by identity
+    a, b = parallel_from_invariant_forms(1, 2), parallel_from_invariant_forms(1, 2)
+    assert a == a and a != b and a in [b, a] and b not in [a]
+    assert len({a, b, a}) == 2

@@ -437,11 +437,11 @@ def test_ricci_is_the_trace_of_the_curvature_endomorphism():
             assert is_zero(rc - contract("ijki->jk", endo))
         assert not is_zero(geo.Rc)
     g0 = np.array([[1.2, 0.1, -0.2], [0.1, 0.9, 0.05], [-0.2, 0.05, 1.1]])
-    samples = run_flow(FlowState(g=g0, b=np.zeros((3, 3)), H0_coeff=1.7), 1e-2, 30,
+    samples = run_flow(FlowState(g=g0, H0_coeff=1.7), 1e-2, 30,
                        sample_every=10)
     assert len(samples) == 4
     for _, state, _, _ in samples:
-        geo = state.geometry()
+        geo = state.geometry
         for rc, rm in ((geo.Rc, geo.Rm), (geo.Rc_plus, geo.Rm_plus)):
             assert rc.dtype == np.float64
             assert np.abs(rc - contract("ijkl,il->jk", rm, geo.ginv)).max() <= 1e-13
@@ -492,11 +492,11 @@ def test_trace_first_divergence_matches_covd():
 
 def test_trace_first_divergence_matches_covd_on_flow_states():
     g0 = np.array([[1.2, 0.1, -0.2], [0.1, 0.9, 0.05], [-0.2, 0.05, 1.1]])
-    samples = run_flow(FlowState(g=g0, b=np.zeros((3, 3)), H0_coeff=1.7), 1e-2, 30,
+    samples = run_flow(FlowState(g=g0, H0_coeff=1.7), 1e-2, 30,
                        sample_every=10)
     rng = np.random.default_rng(31)
     for _, state, _, _ in samples:
-        geo = state.geometry()
+        geo = state.geometry
         assert np.abs(_torsion_trace(geo)).max() <= 1e-13
         for rank in (1, 2, 3):
             T = rng.uniform(-2, 2, (3,) * rank)

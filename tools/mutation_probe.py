@@ -138,15 +138,22 @@ MUTANTS = (
     Mutant("gradient norms always equal", "src/grflab/deformations.py",
            'report["gradient_norms_equal"] = nh2 == nk2', 'report["gradient_norms_equal"] = True',
            ("tests/test_deformations.py",)),
-    # flow: db/dt = -d*H read from the cached Geometry.dstar_H
-    Mutant("grf_rhs returns +d*H", "src/grflab/flow.py",
-           "return dg, -geo.dstar_H", "return dg, geo.dstar_H", FLOW_TESTS),
+    # flow: an ODE in g alone; one cached Geometry per state
     Mutant("dual path subtracts d*H", "src/grflab/flow.py",
-           "(dg + geo.dstar_H)", "(dg - geo.dstar_H)", FLOW_TESTS),
+           "(_g_rate(geo) + geo.dstar_H)", "(_g_rate(geo) - geo.dstar_H)", FLOW_TESTS),
+    Mutant("soliton residual against H^2/2", "src/grflab/flow.py",
+           "geo.Rc - geo.H2 / 4.0", "geo.Rc - geo.H2 / 2.0", FLOW_TESTS),
+    Mutant("step_rk4 does not advance t", "src/grflab/flow.py",
+           "h0, state.t + dt)", "h0, state.t)", FLOW_TESTS),
+    # the same k1 from a Geometry of its own: only the construction count sees it
+    Mutant("k1 builds its own Geometry", "src/grflab/flow.py",
+           "k1 = _g_rate(state.geometry)", "k1 = rate(g0)", FLOW_TESTS),
+    Mutant("flow states compare by value", "src/grflab/flow.py",
+           "@dataclass(frozen=True, eq=False)", "@dataclass(frozen=True)", FLOW_TESTS),
     # flow_lambda: lambda read off the state's float64 Geometry; the CLI and
     # golden flows start from diagonal metrics, so only a dense one sees this
     Mutant("flow lambda reads only the diagonal of g", "src/grflab/flow.py",
-           "lambda_min(state.geometry())",
+           "lambda_min(state.geometry)",
            "lambda_min(Geometry(np.diag(state.g.diagonal()), state.H0_coeff))", FLOW_TESTS),
 )
 
