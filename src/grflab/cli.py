@@ -367,10 +367,18 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its errors in the CLI's form: one "error: " line on
+    stderr and exit 2, no usage block. -h still prints the usage."""
+
+    def error(self, message):
+        sys.stderr.write(f"error: {message}\n")
+        sys.exit(2)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="grflab",
-                                description="Exact calculus for generalized Ricci "
-                                            "solitons on the 3-sphere")
+    p = _Parser(prog="grflab",
+                description="Exact calculus for generalized Ricci solitons on the 3-sphere")
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_, settings) in _COMMANDS.items():
         sp = sub.add_parser(name)
@@ -402,6 +410,9 @@ def config_from_args(args):
     """The parsed flags with --config applied, rejected with ValueError unless
     every key is one the command reads and every value is usable."""
     settings = _COMMANDS[args.command][1]
+    for key, value in vars(args).items():
+        if isinstance(value, list):  # argparse reads --flag=-- as no value at all
+            raise ValueError(f"{key} needs a value")
     if args.config:
         with open(args.config) as fh:
             try:

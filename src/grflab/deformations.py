@@ -159,17 +159,21 @@ def _check_eigen(u):
     return u
 
 
+def _pairing(u, w):
+    """-6 mu int u^2 w dV, for u and w already checked."""
+    return IntegralValue(-6 * MU * integrate_s3(u * u, w).coeff)
+
+
 def obstruction(u, w):
     """The second-order integrability pairing -6 mu int u^2 w dV."""
-    u, w = _check_eigen(u), _check_eigen(w)
-    return IntegralValue(-6 * MU * integrate_s3(u * u, w).coeff)
+    return _pairing(_check_eigen(u), _check_eigen(w))
 
 
 def integrability_report(u):
     """(pairings, integrable_order2): the obstruction pairings {i: obstruction(u, w_i)}
     against w_i = harmonic_basis(2)[i], and whether they all vanish."""
     u = _check_eigen(u)
-    pairings = {i: obstruction(u, w) for i, w in enumerate(harmonic_basis(2))}
+    pairings = {i: _pairing(u, w) for i, w in enumerate(harmonic_basis(2))}
     return pairings, all(v.is_zero for v in pairings.values())
 
 
@@ -243,14 +247,15 @@ def jet_second_variation_check(u, w):
     Bakry-Emery tensor with w g + (1/(2 mu)) i_{grad w} H and compares the
     integral with the obstruction pairing. Returns a report with the exact
     residual (must be zero) and the individual formula checks. Everything
-    but the pairing depends on u alone and is computed once per u.
+    but the pairing depends on u alone and is computed once per u; u and w
+    are checked once each.
     """
     u, w = _check_eigen(u), _check_eigen(w)
     checks, rchf_2 = _jet_u_part(u)
     geo0 = round_geometry()
     gamma_w = w * geo0.g + (Fraction(1, 2) / MU) * geo0.i_grad(w, geo0.H)
     pairing = integrate_s3(geo0.inner(rchf_2, gamma_w))
-    residual = pairing - obstruction(u, w)
+    residual = pairing - _pairing(u, w)
     return {
         "checks": dict(checks),
         "all_formulas_match": all(checks.values()),

@@ -5,7 +5,7 @@ scalar ``Op`` of constant-coefficient frame operators."""
 from fractions import Fraction
 from itertools import product
 
-from .poly import JetScalar, Polynomial, _canonicalize, as_poly
+from .poly import JetScalar, Polynomial, _canonicalize, as_poly, exponents, monomial_key
 
 
 class BadIndex(IndexError):
@@ -118,9 +118,10 @@ class Op:
 
 def _signed_coordinates(row):
     """A frame row as (mu, d, s): the coefficient of d/dx_{mu+1} is one signed
-    coordinate s * x_{nu+1}, which shifts exponents by d = e_nu - e_mu."""
-    return tuple((mu, tuple(x - (k == mu) for k, x in enumerate(exp)), int(s))
-                 for mu, coeff in enumerate(row) for exp, s in coeff.terms.items())
+    coordinate s * x_{nu+1}, which moves a monomial key by the difference d of
+    the keys of x_{nu+1} and x_{mu+1}."""
+    return tuple((mu, key - monomial_key([int(k == mu) for k in range(4)]), s)
+                 for mu, coeff in enumerate(row) for key, s in coeff.num.items())
 
 
 _SIGNED = {"left": tuple(map(_signed_coordinates, LEFT)),
@@ -131,15 +132,15 @@ _SIGNED = {"left": tuple(map(_signed_coordinates, LEFT)),
 _IMAGES = {(c, i): {} for c in _SIGNED for i in (1, 2, 3)}
 
 
-def _image(table, e):
-    """sum_mu s x_nu d/dx_mu of the monomial x^e as canonical integer
+def _image(table, key):
+    """sum_mu s x_nu d/dx_mu of the monomial x^e of key as canonical integer
     numerators: x^e goes to s e_mu x^(e + e_nu - e_mu), reduced once."""
+    e = exponents(key)
     raw = {}
     for mu, d, s in table:
         a = e[mu]
         if a:
-            key = (e[0] + d[0], e[1] + d[1], e[2] + d[2], e[3] + d[3])
-            raw[key] = raw.get(key, 0) + s * a
+            raw[key + d] = raw.get(key + d, 0) + s * a
     return _canonicalize(raw)
 
 
@@ -171,7 +172,7 @@ def frame_derive(p, i, chirality="left"):
         return p.prepend(i)
     table, images = _SIGNED[chirality][i - 1], _IMAGES[chirality, i]
     if isinstance(p, JetScalar):
-        return JetScalar(*(_derive(table, images, c) for c in (p.c0, p.c1, p.c2)))
+        return JetScalar._of(*(_derive(table, images, c) for c in (p.c0, p.c1, p.c2)))
     return _derive(table, images, as_poly(p))
 
 

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 from . import linalg
 from .frames import INV_LAPLACIAN, frame_derive, laplacian_scalar
-from .poly import Polynomial, as_poly
+from .poly import Polynomial, as_poly, monomial_key
 
 
 def _homogeneous_exponents(k):
@@ -66,13 +66,15 @@ class CanonicalSpace:
                 self.basis.append(p)
                 self.eigenvalue.append(Fraction(-k * (k + 2)))
         self.exps = _canonical_exponents(d)
-        self.exp_index = {e: i for i, e in enumerate(self.exps)}
+        # the index of each monomial key, as a Polynomial's numerators are keyed
+        self.exp_index = {monomial_key(e): i for i, e in enumerate(self.exps)}
         if len(self.exps) != len(self.basis):
             raise RuntimeError(f"{len(self.exps)} canonical monomials but {len(self.basis)} "
                                f"harmonics of degree <= {d}")
         # M^T: the basis over self.exps; the rows of (M^T)^-1 are the columns of
         # M^-1, kept as integer numerators over one denominator
-        rows = [{self.exp_index[e]: c for e, c in p.terms.items()} for p in self.basis]
+        rows = [{self.exp_index[k]: Fraction(n, p.den) for k, n in p.num.items()}
+                for p in self.basis]
         self._inv_columns, self._inv_den = linalg.numerators(linalg.mat_inv(rows))
 
     def coords(self, p):

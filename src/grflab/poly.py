@@ -11,7 +11,8 @@ representatives are exact rational multiples of pi^2.
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import index, or_
 
 
 def _double_factorial(n):
@@ -23,36 +24,72 @@ def _double_factorial(n):
     return out
 
 
+# Monomial keys. x1^a1 x2^a2 x3^a3 x4^a4 is keyed by the one int
+# a1 + a2 2^W + a3 2^(2W) + a4 2^(3W): x1, x2 and x3 in W-bit fields, x4 on
+# top. A canonical exponent is below EXPONENT_BOUND = 2^(W-2), so a field of
+# a sum of two keys, plus the 2 of an x4^2 reduction, stays below 2^W and a
+# product adds keys with no carry between fields; a result with a field at or
+# past the bound is refused. With x4 <= 2 every key is one 30-bit int digit.
+_W = 9
+EXPONENT_BOUND = 1 << (_W - 2)
+_FIELD = (1 << _W) - 1
+_X4 = 1 << (3 * _W)  # the key of x4
+_X4_SQUARED = 2 * _X4
+_LOW = _X4 - 1  # the x1..x3 fields
+# the bits of a field value at or past EXPONENT_BOUND, in each of x1..x3
+_PAST_BOUND = sum((_FIELD & ~(EXPONENT_BOUND - 1)) << (_W * i) for i in range(3))
+# the lowest bit of each of the four exponents
+_PARITY = sum(1 << (_W * i) for i in range(4))
+_ONE = 0  # the key of the constant term
+_SQUARES = (2, 2 << _W, 2 << (2 * _W))  # the keys of x1^2, x2^2 and x3^2
+
+
+def monomial_key(exp):
+    """The key of the exponent (a1, a2, a3, a4); ValueError unless each is an
+    integer with 0 <= a < EXPONENT_BOUND."""
+    exp = tuple(map(index, exp))
+    if len(exp) != 4 or not all(0 <= a < EXPONENT_BOUND for a in exp):
+        raise ValueError(f"exponent {exp} is not four integers in [0, {EXPONENT_BOUND})")
+    a1, a2, a3, a4 = exp
+    return a1 | a2 << _W | a3 << (2 * _W) | a4 << (3 * _W)
+
+
+def exponents(key):
+    """The exponent (a1, a2, a3, a4) of a monomial key."""
+    return key & _FIELD, key >> _W & _FIELD, key >> (2 * _W) & _FIELD, key >> (3 * _W)
+
+
+def _check_bound(num):
+    """num, unless a key of it has an x1..x3 exponent at or past EXPONENT_BOUND."""
+    if reduce(or_, num, 0) & _PAST_BOUND:
+        raise OverflowError(f"a monomial exponent reaches the bound {EXPONENT_BOUND}")
+    return num
+
+
 @lru_cache(maxsize=None)
 def _sphere_power(q):
-    """(1 - x1^2 - x2^2 - x3^2)^q, the reduction of x4^(2q), as terms (2i, 2j, 2k, c)
+    """(1 - x1^2 - x2^2 - x3^2)^q, the reduction of x4^(2q), as (key, c) terms
     with the multinomial coefficients c = (-1)^(i+j+k) q! / (i! j! k! (q-i-j-k)!)."""
     f = math.factorial
-    return tuple((2 * i, 2 * j, 2 * k,
+    return tuple((2 * i | 2 * j << _W | 2 * k << (2 * _W),
                   (-1) ** (i + j + k) * (f(q) // (f(i) * f(j) * f(k) * f(q - i - j - k))))
                  for k in range(q + 1) for j in range(q + 1 - k) for i in range(q + 1 - k - j))
 
 
 def _canonicalize(raw):
-    """Reduce a raw {exponent: int} dict modulo x4^2 -> 1 - x1^2 - x2^2 - x3^2."""
+    """Reduce a raw {key: int} dict modulo x4^2 -> 1 - x1^2 - x2^2 - x3^2, with
+    zero numerators dropped; OverflowError if an exponent reaches the bound."""
     out = {}
-    stack = list(raw.items())
-    while stack:
-        exp, coeff = stack.pop()
-        if coeff == 0:
-            continue
-        a1, a2, a3, a4 = exp
-        if a4 <= 1:
-            new = out.get(exp, 0) + coeff
-            if new == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = new
+    for key, coeff in raw.items():
+        if key < _X4_SQUARED:
+            out[key] = out.get(key, 0) + coeff
         else:
-            q, r = divmod(a4, 2)
-            for b1, b2, b3, m in _sphere_power(q):
-                stack.append(((a1 + b1, a2 + b2, a3 + b3, r), m * coeff))
-    return out
+            q, r = divmod(key >> (3 * _W), 2)
+            base = (key & _LOW) + r * _X4
+            for delta, m in _sphere_power(q):
+                k = base + delta
+                out[k] = out.get(k, 0) + m * coeff
+    return _check_bound({k: n for k, n in out.items() if n})
 
 
 def _reduce(num, den):
@@ -68,21 +105,25 @@ def _reduce(num, den):
     return num, den
 
 
-_ONE = (0, 0, 0, 0)  # the exponent of the constant term
-
-
 class Polynomial:
     """Sparse polynomial in x1..x4 with rational coefficients, canonical mod S^3.
 
-    The coefficients are integer numerators ``num`` {exponent: int} over one
-    denominator ``den``: den > 0, gcd(den, *num.values()) == 1, and the zero
-    polynomial is ({}, 1). ``terms`` is the rational view {exponent: Fraction}.
+    ``Polynomial(terms)`` takes {(a1, a2, a3, a4): coefficient}, every exponent
+    an integer in [0, EXPONENT_BOUND) = [0, 128) (ValueError otherwise), and
+    reduces x4^2 by the sphere relation. The coefficients are integer
+    numerators ``num`` {key: int} over one denominator ``den``: den > 0,
+    gcd(den, *num.values()) == 1, and the zero polynomial is ({}, 1). A key
+    packs an exponent into one int (``monomial_key``): a1, a2 and a3 in 9-bit
+    fields from bit 0, 9 and 18, a4 from bit 27. A product, frame derivative
+    or x4 reduction that takes an x1..x3 exponent to the bound or past it
+    raises OverflowError.
+    ``terms`` is the rational view {exponent: Fraction}.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
-        terms = {tuple(k): Fraction(v) for k, v in (terms or {}).items()}
+        terms = {monomial_key(k): Fraction(v) for k, v in (terms or {}).items()}
         den = math.lcm(*(c.denominator for c in terms.values()))
         self.num, self.den = _reduce(_canonicalize(
             {e: c.numerator * (den // c.denominator) for e, c in terms.items()}), den)
@@ -100,7 +141,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, c):
-        return cls({_ONE: Fraction(c)})
+        return cls({(0, 0, 0, 0): Fraction(c)})
 
     @classmethod
     def variable(cls, i):
@@ -115,7 +156,7 @@ class Polynomial:
     def terms(self):
         """The coefficients as a new {exponent: Fraction} dict."""
         den = self.den
-        return {e: Fraction(n, den) for e, n in self.num.items()}
+        return {exponents(k): Fraction(n, den) for k, n in self.num.items()}
 
     @property
     def is_zero(self):
@@ -126,7 +167,7 @@ class Polynomial:
 
     @property
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.num)
+        return self.num.keys() <= {_ONE}
 
     def constant_value(self):
         if not self.is_constant:
@@ -137,7 +178,7 @@ class Polynomial:
         """Total degree of the canonical representative (zero polynomial -> 0)."""
         if not self.num:
             return 0
-        return max(sum(e) for e in self.num)
+        return max(sum(exponents(k)) for k in self.num)
 
     def __add__(self, other):
         """self + other; a zero or empty operand returns the other operand, and
@@ -189,21 +230,40 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        """self * other; a zero number or an empty operand gives the shared _ZERO."""
+        """self * other; a zero number or an empty operand gives the shared _ZERO,
+        and a one-term constant factor only scales the numerators. Monomial
+        keys add; both factors are canonical, so x4 reaches at most 2, and
+        each x4^2 is replaced by 1 - x1^2 - x2^2 - x3^2 in place."""
+        a = self.num
         if isinstance(other, Polynomial):
-            if not self.num or not other.num:
+            b = other.num
+            if not a or not b:
                 return _ZERO
+            den = self.den * other.den
+            if len(b) == 1 and _ONE in b:
+                m = b[_ONE]
+                return Polynomial._of({k: n * m for k, n in a.items()}, den)
+            if len(a) == 1 and _ONE in a:
+                m = a[_ONE]
+                return Polynomial._of({k: n * m for k, n in b.items()}, den)
             raw = {}
-            for e1, n1 in self.num.items():
-                for e2, n2 in other.num.items():
-                    e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                    raw[e] = raw.get(e, 0) + n1 * n2
-            return Polynomial._of(_canonicalize(raw), self.den * other.den)
+            get = raw.get
+            for k1, n1 in a.items():
+                for k2, n2 in b.items():
+                    k = k1 + k2
+                    raw[k] = get(k, 0) + n1 * n2
+            for k in [k for k in raw if k >= _X4_SQUARED]:
+                n = raw.pop(k)
+                k -= _X4_SQUARED
+                raw[k] = get(k, 0) + n
+                for s in _SQUARES:
+                    raw[k + s] = get(k + s, 0) - n
+            return Polynomial._of(_check_bound({k: n for k, n in raw.items() if n}), den)
         if isinstance(other, (int, Fraction)):
-            if not other or not self.num:
+            if not other or not a:
                 return _ZERO
             m = other.numerator
-            return Polynomial._of({e: n * m for e, n in self.num.items()},
+            return Polynomial._of({k: n * m for k, n in a.items()},
                                   self.den * other.denominator)
         return NotImplemented
 
@@ -255,7 +315,6 @@ def as_poly(x):
 _ZERO = Polynomial.zero()  # one shared zero: a Polynomial is never changed in place
 
 
-@lru_cache(maxsize=None)
 def sphere_moment(exp):
     """Exact value of int_{S^3} x1^a1 x2^a2 x3^a3 x4^a4 dV as a coefficient of pi^2,
     for any exponents: x4^2 need not be reduced."""
@@ -309,8 +368,10 @@ class IntegralValue:
         return f"({self.coeff})*pi^2"
 
 
-def _parity(e):
-    return (e[0] & 1, e[1] & 1, e[2] & 1, e[3] & 1)
+@lru_cache(maxsize=None)
+def _moment(key):
+    """The sphere_moment of the monomial of key, once per key."""
+    return sphere_moment(exponents(key))
 
 
 def integrate_s3(p, q=1):
@@ -322,14 +383,14 @@ def integrate_s3(p, q=1):
     each sum meets its moment once."""
     p, q = as_poly(p), as_poly(q)
     groups = {}
-    for e, n in q.num.items():
-        groups.setdefault(_parity(e), []).append((e, n))
+    for k, n in q.num.items():
+        groups.setdefault(k & _PARITY, []).append((k, n))
     sums = {}
-    for e1, n1 in p.num.items():
-        for e2, n2 in groups.get(_parity(e1), ()):
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-            sums[e] = sums.get(e, 0) + n1 * n2
-    total = sum((n * sphere_moment(e) for e, n in sums.items() if n), Fraction(0))
+    for k1, n1 in p.num.items():
+        for k2, n2 in groups.get(k1 & _PARITY, ()):
+            k = k1 + k2
+            sums[k] = sums.get(k, 0) + n1 * n2
+    total = sum((n * _moment(k) for k, n in sums.items() if n), Fraction(0))
     return IntegralValue(total / (p.den * q.den))
 
 
@@ -349,6 +410,8 @@ class JetScalar:
     """Order-2 jet c0 + c1*t + (1/2)*c2*t^2 with polynomial coefficients.
 
     c2 stores the second derivative at t=0, not the Taylor coefficient.
+    Arithmetic tests for jet and polynomial operands before numbers: an
+    isinstance test against Fraction that fails goes through ABCMeta.
     """
 
     __slots__ = ("c0", "c1", "c2")
@@ -358,30 +421,35 @@ class JetScalar:
         self.c1 = as_poly(c1)
         self.c2 = as_poly(c2)
 
+    @classmethod
+    def _of(cls, c0, c1, c2):
+        """The jet of three Polynomials, taken as they are."""
+        out = cls.__new__(cls)
+        out.c0, out.c1, out.c2 = c0, c1, c2
+        return out
+
     def __add__(self, other):
         """self + other; a zero operand returns the other one as a jet (jets
         are never mutated, and einsum starts every sum from int 0)."""
-        if isinstance(other, (int, Fraction)) and not other:
-            return self
-        other = as_jet(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not other:
-            return self
-        if not self:
-            return other
-        return JetScalar(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
+        if isinstance(other, JetScalar):
+            if not other:
+                return self
+            if not self:
+                return other
+            return JetScalar._of(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
+        if isinstance(other, (Polynomial, int, Fraction)):
+            return JetScalar._of(self.c0 + other, self.c1, self.c2) if other else self
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return JetScalar(-self.c0, -self.c1, -self.c2)
+        return JetScalar._of(-self.c0, -self.c1, -self.c2)
 
     def __sub__(self, other):
-        other = as_jet(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if isinstance(other, (JetScalar, Polynomial, int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -389,19 +457,19 @@ class JetScalar:
     def __mul__(self, other):
         """self * other; a zero number or a zero jet on either side gives the
         shared _ZERO_JET."""
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, JetScalar):
+            if not self or not other:
+                return _ZERO_JET
+            # Leibniz at order 2: (fg)'' = f''g + 2f'g' + fg''
+            a0, a1, a2, b0, b1, b2 = self.c0, self.c1, self.c2, other.c0, other.c1, other.c2
+            return JetScalar._of(_mul(a0, b0), _mul(a0, b1) + _mul(a1, b0),
+                                 _mul(a0, b2) + _mul(_mul(a1, b1), 2) + _mul(a2, b0))
+        if isinstance(other, (Polynomial, int, Fraction)):
             if not other or not self:
                 return _ZERO_JET
-            return JetScalar(*(_mul(c, other) for c in (self.c0, self.c1, self.c2)))
-        other = as_jet(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if not self or not other:
-            return _ZERO_JET
-        # Leibniz at order 2: (fg)'' = f''g + 2f'g' + fg''
-        a0, a1, a2, b0, b1, b2 = self.c0, self.c1, self.c2, other.c0, other.c1, other.c2
-        return JetScalar(_mul(a0, b0), _mul(a0, b1) + _mul(a1, b0),
-                         _mul(a0, b2) + _mul(_mul(a1, b1), 2) + _mul(a2, b0))
+            return JetScalar._of(_mul(self.c0, other), _mul(self.c1, other),
+                                 _mul(self.c2, other))
+        return NotImplemented
 
     __rmul__ = __mul__
 

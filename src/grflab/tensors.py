@@ -225,6 +225,9 @@ def _christoffel_table():
 
 
 _CHRISTOFFEL = _christoffel_table()
+# the 30 nonzero entries of _CHRISTOFFEL, as ((m, i, k), (p, q), value)
+_CHRISTOFFEL_ENTRIES = tuple(((m, i, k), (p, q), int(_CHRISTOFFEL[m, i, k, p, q]))
+                             for m, i, k, p, q in np.argwhere(_CHRISTOFFEL).tolist())
 
 
 def christoffel(g, ginv, dg=None):
@@ -235,13 +238,17 @@ def christoffel(g, ginv, dg=None):
     None for invariant data, whose components have no frame derivatives.
     The three structure terms c^p_mi g_pk - c^p_mk g_ip - c^p_ik g_mp, for g
     symmetric as ``Geometry`` requires, and their raising by g^-1 are the one
-    contraction of the constant table _CHRISTOFFEL with g and ginv.
+    contraction of the constant table _CHRISTOFFEL with g and ginv. A metric
+    with frame derivatives (polynomial or jet entries) meets only the nonzero
+    entries of the table instead, and its derivative terms join the structure
+    terms before the one raising.
     """
-    out = contract("mikpq,pq,rk->mir", _CHRISTOFFEL, g, ginv)
-    if dg is not None:
-        a = dg + contract("imk->mik", dg) - contract("kmi->mik", dg)
-        out = out + contract("mik,pk->mip", a, ginv)
-    return _half(out)
+    if dg is None:
+        return _half(contract("mikpq,pq,rk->mir", _CHRISTOFFEL, g, ginv))
+    a = dg + contract("imk->mik", dg) - contract("kmi->mik", dg)
+    for mik, pq, c in _CHRISTOFFEL_ENTRIES:
+        a[mik] = a[mik] + c * g[pq]
+    return _half(contract("mik,pk->mip", a, ginv))
 
 
 def riemann(conn, dconn=None):

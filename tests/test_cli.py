@@ -275,6 +275,8 @@ def test_output_file(tmp_path, capsys):
      "run of 4301 digits: at most 4300"),
     # raw text: json.dumps cannot write a document nested this deeply
     (["lambda"], "[" * 100_000, "nested too deeply"),
+    # argparse reads --flag=-- as an empty list
+    (["flow", "--h0=--"], None, "h0 needs a value"),
 ], ids=["config-type", "config-command", "config-unknown-key", "sample-every-zero",
         "metric-indefinite", "output-dir-missing", "lambda-overflow", "flow-h0-overflow",
         "flow-metric-huge", "lambda-det-overflow", "flow-det-overflow",
@@ -282,7 +284,7 @@ def test_output_file(tmp_path, capsys):
         "config-igsd-h0", "config-verify-metric", "config-obstruction-dt",
         "obstruction-zero-denominator", "obstruction-huge-exponent",
         "config-obstruction-huge-exponent", "obstruction-long-mantissa",
-        "obstruction-long-denominator", "config-deeply-nested"])
+        "obstruction-long-denominator", "config-deeply-nested", "flow-h0-dashes"])
 @pytest.mark.filterwarnings("error")
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv, config, message):
     if config is not None:
@@ -316,9 +318,34 @@ def test_unread_flag_exits_2(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
         main([command, flag, _FLAG_VALUES[flag]])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"unrecognized arguments: {flag}" in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    # argparse's own error in the CLI's one-line form, with no usage block
+    assert captured.out == ""
+    assert captured.err == f"error: unrecognized arguments: {flag} {_FLAG_VALUES[flag]}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["lambda", "--h0", "abc"], "argument --h0: invalid float value: 'abc'"),
+    (["flow", "--steps", "1.5"], "argument --steps: invalid int value: '1.5'"),
+    (["igsd", "--bogus"], "unrecognized arguments: --bogus"),
+    (["nope"], "argument command: invalid choice: 'nope'"),
+    ([], "the following arguments are required: command")],
+    ids=["ill-typed-float", "ill-typed-int", "unknown-flag", "unknown-command", "no-command"])
+def test_argparse_errors_exit_2_in_one_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_prints_the_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda", "-h"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: grflab lambda") and captured.err == ""
 
 
 def test_readme_lists_every_flag():
@@ -407,7 +434,10 @@ def _run_under_the_exit_contract(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own errors: a flag value of the wrong type
+            code = exc.code
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
@@ -421,28 +451,37 @@ def _run_under_the_exit_contract(argv):
 
 
 _BIG = st.floats(min_value=-1e300, max_value=1e300)
+# flag values that argparse refuses to convert: to int, and also to float
+_NOT_INT = st.sampled_from(["1.5", "abc", "", "1e3", "0x10"])
+_NOT_FLOAT_VALUES = ("abc", "", "1.5.", "0x10", "1,5", "--")
+_NOT_FLOAT = st.sampled_from(_NOT_FLOAT_VALUES)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.one_of(_BIG, st.floats(1e-3, 1e3)), min_size=3, max_size=3),
-       st.one_of(_BIG, st.floats(-10, 10)), st.integers(0, 5))
+       st.one_of(_BIG, st.floats(-10, 10), _NOT_FLOAT), st.one_of(st.integers(0, 5), _NOT_INT))
 def test_flow_keeps_the_exit_contract(diag, h0, steps):
-    # every diagonal metric and torsion up to 1e300: exit 0 or 1 with strict
-    # JSON on stdout, or exit 2 with one error line; never a traceback, even
-    # where overflow leaves an inf or 0 * inf = nan in a stage
-    argv = ["flow", "--g", "diag:" + ",".join(map(repr, diag)), f"--h0={h0!r}",
-            "--steps", str(steps), "--sample-every", "1"]
+    # every diagonal metric and torsion up to 1e300, and ill-typed flag values:
+    # exit 0 or 1 with strict JSON on stdout, or exit 2 with one error line;
+    # never a traceback, even where overflow leaves an inf or 0 * inf = nan in a stage
+    argv = ["flow", "--g", "diag:" + ",".join(map(repr, diag)), f"--h0={h0!r}"
+            if isinstance(h0, float) else f"--h0={h0}", "--steps", str(steps),
+            "--sample-every", "1"]
     code, report = _run_under_the_exit_contract(argv)
+    if isinstance(h0, str) or isinstance(steps, str):
+        assert code == 2
     if code != 2:
         assert code in (0, 1) and report["samples"]
         assert (code == 0) == ("blowup" not in report and report["lambda_nondecreasing"])
 
 
 @settings(max_examples=15, deadline=None)
-@given(st.sampled_from(["spectrum", "igsd"]), st.integers(0, 3), st.booleans())
+@given(st.sampled_from(["spectrum", "igsd"]), st.one_of(st.integers(0, 3), _NOT_INT),
+       st.booleans())
 def test_spectrum_and_igsd_keep_the_exit_contract(tmp_path_factory, command, degree, by_config):
-    # the degree as a flag or from --config: exit 0 or 1 with strict JSON on
-    # stdout, or exit 2 with one error line (spectrum past degree 2)
+    # the degree as a flag or from --config, well- or ill-typed: exit 0 or 1
+    # with strict JSON on stdout, or exit 2 with one error line (spectrum past
+    # degree 2, or a degree that is not an int)
     argv = [command, "--degree", str(degree)]
     if by_config:
         path = tmp_path_factory.mktemp("config") / "c.json"
@@ -452,7 +491,7 @@ def test_spectrum_and_igsd_keep_the_exit_contract(tmp_path_factory, command, deg
     if code != 2:
         assert code in (0, 1)
         assert report["command"] == command and report["degree"] == degree
-    assert (code == 2) == (command == "spectrum" and degree > 2)
+    assert (code == 2) == (isinstance(degree, str) or (command == "spectrum" and degree > 2))
 
 
 # flag values after a space, negative and huge ones included
@@ -461,15 +500,19 @@ _NUMBER = st.one_of(st.floats(allow_nan=False), st.floats(-10, 10), st.integers(
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(_NUMBER, min_size=3, max_size=3), _NUMBER, st.integers(-3, 5))
+@given(st.lists(_NUMBER, min_size=3, max_size=3), st.one_of(_NUMBER, _NOT_FLOAT),
+       st.one_of(st.integers(-3, 5), _NOT_INT))
 def test_lambda_keeps_the_exit_contract(diag, h0, degree):
-    # exit 0 with strict JSON, or exit 2 with one error line
+    # exit 0 with strict JSON, or exit 2 with one error line, ill-typed
+    # --h0 and --degree values included
     argv = ["lambda", "--g", "diag:" + ",".join(map(str, diag)), "--h0", str(h0),
             "--degree", str(degree)]
     code, report = _run_under_the_exit_contract(argv)
     assert code in (0, 2)
     if code == 0:
         assert report["command"] == "lambda" and report["degree"] == degree
+    if h0 in _NOT_FLOAT_VALUES or isinstance(degree, str):
+        assert code == 2
 
 
 _COEFFICIENT = st.one_of(

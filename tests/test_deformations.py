@@ -18,7 +18,7 @@ from grflab.deformations import (MU, Deformation, NotEigenfunction,
                                  jet_second_variation_check, obstruction,
                                  parallel_from_invariant_forms, round_geometry)
 from grflab.frames import BadIndex
-from grflab.harmonics import canonical_space, harmonic_basis
+from grflab.harmonics import canonical_space, harmonic_basis, is_eigenfunction
 from grflab.poly import IntegralValue, JetScalar, Polynomial, integrate_s3
 from grflab.tensors import Geometry, antisym, contract, is_zero, obj_array
 
@@ -398,3 +398,21 @@ def test_deformations_compare_by_identity():
     a, b = parallel_from_invariant_forms(1, 2), parallel_from_invariant_forms(1, 2)
     assert a == a and a != b and a in [b, a] and b not in [a]
     assert len({a, b, a}) == 2
+
+
+def test_jet_check_checks_u_and_w_once_each(monkeypatch):
+    # one eigen-check per argument: the pairing with the obstruction reuses
+    # the checked u and w, and a w off the eigenspace is refused
+    u, w = X[0] * X[1], X[0] * X[0] - X[2] * X[2]
+    checked = []
+
+    def counting(p, k):
+        checked.append(p)
+        return is_eigenfunction(p, k)
+
+    monkeypatch.setattr(deformations, "is_eigenfunction", counting)
+    res = jet_second_variation_check(u, w)
+    assert res["residual"].is_zero and checked == [u, w]
+    for bad in ((X[0], w), (u, X[0]), (u, X[0] * X[0])):
+        with pytest.raises(NotEigenfunction):
+            jet_second_variation_check(*bad)

@@ -122,12 +122,12 @@ def _per_monomial_derive(p, i, chirality):
     and the whole sum is reduced once."""
     raw = {}
     for mu, coeff in enumerate(ROWS[chirality][i - 1]):
-        ((nu_exp, s),) = coeff.num.items()
-        for e, c in p.num.items():
+        ((nu_exp, s),) = coeff.terms.items()
+        for e, c in p.terms.items():
             if e[mu]:
                 key = tuple(a + nu_exp[k] - (k == mu) for k, a in enumerate(e))
                 raw[key] = raw.get(key, 0) + s * e[mu] * c
-    return Polynomial({k: Fraction(n, p.den) for k, n in raw.items()})
+    return Polynomial(raw)
 
 
 _DEGREE_6 = st.dictionaries(

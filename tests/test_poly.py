@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grflab import poly
 from grflab.frames import frame_derive
 from grflab.poly import (IntegralValue, JetScalar, NonInvertibleJet, Polynomial,
                          as_poly, integrate_s3, sphere_moment)
@@ -152,6 +153,53 @@ def test_integral_of_factors_forms_no_product(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert got == want != IntegralValue(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x4_polys, x4_polys)
+def test_integral_meets_only_all_even_exponent_sums(p, q):
+    # a monomial of p pairs only with the monomials of q of its parity, x4's
+    # included, so every moment read is that of an all-even exponent
+    met = []
+
+    def recording(exp):
+        met.append(exp)
+        return sphere_moment(exp)
+
+    poly._moment.cache_clear()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(poly, "sphere_moment", recording)
+        got = integrate_s3(p, q)
+    poly._moment.cache_clear()
+    assert got == integrate_s3(p * q)
+    assert all(a % 2 == 0 for exp in met for a in exp)
+
+
+@pytest.mark.parametrize("exp, error", [
+    ((-1, 0, 0, 0), ValueError), ((0, 0, 0, -2), ValueError), ((128, 0, 0, 0), ValueError),
+    ((0, 128, 0, 0), ValueError), ((0, 0, 130, 0), ValueError), ((0, 0, 0, 128), ValueError),
+    ((1, 2, 3), ValueError), ((1.0, 0, 0, 0), TypeError)])
+def test_constructor_refuses_exponents_outside_the_bound(exp, error):
+    with pytest.raises(error):
+        Polynomial({exp: 1})
+
+
+def test_exponent_overflow_raises_and_never_carries():
+    assert Polynomial({(127, 127, 127, 0): 2}).terms == {(127, 127, 127, 0): 2}
+    big = Polynomial({(100, 0, 0, 0): 1})
+    assert (big * Polynomial({(27, 5, 0, 0): 3})).terms == {(127, 5, 0, 0): 3}
+    with pytest.raises(OverflowError):
+        big * Polynomial({(28, 0, 0, 0): 1})
+    with pytest.raises(OverflowError):
+        Polynomial({(0, 0, 127, 0): 1}) * X[2]
+    # x4 * x4 reduces to 1 - x1^2 - x2^2 - x3^2, which lifts x1 past the bound
+    with pytest.raises(OverflowError):
+        Polynomial({(126, 0, 0, 1): 1}) * X[3]
+    assert (Polynomial({(125, 0, 0, 1): 1}) * X[3]).terms[(127, 0, 0, 0)] == -1
+    # E_2 = ... + x1 d/dx3 multiplies x1^127 x3 by x1
+    with pytest.raises(OverflowError):
+        frame_derive(Polynomial({(127, 0, 1, 0): 1}), 2)
+    assert frame_derive(Polynomial({(126, 0, 1, 0): 1}), 2).terms[(127, 0, 0, 0)] == 1
 
 
 def test_zero_operands_build_no_polynomial(monkeypatch):
@@ -338,19 +386,25 @@ def _ref_frame_derive(a, i):
 
 def _assert_canonical(p):
     assert p.den > 0 and math.gcd(p.den, *p.num.values()) == 1
-    assert all(isinstance(n, int) and n != 0 and e[3] <= 1 for e, n in p.num.items())
+    assert all(isinstance(n, int) and n != 0 for n in p.num.values())
+    assert all(e[3] <= 1 for e in p.terms)
     assert p.num or p.den == 1
 
 
 fractional = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 frac_polys = st.dictionaries(exps, fractional, max_size=5).map(Polynomial)
+# x4 up to the fifth power, so the constructor reduces x4^(2q) for q = 1 and 2
+raw_terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3, st.integers(0, 5)),
+                            fractional, max_size=5)
 
 
 @settings(max_examples=80, deadline=None)
-@given(frac_polys, frac_polys, fractional)
-def test_integer_numerators_agree_with_a_fraction_reference(p, q, c):
+@given(raw_terms, raw_terms, fractional)
+def test_integer_numerators_agree_with_a_fraction_reference(raw_p, raw_q, c):
+    p, q = Polynomial(raw_p), Polynomial(raw_q)
     a, b = p.terms, q.terms
-    cases = [(p + q, _ref_add(a, b)), (p - q, _ref_add(a, {e: -x for e, x in b.items()})),
+    cases = [(p, _ref_canonical(raw_p)), (q, _ref_canonical(raw_q)),
+             (p + q, _ref_add(a, b)), (p - q, _ref_add(a, {e: -x for e, x in b.items()})),
              (-p, {e: -x for e, x in a.items()}), (p * q, _ref_mul(a, b)),
              (p * c, _ref_mul(a, {(0, 0, 0, 0): c} if c else {})),
              (p + c, _ref_add(a, {(0, 0, 0, 0): c}))]

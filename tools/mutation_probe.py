@@ -109,6 +109,19 @@ MUTANTS = (
            "image = images[e] = _image(table, e)",
            "image = _image(table, e)\n            images[e] = {k: -n for k, n in image.items()}",
            FRAME_TESTS),
+    # packed monomial keys: x4^2 reduced inline, parity read with a mask
+    Mutant("inline x4^2 reduction drops the -x3^2 term", "src/grflab/poly.py",
+           "for s in _SQUARES:", "for s in _SQUARES[:2]:", FRAME_TESTS),
+    Mutant("parity mask leaves out x4's bit", "src/grflab/poly.py",
+           "_PARITY = sum(1 << (_W * i) for i in range(4))",
+           "_PARITY = sum(1 << (_W * i) for i in range(3))", FRAME_TESTS),
+    # the jet path: the nonzero Christoffel entries, one eigen-check per argument
+    Mutant("sparse christoffel entries from a transposed index", "src/grflab/tensors.py",
+           "_CHRISTOFFEL_ENTRIES = tuple(((m, i, k), (p, q)",
+           "_CHRISTOFFEL_ENTRIES = tuple(((m, k, i), (p, q)", TENSOR_TESTS),
+    Mutant("jet check skips w's eigen-check", "src/grflab/deformations.py",
+           "u, w = _check_eigen(u), _check_eigen(w)", "u, w = _check_eigen(u), as_poly(w)",
+           ("tests/test_deformations.py",)),
     # lambda_min: lambda = V on invariant data, exact or float64
     Mutant("lambda is -V", "src/grflab/variational.py",
            "lam = schrodinger_potential(geo)", "lam = -schrodinger_potential(geo)",
