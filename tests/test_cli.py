@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from grflab import cli
+from grflab import cli, tensors, variational
 from grflab.cli import _rand_metric, build_parser, main, parse_metric, parse_u
 from grflab.poly import Polynomial
 from grflab.tensors import Geometry, is_zero
@@ -195,7 +195,53 @@ def test_verify_failure_does_not_move_later_samples(monkeypatch, capsys):
                                                                        False)
     assert pass_code == 0 and pass_failed == []
     assert drawn == pass_drawn
-    assert len(drawn) == 8 + 2 * 5 and n_bianchi == pass_n_bianchi == 10
+    # the round-point proofs read the operators from variational: the stubs see
+    # only the one Phi sample and the two tensors of the one self-adjoint sample
+    assert len(drawn) == 1 + 2 * 1 and n_bianchi == pass_n_bianchi == 10
+
+
+_ROUND_POINT_IDENTITIES = ["mixed laplacian formula matches adjoint definition",
+                           "bianchi of B factors through the divergence",
+                           "stability operator is self adjoint"]
+
+
+def _plant_index_fault(monkeypatch):
+    # one index of one mixed-Laplacian term moved: H^m_i^k (nabla gamma)_{mjk}
+    # in place of H^m_i^k (nabla gamma)_{mkj}
+    contract = tensors.contract
+    monkeypatch.setattr(tensors, "contract", lambda spec, *ops: contract(
+        "mik,mjk->ij" if spec == "mik,mkj->ij" else spec, *ops))
+
+
+def _plant_phi_sign(monkeypatch):
+    phi = variational.phi_operator
+
+    def flipped(pair, geo):
+        u, v = phi(pair, geo)
+        return -u, v
+
+    monkeypatch.setattr(variational, "phi_operator", flipped)
+
+
+def _plant_skew_term(monkeypatch):
+    # nabla_{E_1} is L2-skew, as E_1 is a Killing field. It is planted where
+    # the proof reads A, not in the name cli imports for the sample, so only the
+    # proof can fail the assertion
+    operator_a = variational.operator_A
+    monkeypatch.setattr(variational, "operator_A",
+                        lambda gamma, geo: operator_a(gamma, geo) + geo.covd(gamma)[0])
+
+
+@pytest.mark.parametrize("plant, failed", [
+    (_plant_index_fault, _ROUND_POINT_IDENTITIES),
+    (_plant_phi_sign, ["bianchi of B factors through the divergence"]),
+    (_plant_skew_term, ["stability operator is self adjoint"])],
+    ids=["mixed-laplacian-index", "phi-sign", "a-skew-term"])
+def test_verify_sees_a_planted_round_point_fault(monkeypatch, capsys, plant, failed):
+    plant(monkeypatch)
+    code, out = run(capsys, "verify", "--seed", "0")
+    assert code == 1
+    assert [a["name"] for a in json.loads(out)["assertions"] if not a["passed"]] == failed
 
 
 def test_igsd_command(capsys):
@@ -512,6 +558,24 @@ def test_lambda_keeps_the_exit_contract(diag, h0, degree):
     if code == 0:
         assert report["command"] == "lambda" and report["degree"] == degree
     if h0 in _NOT_FLOAT_VALUES or isinstance(degree, str):
+        assert code == 2
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.one_of(st.integers(-10**6, 10**6), st.integers(-10**400, 10**400),
+                 st.integers(4295, 4305).map(lambda n: "-" + "9" * n), st.floats(),
+                 st.text(max_size=6), _NOT_INT))
+def test_verify_keeps_the_exit_contract(seed):
+    # a seed of any size or sign, negative ones after a space, one past the
+    # int-parsing limit, or a value that is no int: exit 0 with strict JSON,
+    # or exit 2 with one error line
+    code, report = _run_under_the_exit_contract(["verify", "--seed", str(seed)])
+    assert code in (0, 2)
+    if code == 0:
+        assert report["command"] == "verify" and report["all_passed"] is True
+    if isinstance(seed, int):
+        assert code == 0
+    if isinstance(seed, float):
         assert code == 2
 
 

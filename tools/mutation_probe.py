@@ -151,6 +151,13 @@ MUTANTS = (
     Mutant("gradient norms always equal", "src/grflab/deformations.py",
            'report["gradient_norms_equal"] = nh2 == nk2', 'report["gradient_norms_equal"] = True',
            ("tests/test_deformations.py",)),
+    # verify: the round-point identities decided on the degree blocks
+    Mutant("self-adjoint proof compares an entry with itself", "src/grflab/cli.py",
+           "b[i][j] == b[j][i]", "b[i][j] == b[i][j]", ("tests/test_cli.py",)),
+    Mutant("full kernel against a wrong dimension", "src/grflab/cli.py",
+           "len(ker) == 9 * (k + 1) ** 2", "len(ker) == 9 * k ** 2", ("tests/test_cli.py",)),
+    Mutant("proof verdict dropped from its assertion", "src/grflab/cli.py",
+           "sampled and (proof is None or proof(geo))", "sampled", ("tests/test_cli.py",)),
     # flow: an ODE in g alone; one cached Geometry per state
     Mutant("dual path subtracts d*H", "src/grflab/flow.py",
            "(_g_rate(geo) + geo.dstar_H)", "(_g_rate(geo) - geo.dstar_H)", FLOW_TESTS),
