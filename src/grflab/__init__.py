@@ -10,7 +10,7 @@ from .tensors import (BadRank, Geometry, SingularMetric, antisym, is_zero, jet_p
 from .variational import (InconsistentSource, SolverError, bianchi_contracted_check,
                           block_eigenvalues, coordinate_tensor, first_variation, lambda_min,
                           operator_A, operator_B, phi_operator, phi_relation_check,
-                          second_variation_form, second_variation_matrix, slice_tangent_basis)
+                          second_variation_matrix, slice_tangent_basis)
 from .deformations import (Deformation, NotEigenfunction, PreconditionFailed, canonical_igsd,
                            equivalence_check, igsd_kernel, integrability_report,
                            integral_identities, jet_second_variation_check, obstruction,

@@ -143,10 +143,11 @@ def _prove_phi(round_geo):
 
 def _prove_self_adjoint(round_geo):
     """Whether A is L2-self-adjoint on every degree proved: the second-variation
-    form on the unit coordinate vectors is symmetric, block by block."""
+    form on the unit coordinate vectors is symmetric, block by block. A block's
+    entries share one denominator, so their integer numerators decide."""
     units = [[{j: 1} for j in range(9 * (k + 1) ** 2)] for k in range(_PROVED_DEGREE + 1)]
-    return all(b[i][j] == b[j][i] for b in variational.second_variation_matrix(units, round_geo)
-               for i in range(len(b)) for j in range(i))
+    blocks = variational.second_variation_numerators(units, round_geo)
+    return all(b[i][j] == b[j][i] for b, _ in blocks for i in range(len(b)) for j in range(i))
 
 
 # (assertion, samples, check, proof): check(rng, round_geo) draws one sample's
@@ -155,7 +156,7 @@ def _prove_self_adjoint(round_geo):
 # assertion depend on the seed alone. proof(round_geo), where given, decides the
 # identity on the degrees proved, and the assertion needs both; the one sample
 # beside it ties the symbol calculus to the polynomial one. A proof reads A
-# and Phi from variational, as second_variation_matrix does, and a sample
+# and Phi from variational, as second_variation_numerators does, and a sample
 # through the names imported here. The dual path and Bianchi run on dense
 # random metrics, where no symbol applies.
 _SAMPLED = (

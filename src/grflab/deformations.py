@@ -13,8 +13,7 @@ from .frames import BadIndex, adjoint_matrix
 from .harmonics import canonical_space, harmonic_basis, is_eigenfunction
 from .poly import IntegralValue, JetScalar, as_poly, integrate_s3
 from .tensors import Geometry, antisym, contract, is_zero, jet_part, obj_array, sym, zeros
-from .variational import (coordinate_tensor, curvature_action, degree_kernels, operator_B,
-                          second_variation_form)
+from .variational import coordinate_tensor, curvature_action, degree_kernels, operator_B
 
 MU = Fraction(2)  # Einstein constant of the unit round 3-sphere
 
@@ -40,14 +39,6 @@ def round_geometry():
 class Deformation:
     gamma: np.ndarray
     provenance: str = ""
-
-    @property
-    def h(self):
-        return sym(self.gamma)
-
-    @property
-    def K(self):
-        return -antisym(self.gamma)
 
 
 def parallel_from_invariant_forms(i, j):
@@ -99,14 +90,17 @@ def first_order_system_check(gamma):
 
 
 def equivalence_check(gamma):
-    """Evaluate the four equivalent kernel characterizations independently."""
+    """Evaluate the four equivalent kernel characterizations independently.
+    The fourth, -(gamma, A gamma) = 0 on the slice, pairs gamma with B gamma:
+    the twisted divergence pair is zero on the slice, so A gamma = B gamma."""
     geo = round_geometry()
     u, v = geo.twisted_divergence(gamma)
     in_slice = is_zero(u) and is_zero(v)
-    cond_a = is_zero(operator_B(gamma, geo)) and in_slice
+    b_gamma = operator_B(gamma, geo)
+    cond_a = is_zero(b_gamma) and in_slice
     cond_b = is_zero(geo.mixed_covd(gamma))
     cond_c = first_order_system_check(gamma)
-    cond_d = second_variation_form(gamma, gamma, geo).is_zero and in_slice
+    cond_d = in_slice and integrate_s3(geo.inner(gamma, b_gamma)).is_zero
     report = {
         "kernel_of_B": cond_a,
         "parallel": cond_b,

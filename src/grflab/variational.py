@@ -9,7 +9,7 @@ import numpy as np
 from . import linalg
 from .frames import INV_LAPLACIAN, Op
 from .harmonics import canonical_space, harmonic_basis, word_matrix
-from .poly import IntegralValue, Polynomial, as_poly, integrate_s3
+from .poly import Polynomial, as_poly, integrate_s3
 from .tensors import contract, obj_array, zeros
 
 
@@ -161,16 +161,6 @@ def phi_relation_check(gamma, geo):
     return (lhs[0] - rhs[0], lhs[1] - rhs[1])
 
 
-def second_variation_form(gamma1, gamma2, geo):
-    """The quadratic form -(gamma1, A gamma2), an exact multiple of pi^2.
-
-    Computed with the unweighted round measure; geo.f must be constant (the
-    constant weight rescales the form without changing kernel or sign).
-    """
-    minus_a2 = geo.raised(-operator_A(gamma2, geo), 0, 1)
-    return IntegralValue(pairing_matrix([gamma1], [minus_a2])[0][0])
-
-
 def _symbol(image):
     """The symbol of a linear map on rank-2 tensors with constant coefficients
     in the frame, as ({word w: {(r, s): c}}, number of image components): the
@@ -262,15 +252,15 @@ def coordinate_tensor(vec, k):
     return out
 
 
-def second_variation_matrix(blocks, geo):
+def second_variation_numerators(blocks, geo):
     """Exact Gram matrix of the second-variation form -(x, A y), one square
-    block of coefficients of pi^2 per harmonic degree k = 0, 1, ...: A keeps
-    each degree, and distinct degrees are L2-orthogonal. The block is
-    Z^T (I_9 (x) G_k) R_k Z: R_k is the degree-k block of the symbol of
-    y -> -A y with both slots raised, G_k the Gram matrix of harmonic_basis(k)
-    and Z the block's coordinate vectors, as ``degree_kernels`` returns them.
-    The product runs on integer numerators of R_k, G_k and Z over D_R, D_G and
-    D_Z, and each entry is one Fraction over D_R D_G D_Z^2."""
+    block per harmonic degree k = 0, 1, ...: A keeps each degree, and distinct
+    degrees are L2-orthogonal. The block is Z^T (I_9 (x) G_k) R_k Z: R_k is the
+    degree-k block of the symbol of y -> -A y with both slots raised, G_k the
+    Gram matrix of harmonic_basis(k) and Z the block's coordinate vectors, as
+    ``degree_kernels`` returns them. The product runs on integer numerators of
+    R_k, G_k and Z over D_R, D_G and D_Z, and each block comes back as
+    (integer numerators, D): every entry over the one D = D_R D_G D_Z^2."""
     symbol = _symbol(lambda t: (geo.raised(-operator_A(t, geo), 0, 1),))
     out = []
     for k, b in enumerate(blocks):
@@ -285,9 +275,15 @@ def second_variation_matrix(blocks, geo):
             gy.append([sum(g * y[s + q] for q, g in row.items())
                        for s in range(0, 9 * n, n) for row in gram])
         den = dr * dg * dz * dz
-        out.append([[Fraction(sum(x * v[i] for i, x in zx.items()), den) for v in gy]
-                    for zx in z])
+        out.append(([[sum(x * v[i] for i, x in zx.items()) for v in gy] for zx in z], den))
     return out
+
+
+def second_variation_matrix(blocks, geo):
+    """``second_variation_numerators`` divided out: one block of exact
+    coefficients of pi^2 per harmonic degree."""
+    return [[[Fraction(x, den) for x in row] for row in block]
+            for block, den in second_variation_numerators(blocks, geo)]
 
 
 def block_eigenvalues(blocks):

@@ -25,7 +25,7 @@ from grflab.flow import FlowState, grf_rhs, run_flow, soliton_residual, step_rk4
 from grflab.harmonics import canonical_space, harmonic_basis
 from grflab.linalg import rank
 from grflab.poly import IntegralValue, Polynomial
-from grflab.tensors import Geometry, SingularMetric, is_zero, obj_array, zeros
+from grflab.tensors import Geometry, SingularMetric, is_zero, obj_array, sym, zeros
 from grflab.variational import (bianchi_contracted_check, block_eigenvalues, first_variation,
                                 lambda_min, second_variation_matrix, slice_tangent_basis)
 
@@ -178,7 +178,7 @@ def test_criterion_08_no_trace_free_kernel_directions():
     space = canonical_space(2)
     trace_rows = []
     for d in ker:
-        tr = sum((d.h[i, i] for i in range(3)), Polynomial.zero())
+        tr = sum((sym(d.gamma)[i, i] for i in range(3)), Polynomial.zero())
         trace_rows.append(space.coords(tr))
     from grflab.linalg import kernel_basis
     eqs = [[trace_rows[j][i] for j in range(len(ker))] for i in range(len(space.basis))]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import grflab
-from conftest import sparse_rows
+from conftest import second_variation, sparse_rows
 from grflab import deformations, linalg
 from grflab.deformations import (MU, Deformation, NotEigenfunction,
                                  PreconditionFailed, _jet_u_part, canonical_igsd,
@@ -20,7 +20,8 @@ from grflab.deformations import (MU, Deformation, NotEigenfunction,
 from grflab.frames import BadIndex
 from grflab.harmonics import canonical_space, harmonic_basis, is_eigenfunction
 from grflab.poly import IntegralValue, JetScalar, Polynomial, integrate_s3
-from grflab.tensors import Geometry, antisym, contract, is_zero, obj_array
+from grflab.tensors import Geometry, antisym, contract, is_zero, obj_array, sym
+from grflab.variational import coordinate_tensor, operator_B, slice_tangent_basis
 
 X = [Polynomial.variable(i) for i in (1, 2, 3, 4)]
 
@@ -43,7 +44,7 @@ def test_parallel_h_and_k_coupling():
     import numpy as np
     for i in (1, 2, 3):
         d = parallel_from_invariant_forms(i, (i % 3) + 1)
-        h, K = d.h, d.K
+        h, K = sym(d.gamma), -antisym(d.gamma)
         dh = geo.covd(h, geo.gamma)
         div_h = np.einsum("mnl,mn->l", dh, geo.ginv)
         want = Fraction(1, 2) * np.einsum("ma,ab,mkl,kb->l",
@@ -114,6 +115,43 @@ def test_equivalence_four_ways():
     rep_bad = equivalence_check(bad)
     assert rep_bad["agree"]
     assert not rep_bad["parallel"]
+
+
+def reference_equivalence(gamma):
+    """Reference four-way report: the fourth test pairs gamma with A gamma
+    itself, -(gamma, A gamma) = 0 on the slice."""
+    geo = round_geometry()
+    u, v = geo.twisted_divergence(gamma)
+    in_slice = is_zero(u) and is_zero(v)
+    conds = {"kernel_of_B": is_zero(operator_B(gamma, geo)) and in_slice,
+             "parallel": is_zero(geo.mixed_covd(gamma)),
+             "first_order_system": deformations.first_order_system_check(gamma),
+             "second_variation_zero": in_slice and second_variation(gamma, gamma, geo) == 0}
+    return {**conds, "agree": len(set(conds.values())) == 1}
+
+
+def test_equivalence_check_equals_the_reference_through_a():
+    # equivalence_check reads -(gamma, A gamma) off B gamma, as A gamma = B gamma
+    # on the slice; off it the fourth test fails either way
+    geo = round_geometry()
+    rng = random.Random(37)
+    basis = canonical_space(2).basis
+    sliced = [coordinate_tensor(v, k) for k, b in enumerate(slice_tangent_basis(geo, 2))
+              for v in b[::7]]
+    off = [obj_array([[sum((rng.randint(-2, 2) * p for p in basis if rng.random() < 0.3),
+                           Polynomial.zero()) for _ in range(3)] for _ in range(3)])
+           for _ in range(12)]
+    tensors = ([d.gamma for d in igsd_kernel(3)] + sliced
+               + [geo.g, obj_array([[X[0] * X[1], 0, 0], [0, 0, 0], [0, 0, 0]])]
+               + [parallel_from_invariant_forms(i, j).gamma for i in (1, 2, 3) for j in (1, 2, 3)]
+               + [canonical_igsd(u).gamma for u in harmonic_basis(2)] + off)
+    assert len(tensors) == 51
+    assert not any(is_zero(u) and is_zero(v) for u, v in map(geo.twisted_divergence, off))
+    reports = [equivalence_check(t) for t in tensors]
+    assert reports == [reference_equivalence(t) for t in tensors]
+    # the slice vectors below degree 2 are in the slice, off the kernel
+    assert [r["second_variation_zero"] for r in reports[9:13]] == [False] * 4
+    assert all(r["second_variation_zero"] for r in reports[:9] + reports[21:39])
 
 
 def test_integral_identities_values():

@@ -131,3 +131,18 @@ def test_integrals_take_factors():
              and len(node.args) == 1 and not node.keywords and product(node.args[0])]
     assert found == []
 
+
+
+def test_one_second_variation_form():
+    # second_variation_matrix is the one second-variation form, and the
+    # fourth characterization in deformations reads it off B: no polynomial
+    # copy of the form and no run of A there
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and node.name == "second_variation_form")
+             or (path.name == "deformations.py" and isinstance(node, ast.Call)
+                 and "operator_A" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None)))]
+    assert found == []

@@ -148,19 +148,44 @@ MUTANTS = (
            ("tests/test_linalg.py", "tests/test_harmonics.py")),
     Mutant("inverse Laplacian over k(k+1)", "src/grflab/harmonics.py",
            "dt * k * (k + 2)", "dt * k * (k + 1)", WORD_TESTS),
+    # the fourth characterization: -(gamma, A gamma) read as -(gamma, B gamma)
+    Mutant("second variation pairs gamma with gamma", "src/grflab/deformations.py",
+           "geo.inner(gamma, b_gamma)", "geo.inner(gamma, gamma)",
+           ("tests/test_deformations.py",)),
+    # (gamma, B gamma) is 1/2 of the squared L2 norm of the mixed covariant
+    # derivative (test_operator_b_energy_identity), so it vanishes only on
+    # parallel tensors, and those all lie in the slice
+    Mutant("second variation without the slice test", "src/grflab/deformations.py",
+           "cond_d = in_slice and ", "cond_d = ", ("tests/test_deformations.py",),
+           equivalent=True),
     Mutant("gradient norms always equal", "src/grflab/deformations.py",
            'report["gradient_norms_equal"] = nh2 == nk2', 'report["gradient_norms_equal"] = True',
            ("tests/test_deformations.py",)),
     # verify: the round-point identities decided on the degree blocks
     Mutant("self-adjoint proof compares an entry with itself", "src/grflab/cli.py",
-           "b[i][j] == b[j][i]", "b[i][j] == b[i][j]", ("tests/test_cli.py",)),
+           "return all(b[i][j] == b[j][i]", "return all(b[i][j] == b[i][j]",
+           ("tests/test_cli.py",)),
     Mutant("full kernel against a wrong dimension", "src/grflab/cli.py",
            "len(ker) == 9 * (k + 1) ** 2", "len(ker) == 9 * k ** 2", ("tests/test_cli.py",)),
     Mutant("proof verdict dropped from its assertion", "src/grflab/cli.py",
            "sampled and (proof is None or proof(geo))", "sampled", ("tests/test_cli.py",)),
+    # d*H = 0 at the round point, so only a planted divergence fails this check
+    Mutant("torsion is coclosed always", "src/grflab/cli.py",
+           '("torsion is coclosed", is_zero(geo.dstar_H))', '("torsion is coclosed", True)',
+           ("tests/test_cli.py",)),
+    # the Poisson source of A is zero on the slice; A div* = 0 sees it off the slice
+    Mutant("pair divergence weights v twice", "src/grflab/tensors.py",
+           "(self.div_f(u) + self.div_f(v))", "(self.div_f(u) + 2 * self.div_f(v))",
+           TENSOR_TESTS),
+    # nabla H = 0 on invariant data, so only a non-constant H sees dh's slots
+    Mutant("bismut curvature transposes dh as (1, 0, 3, 2)", "src/grflab/tensors.py",
+           "np.transpose(dh, (1, 0, 2, 3))", "np.transpose(dh, (1, 0, 3, 2))", TENSOR_TESTS),
     # flow: an ODE in g alone; one cached Geometry per state
     Mutant("dual path subtracts d*H", "src/grflab/flow.py",
            "(_g_rate(geo) + geo.dstar_H)", "(_g_rate(geo) - geo.dstar_H)", FLOW_TESTS),
+    Mutant("dual path residual is 0.0", "src/grflab/flow.py",
+           "return float(np.abs((_g_rate(geo) + geo.dstar_H) + 2.0 * geo.Rc_plus).max())",
+           "return 0.0", FLOW_TESTS),
     Mutant("soliton residual against H^2/2", "src/grflab/flow.py",
            "geo.Rc - geo.H2 / 4.0", "geo.Rc - geo.H2 / 2.0", FLOW_TESTS),
     Mutant("step_rk4 does not advance t", "src/grflab/flow.py",
