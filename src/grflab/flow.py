@@ -4,17 +4,16 @@ closed and *H of an invariant 3-form is a constant function, so d*H = 0: the
 torsion stays H0 vol and the flow is an ODE in g alone. ``grf_rhs`` returns
 dg/dt; the CLI still prints b11..b33 as 0.0, for its output contract.
 
-One float64 ``Geometry`` serves each state, built once on first use: the
-first RK4 stage, the dual-path check ``dual_path_residual`` (which adds the
-cached d*H in), the soliton residual and ``flow_lambda``, the constant
-potential R - |H|^2/12, all read it."""
+One float64 ``Geometry`` serves each state, built once on first use:
+``run_flow``'s range check on det g, the first RK4 stage, the dual-path check
+``dual_path_residual`` (which adds the cached d*H in), the soliton residual
+and ``flow_lambda``, the constant potential R - |H|^2/12, all read it."""
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .tensors import Geometry, SingularMetric
+from .tensors import Geometry, SingularMetric, cached
 from .variational import lambda_min
 
 
@@ -37,7 +36,7 @@ class FlowState:
     def __post_init__(self):
         object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
 
-    @cached_property
+    @cached
     def geometry(self):
         """The float64 Geometry of (g, H0 vol)."""
         return Geometry(self.g, self.H0_coeff)
@@ -107,11 +106,14 @@ def run_flow(initial, dt, steps, sample_every=1):
     with np.errstate(over="ignore", invalid="ignore"):
         sample(state)
         for n in range(1, steps + 1):
+            # the new state's Geometry, which the next step's k1 reads, holds
+            # det g; an exactly singular g fails to build it
             try:
                 state = step_rk4(state, dt)
+                det = state.geometry.det
             except SingularMetric:
                 raise FlowBlowup(f"metric degenerated at step {n}", samples)
-            if not np.isfinite(np.linalg.det(state.g)):
+            if not np.isfinite(det):
                 raise FlowBlowup(f"metric left float64 range at step {n}", samples)
             if np.linalg.eigvalsh(state.g).min() < 1e-10:
                 raise FlowBlowup(f"metric degenerated at step {n}", samples)

@@ -5,7 +5,7 @@ object ndarray of scalars with one size-3 axis per frame index."""
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,6 +19,22 @@ except ImportError:  # numpy 1.x
 from . import frames
 from .frames import Op, frame_derive
 from .poly import _ZERO, JetScalar, NonInvertibleJet, Polynomial, as_jet, as_poly
+
+
+class cached:
+    """A non-data descriptor that computes an attribute on its first read and
+    stores it in the instance __dict__, which later reads find first: the
+    semantics of functools.cached_property, without the lock that Python 3.11
+    takes on every first read. func is the wrapped method."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class BadRank(ValueError):
@@ -237,17 +253,18 @@ def christoffel(g, ginv, dg=None):
     ginv its inverse, as float64 or object ndarrays. dg[m, i, k] = E_m(g_ik);
     None for invariant data, whose components have no frame derivatives.
     The three structure terms c^p_mi g_pk - c^p_mk g_ip - c^p_ik g_mp, for g
-    symmetric as ``Geometry`` requires, and their raising by g^-1 are the one
-    contraction of the constant table _CHRISTOFFEL with g and ginv. A metric
-    with frame derivatives (polynomial or jet entries) meets only the nonzero
-    entries of the table instead, and its derivative terms join the structure
-    terms before the one raising.
+    symmetric as ``Geometry`` requires, are the contraction of the constant
+    table _CHRISTOFFEL with g. A metric with frame derivatives (polynomial or
+    jet entries) meets only the nonzero entries of the table instead, and its
+    derivative terms join the structure terms. Either way the lowered symbols
+    are raised by g^-1 once.
     """
     if dg is None:
-        return _half(contract("mikpq,pq,rk->mir", _CHRISTOFFEL, g, ginv))
-    a = dg + contract("imk->mik", dg) - contract("kmi->mik", dg)
-    for mik, pq, c in _CHRISTOFFEL_ENTRIES:
-        a[mik] = a[mik] + c * g[pq]
+        a = contract("mikpq,pq->mik", _CHRISTOFFEL, g)
+    else:
+        a = dg + contract("imk->mik", dg) - contract("kmi->mik", dg)
+        for mik, pq, c in _CHRISTOFFEL_ENTRIES:
+            a[mik] = a[mik] + c * g[pq]
     return _half(contract("mik,pk->mip", a, ginv))
 
 
@@ -307,6 +324,8 @@ class Geometry:
         if isinstance(H, int) and self.g.dtype == np.float64:
             H = float(H)
         H = _as_data(H)
+        # the coefficient s of H = s vol, which H2 reads; None for an array H
+        self.volume_coeff = H[()] if H.ndim == 0 else None
         if H.ndim == 0:
             H = (_VOLUME_FLOAT if H.dtype == np.float64 else _VOLUME) * H[()]
         self.H = H
@@ -319,7 +338,8 @@ class Geometry:
         adj = _adjugate(self.g)
         self.minors = leading_minors(self.g, adj)
         self.det = self.minors[2]
-        self.ginv = adj * _reciprocal(self.det)
+        self.det_inv = _reciprocal(self.det)
+        self.ginv = adj * self.det_inv
         self.gamma = christoffel(self.g, self.ginv, self._frame_gradient(self.g))
 
     # -- scalar helpers ---------------------------------------------------
@@ -335,7 +355,7 @@ class Geometry:
                 out[(m,) + idx] = frame_derive(arr[idx], m + 1)
         return out
 
-    @cached_property
+    @cached
     def ginv_div(self):
         """sum_m E_m(g^{mp}), the frame divergence of g^-1 that ``div`` reads;
         None for invariant metrics."""
@@ -422,17 +442,17 @@ class Geometry:
     # Derived connection and curvature data, each computed on first use: a
     # Geometry is never changed after __init__.
 
-    @cached_property
+    @cached
     def gamma_p(self):
         """Symbols of the Bismut connection nabla+ = nabla + H/2."""
         return self.gamma + _half(self.H_ddu)
 
-    @cached_property
+    @cached
     def gamma_m(self):
         """Symbols of the Bismut connection nabla- = nabla - H/2."""
         return self.gamma - _half(self.H_ddu)
 
-    @cached_property
+    @cached
     def gamma_up(self):
         """Gamma^m_ap = g^{mn} Gamma[n, a, p]: the Levi-Civita symbols with their
         first slot raised, as ``div`` contracts them. Its trace Gamma^m_mp is
@@ -458,22 +478,22 @@ class Geometry:
                          + frame_derive(conn[j, k, 2], 3) - frame_derive(w[k], j + 1))
         return out
 
-    @cached_property
+    @cached
     def Rm_dddu(self):
         """R_ijk^l: the curvature endomorphism of the Levi-Civita connection."""
         return self.curvature(self.gamma)
 
-    @cached_property
+    @cached
     def Rm_plus_dddu(self):
         """R+_ijk^l: the curvature endomorphism of nabla+ = nabla + H/2."""
         return self.curvature(self.gamma_p)
 
-    @cached_property
+    @cached
     def Rm(self):
         """Riemann tensor Rm_{ijkl} = R_ijk^p g_pl of the Levi-Civita connection."""
         return contract("ijkp,pl->ijkl", self.Rm_dddu, self.g)
 
-    @cached_property
+    @cached
     def Rm_plus(self):
         """Riemann tensor of the Bismut connection nabla+ = nabla + H/2."""
         return contract("ijkp,pl->ijkl", self.Rm_plus_dddu, self.g)
@@ -481,27 +501,32 @@ class Geometry:
     # g^{il} Rm_{ijkl} = R_ijk^i, since g^{il} g_{pl} = delta_ip holds exactly
     # for exact and jet data alike; the trace is taken before R_ijk^l is formed
 
-    @cached_property
+    @cached
     def Rc(self):
         """Ricci tensor Rc_{jk} = g^{il} Rm_{ijkl}, the trace R_ijk^i."""
         return self._ricci(self.gamma)
 
-    @cached_property
+    @cached
     def Rc_plus(self):
         """Bismut Ricci tensor g^{il} Rm+_{ijkl} = R+_ijk^i."""
         return self._ricci(self.gamma_p)
 
-    @cached_property
+    @cached
     def R(self):
         """Scalar curvature g^{jk} Rc_{jk}."""
         return contract("jk,jk->", self.Rc, self.ginv)
 
-    @cached_property
+    @cached
     def H2(self):
-        """H^2_{ij} = H_{ipq} H_{jrs} g^{pr} g^{qs}."""
-        return contract("ipq,jrs,pr,qs->ij", self.H, self.H, self.ginv, self.ginv)
+        """H^2_{ij} = H_{ipq} H_{jrs} g^{pr} g^{qs}. For H = s vol it is
+        2 s^2 g / det g, exactly: eps_ipq eps_jrs A^pr A^qs = 2 cof(A)_ij, and
+        cof(g^-1) = g / det g."""
+        s = self.volume_coeff
+        if s is None:
+            return contract("ipq,jrs,pr,qs->ij", self.H, self.H, self.ginv, self.ginv)
+        return self.g * (2 * s * s * self.det_inv)
 
-    @cached_property
+    @cached
     def H2_norm(self):
         """|H|^2, full contraction without combinatorial factor."""
         return contract("ij,ij->", self.H2, self.ginv)
@@ -517,39 +542,39 @@ class Geometry:
             T = contract(f"p{idx[s]},{idx}->{idx[:s]}p{idx[s + 1:]}", self.ginv, T)
         return T
 
-    @cached_property
+    @cached
     def H_ddu(self):
         """H_ij^k: H with its last slot raised, the torsion part of nabla+-."""
         return self.raised(self.H, 2)
 
-    @cached_property
+    @cached
     def H_udu(self):
         """H^i_j^k: H with its first and last slots raised."""
         return self.raised(self.H, 0, 2)
 
-    @cached_property
+    @cached
     def H_uud(self):
         """H^ij_k: H with its first two slots raised."""
         return self.raised(self.H, 0, 1)
 
-    @cached_property
+    @cached
     def H2_du(self):
         """(H^2)_i^j: H^2 with its last slot raised."""
         return self.raised(self.H2, 1)
 
-    @cached_property
+    @cached
     def HH_up(self):
         """HH[i, j, e, f] = H_abj H_cdi g^ac g^bf g^de: the mixed Laplacian's
         H*H term without its gamma_ef, built as H^cf_j H_c^e_i."""
         return contract("cfj,cei->ijef", self.H_uud, self.raised(self.H, 1))
 
-    @cached_property
+    @cached
     def Rm_up(self):
         """Rm^i_jk^l: Rm with its first and last slots raised, the endomorphism
         with its first slot raised."""
         return self.raised(self.Rm_dddu, 0)
 
-    @cached_property
+    @cached
     def Rm_plus_up(self):
         """Rm+^i_jk^l: Rm+ with its first and last slots raised."""
         return self.raised(self.Rm_plus_dddu, 0)
@@ -577,12 +602,12 @@ class Geometry:
 
     # -- Bakry-Emery -------------------------------------------------------
 
-    @cached_property
+    @cached
     def hess_f(self):
         """Hess f, the Levi-Civita Hessian of the potential."""
         return self.hessian(self.f)
 
-    @cached_property
+    @cached
     def dstar_H(self):
         """d*H, the codifferential of the torsion 3-form."""
         return self.dstar(self.H)

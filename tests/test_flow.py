@@ -69,6 +69,18 @@ def test_residual_decays_like_exp_minus_8t():
     assert all(abs(s + 8) < 1e-2 for s in slopes), slopes
 
 
+def test_perturbation_contracts_at_the_linear_stability_rate():
+    # a dense perturbation I + 1e-3 S of the critical point decays like e^(-8t),
+    # the rate of the linearisation: read off max|g - I| at t = 0.2 and 0.4
+    S = np.array([[1.0, 2.0, 0.0], [2.0, -1.0, 3.0], [0.0, 3.0, 0.5]])
+    samples = run_flow(FlowState(g=np.eye(3) + 1e-3 * S, H0_coeff=2.0), 1e-3, 400,
+                       sample_every=200)
+    _, (t1, s1, _, _), (t2, s2, _, _) = samples
+    assert (t1, t2) == pytest.approx((0.2, 0.4))
+    d1, d2 = (np.abs(s.g - np.eye(3)).max() for s in (s1, s2))
+    assert math.log(d2 / d1) / (t2 - t1) == pytest.approx(-8, rel=1e-2)
+
+
 def test_dual_path_identity_random_states():
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -100,8 +112,9 @@ def test_rhs_builds_no_curvature_endomorphism(monkeypatch):
 
 
 def test_float_g_rate_makes_five_contractions(monkeypatch):
-    # one table contraction for the symbols, the trace and two products of
-    # Rc (the structure term rides in conn.conn) and one for H^2
+    # the table contraction and one raising for the symbols, the trace and two
+    # products of Rc (the structure term rides in conn.conn); H^2 of H0 vol is
+    # read off g and det g
     specs = []
     real = tensors.contract
     monkeypatch.setattr(tensors, "contract",
@@ -175,6 +188,16 @@ def test_blowup_detected():
     with pytest.raises(FlowBlowup) as exc:
         run_flow(round_state(h0=0.0), 1e-3, 400, sample_every=100)
     assert exc.value.samples  # the samples before the blowup are kept
+
+
+def test_an_exactly_singular_step_is_a_degeneration(monkeypatch):
+    # the new state's Geometry is built inside the step's guard: det g = 0
+    # ends the run as a blowup, not with a traceback
+    monkeypatch.setattr(flow, "step_rk4", lambda s, dt: FlowState(
+        g=np.diag([1.0, 1.0, 0.0]), H0_coeff=s.H0_coeff, t=s.t + dt))
+    with pytest.raises(FlowBlowup, match="metric degenerated at step 1") as exc:
+        run_flow(round_state(), 1e-3, 5)
+    assert len(exc.value.samples) == 1
 
 
 def test_bad_dt():

@@ -678,6 +678,59 @@ def test_default_potential_is_one_shared_zero():
     assert Geometry(EYE).f.is_zero
 
 
+def _four_operand_h2(geo):
+    return contract("ipq,jrs,pr,qs->ij", geo.H, geo.H, geo.ginv, geo.ginv)
+
+
+def test_h2_of_a_volume_form_is_its_closed_form():
+    # H = s vol gives H^2 = 2 s^2 g / det g: exactly, entry type for entry type,
+    # on rational metrics with every off-diagonal entry nonzero
+    rng = random.Random(38)
+    for _ in range(24):
+        m = [[Fraction(0)] * 3 for _ in range(3)]
+        for i in range(3):
+            for j in range(i + 1, 3):
+                m[i][j] = m[j][i] = Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+            m[i][i] = Fraction(rng.randint(5, 9), 2)  # diagonally dominant
+        s = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        geo = Geometry(m, H=s)
+        assert geo.volume_coeff == s
+        got, want = geo.H2, _four_operand_h2(geo)
+        assert [type(x) for x in got.flat] == [type(x) for x in want.flat] == [Fraction] * 9
+        assert got.tolist() == want.tolist()
+    # float64: the same within rounding
+    nrng = np.random.default_rng(38)
+    for _ in range(24):
+        a = nrng.normal(size=(3, 3))
+        geo = Geometry(a @ a.T + 0.3 * np.eye(3), float(nrng.uniform(-10, 10)))
+        got, want = geo.H2, _four_operand_h2(geo)
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # an order-2 jet metric with a number H
+    c2 = [[X[3] * X[3], X[0] + 2, X[1]], [X[0] + 2, X[0] * X[2], X[2] - 1], [X[1], X[2] - 1, 1]]
+    gj = obj_array([[JetScalar(x.c0, x.c1, c2[i][j]) for j, x in enumerate(row)]
+                    for i, row in enumerate(_dense_jet_metric().tolist())])
+    geo = Geometry(gj, H=Fraction(3, 2))
+    assert geo.H2.tolist() == _four_operand_h2(geo).tolist()
+    # an array H keeps the contraction
+    geo = Geometry(EYE, H=volume_form(2))
+    assert geo.volume_coeff is None and geo.H2.tolist() == (8 * np.array(EYE)).tolist()
+
+
+def test_cached_attribute_is_computed_once_per_instance(monkeypatch):
+    calls = []
+    real = Geometry._ricci
+    monkeypatch.setattr(Geometry, "_ricci",
+                        lambda self, conn: calls.append(self) or real(self, conn))
+    a, b = round_geo(), round_geo()
+    assert a.Rc is a.Rc and b.Rc is b.Rc and a.Rc is not b.Rc
+    assert len(calls) == 2 and calls[0] is a and calls[1] is b
+    assert a.__dict__["Rc"] is a.Rc
+    assert Geometry.Rc.__doc__ == Geometry.Rc.func.__doc__
+    state = FlowState(g=np.eye(3), H0_coeff=2.0)
+    assert state.geometry is state.geometry and "geometry" in state.__dict__
+
+
 # -- raised tensors against the many-operand contractions -----------------------
 
 def _old_mixed_laplacian_formula(geo, gamma):
@@ -782,7 +835,7 @@ def test_inner_matches_many_operand_einsum():
 # curvature endomorphism, which the tests check Rc against, and "mn...,mn->..."
 # the full-gradient frame term that the divergence oracles trace.
 CONTRACT_SPECS = (
-    "mikpq,pq,rk->mir", "imk->mik", "kmi->mik", "mik,pk->mip",
+    "mikpq,pq,rk->mir", "mikpq,pq->mik", "imk->mik", "kmi->mik", "mik,pk->mip",
     "jkm,iml->ijkl", "ijm,mkl->ijkl", "jikl->ijkl", "ijkp,pl->ijkl",
     "mn,n->m", "mn,n...->m...", "mn...,mn->...", "m,m...->...", "ijkl,il->jk", "ijki->jk",
     "jk,jk->",

@@ -102,6 +102,11 @@ MUTANTS = (
            "frame_derive(w[k], j + 1)", "frame_derive(w[k], k + 1)", TENSOR_TESTS),
     Mutant("ricci derives conn[j, k, 1] along E_1", "src/grflab/tensors.py",
            "frame_derive(conn[j, k, 1], 2)", "frame_derive(conn[j, k, 1], 1)", TENSOR_TESTS),
+    # H^2 of H = s vol in closed form, 2 s^2 g / det g; det g = 1 at the round point
+    Mutant("H² closed form drops its factor 2", "src/grflab/tensors.py",
+           "self.g * (2 * s * s * self.det_inv)", "self.g * (s * s * self.det_inv)", TENSOR_TESTS),
+    Mutant("H² closed form multiplies by det g instead of its reciprocal",
+           "src/grflab/tensors.py", "s * s * self.det_inv)", "s * s * self.det)", TENSOR_TESTS),
     # frame_derive: numerators summed against the kept image of each monomial
     Mutant("monomial images keyed without the chirality", "src/grflab/frames.py",
            "_IMAGES[chirality, i]", '_IMAGES["left", i]', FRAME_TESTS),
@@ -193,6 +198,15 @@ MUTANTS = (
     # the same k1 from a Geometry of its own: only the construction count sees it
     Mutant("k1 builds its own Geometry", "src/grflab/flow.py",
            "k1 = _g_rate(state.geometry)", "k1 = rate(g0)", FLOW_TESTS),
+    # det g is read off the new state's Geometry, whose construction fails on a
+    # singular g: outside the guard that is a traceback, not a blowup
+    Mutant("run_flow builds the new Geometry outside its guard", "src/grflab/flow.py",
+           "                det = state.geometry.det\n"
+           "            except SingularMetric:\n"
+           '                raise FlowBlowup(f"metric degenerated at step {n}", samples)\n',
+           "            except SingularMetric:\n"
+           '                raise FlowBlowup(f"metric degenerated at step {n}", samples)\n'
+           "            det = state.geometry.det\n", FLOW_TESTS),
     Mutant("flow states compare by value", "src/grflab/flow.py",
            "@dataclass(frozen=True, eq=False)", "@dataclass(frozen=True)", FLOW_TESTS),
     # flow_lambda: lambda read off the state's float64 Geometry; the CLI and
